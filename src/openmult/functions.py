@@ -26,7 +26,7 @@ def _as_complex_array(values, n=None):
         raise ValueError(f"expected {n} values, got {arr.size}")
     if arr.size == 0:
         raise ValueError("values must be nonempty")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError("values must be finite")
     arr = arr.copy()
     arr.setflags(write=False)

@@ -20,6 +20,7 @@ from .interval import (
     PipelineConfig,
     factorize_interval_arrays,
     phase_offset,
+    zero_meta,
 )
 from .quadratic import smaller_root_vec
 
@@ -184,7 +185,7 @@ def open_mult_graph(
             FactorizationResult(
                 d1=zero.edge_function(i), d2=zero.edge_function(i),
                 residual=0.0, bound1=0.0, bound2=0.0,
-                meta={"epsilon0": eps0, "delta0": cfg.delta0, "cover": []},
+                meta=zero_meta(cfg),
             )
             for i in range(len(graph.edges))
         )
@@ -209,15 +210,14 @@ def open_mult_graph(
         fv = f.edge_values[ei]
         gv = g.edge_values[ei]
         dv = d.edge_values[ei]
-        e1, e2, meta = factorize_interval_arrays(
+        e1, e2, meta, residual = factorize_interval_arrays(
             fv, gv, dv, eps0, strict=strict, pin_left=plan.left, pin_right=plan.right
         )
-        target = fv * gv + dv
         results.append(
             FactorizationResult(
                 d1=GridFunction(dom, e1),
                 d2=GridFunction(dom, e2),
-                residual=float(np.max(np.abs((fv + e1) * (gv + e2) - target))),
+                residual=residual,
                 bound1=float(np.max(np.abs(e1))),
                 bound2=float(np.max(np.abs(e2))),
                 meta=meta,

@@ -150,7 +150,7 @@ def circle_extend(partial, defined=None, pin_left=None, pin_right=None):
     wrap = isinstance(partial, GridFunction)
     vals = np.array(partial.values if wrap else partial, dtype=np.complex128)
     if defined is None:
-        mask = ~(np.isnan(vals.real) | np.isnan(vals.imag))
+        mask = ~np.isnan(vals)
     else:
         mask = np.array(defined, dtype=bool)
         if mask.shape != vals.shape:
@@ -161,23 +161,17 @@ def circle_extend(partial, defined=None, pin_left=None, pin_right=None):
                 raise NonUnimodularInput("pinned boundary value must be unimodular")
             vals[idx] = pin
             mask[idx] = True
-    if np.any(mask):
-        moduli = np.abs(vals[mask])
-        if float(np.max(np.abs(moduli - 1.0))) > 1e-9:
-            raise NonUnimodularInput("defined values must lie on the unit circle")
-    else:
+    if not np.any(mask):
         out = np.ones(vals.size, dtype=np.complex128)
         return GridFunction(partial.domain, out) if wrap else out
+    dev = np.abs(vals)
+    dev -= 1.0
+    np.abs(dev, out=dev)
+    if float(np.max(dev, where=mask, initial=0.0)) > 1e-9:
+        raise NonUnimodularInput("defined values must lie on the unit circle")
 
     n = vals.size
-    i = 0
-    while i < n:
-        if mask[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and not mask[j + 1]:
-            j += 1
+    for i, j in _true_runs(~mask):
         left = vals[i - 1] if i > 0 else None
         right = vals[j + 1] if j + 1 < n else None
         if left is not None and right is not None:
@@ -190,7 +184,6 @@ def circle_extend(partial, defined=None, pin_left=None, pin_right=None):
             vals[i:j + 1] = left
         else:
             vals[i:j + 1] = right
-        i = j + 1
     return GridFunction(partial.domain, vals) if wrap else vals
 
 
@@ -276,12 +269,22 @@ def sublevel_cover(h: GridFunction, eta1: float, eta2: float) -> IntervalCover:
 
 
 def _phase_formula(h1, h2):
+    # One expression on purpose: for large arrays numpy computes it in place
+    # in the conj() temporary, which fixes the operand order of the complex
+    # product and so its rounding.
     u = h1 * np.conj(h2)
-    return 1j * u / np.abs(u)
+    r = np.abs(u)
+    u *= 1j
+    u /= r
+    return u
 
 
 def _nondeg_phase_arrays(h1, h2, eta, pin_left=None, pin_right=None):
-    h = np.abs(h1) ** 2 + np.abs(h2) ** 2
+    """(beta2, f_quad): the rotation phase and the rotated linear coefficient
+    f_quad = h1 + h2*beta2, with |f_quad| >= eta certified."""
+    a1 = np.abs(h1)
+    a2 = np.abs(h2)
+    h = a1 * a1 + a2 * a2
     hmin = float(np.min(h))
     if hmin < eta * eta * (1.0 - 1e-12):
         raise PreconditionViolated(
@@ -290,7 +293,7 @@ def _nondeg_phase_arrays(h1, h2, eta, pin_left=None, pin_right=None):
         )
     eta0_sq = min(hmin - eta * eta, 0.4999 * eta * eta)
     if eta0_sq <= 0.0:
-        if not (np.all(np.abs(h1) > 0) and np.all(np.abs(h2) > 0)):
+        if not (np.all(a1 > 0) and np.all(a2 > 0)):
             raise PreconditionViolated(
                 "zero non-degeneracy margin at a node where a factor vanishes"
             )
@@ -300,14 +303,19 @@ def _nondeg_phase_arrays(h1, h2, eta, pin_left=None, pin_right=None):
         # largest tau with sqrt(eta^2 + (1-tau^2)*eta0^2) - tau*eta0 >= eta
         tau = min(1.0, (math.sqrt(eta * eta + 2.0 * eta0_sq) - eta) / (2.0 * eta0)) * 0.999
         theta = tau * eta0
-        defined = (np.abs(h1) > theta) & (np.abs(h2) > theta)
-    beta2 = np.full(h1.size, UNDEFINED, dtype=np.complex128)
-    if np.any(defined):
+        defined = a1 > theta
+        defined &= a2 > theta
+    if defined.all():
+        beta2 = _phase_formula(h1, h2)
+    else:
+        # Only the defined nodes, as an array of their own length: the
+        # length decides how numpy rounds the product (see _phase_formula).
+        beta2 = np.full(h1.size, UNDEFINED, dtype=np.complex128)
         beta2[defined] = _phase_formula(h1[defined], h2[defined])
-    beta2 = circle_extend(beta2, pin_left=pin_left, pin_right=pin_right)
-    lower = np.abs(h1 + h2 * beta2)
-    _verify(float(np.min(lower)) >= eta * (1.0 - 1e-12), "rotated lower bound lost")
-    return np.ones_like(beta2), beta2
+    beta2 = circle_extend(beta2, defined, pin_left=pin_left, pin_right=pin_right)
+    f_quad = h1 + h2 * beta2
+    _verify(float(np.min(np.abs(f_quad))) >= eta * (1.0 - 1e-12), "rotated lower bound lost")
+    return beta2, f_quad
 
 
 def nondeg_phases(
@@ -322,13 +330,12 @@ def nondeg_phases(
     """
     if h1.domain != h2.domain:
         raise PreconditionViolated("phases need a common domain")
-    b1, b2 = _nondeg_phase_arrays(h1.values, h2.values, eta, pin_left, pin_right)
-    return GridFunction(h1.domain, b1), GridFunction(h1.domain, b2)
+    beta2, _f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta, pin_left, pin_right)
+    return GridFunction(h1.domain, np.ones_like(beta2)), GridFunction(h1.domain, beta2)
 
 
 def _perturb_arrays(fv, gv, dv, eta, eps, pin_left=None, pin_right=None, check=True):
-    _b1, beta2 = _nondeg_phase_arrays(fv, gv, eta, pin_left, pin_right)
-    f_quad = fv + gv * beta2
+    beta2, f_quad = _nondeg_phase_arrays(fv, gv, eta, pin_left, pin_right)
     if check:
         budget = shift_budget(eta, eps)
         supd = float(np.max(np.abs(dv)))
@@ -562,8 +569,26 @@ def _complement_ranges(runs, n):
     return out
 
 
+def _meta(cfg, eta2, eps_cover, runs):
+    return {
+        "epsilon0": cfg.epsilon0,
+        "epsilon1": cfg.epsilon1,
+        "delta0": cfg.delta0,
+        "eta1": cfg.eta1,
+        "eta2": eta2,
+        "eps_cover": eps_cover,
+        "cover": [list(r) for r in runs],
+    }
+
+
+def zero_meta(cfg):
+    """Constants reported when d vanishes and no pipeline runs."""
+    return _meta(cfg, cfg.eta2, 5.0 * cfg.epsilon1, ())
+
+
 def factorize_interval_arrays(fv, gv, dv, eps0, *, strict=True, pin_left=None, pin_right=None):
-    """Array-level pipeline; returns (d1, d2, meta).  See open_mult_interval."""
+    """Array-level pipeline; returns (d1, d2, meta, residual), where residual
+    is max|(f+d1)(g+d2) - (f*g+d)|.  See open_mult_interval."""
     cfg = PipelineConfig.for_target(eps0)
     n = fv.size
     supd = float(np.max(np.abs(dv)))
@@ -651,21 +676,13 @@ def factorize_interval_arrays(fv, gv, dv, eps0, *, strict=True, pin_left=None, p
                 )
 
     residual = float(np.max(np.abs((fv + d1) * (gv + d2) - target)))
-    meta = {
-        "epsilon0": cfg.epsilon0,
-        "epsilon1": cfg.epsilon1,
-        "delta0": cfg.delta0,
-        "eta1": cfg.eta1,
-        "eta2": eta2_t,
-        "eps_cover": eps_cov,
-        "cover": [list(r) for r in runs],
-    }
+    meta = _meta(cfg, eta2_t, eps_cov, runs)
     if strict:
         scale = 1.0 + float(np.max(np.abs(target)))
         _verify(residual <= RESIDUAL_TOL * scale, "factorization residual out of tolerance")
         _verify(float(np.max(np.abs(d1))) <= eps0 * (1.0 + 1e-9), "d1 exceeds eps0")
         _verify(float(np.max(np.abs(d2))) <= eps0 * (1.0 + 1e-9), "d2 exceeds eps0")
-    return d1, d2, meta
+    return d1, d2, meta, residual
 
 
 def open_mult_interval(
@@ -681,18 +698,14 @@ def open_mult_interval(
     if not (f.domain == g.domain == d.domain):
         raise PreconditionViolated("f, g, d need a common domain")
     cfg = PipelineConfig.for_target(eps0)
-    if float(np.max(np.abs(d.values))) == 0.0:
+    if not np.any(d.values):
         zero = GridFunction(f.domain, np.zeros(f.domain.n, dtype=np.complex128))
-        meta = {
-            "epsilon0": cfg.epsilon0, "epsilon1": cfg.epsilon1, "delta0": cfg.delta0,
-            "eta1": cfg.eta1, "eta2": cfg.eta2, "eps_cover": 5.0 * cfg.epsilon1, "cover": [],
-        }
-        return FactorizationResult(d1=zero, d2=zero, residual=0.0, bound1=0.0, bound2=0.0, meta=meta)
-    d1, d2, meta = factorize_interval_arrays(
+        return FactorizationResult(
+            d1=zero, d2=zero, residual=0.0, bound1=0.0, bound2=0.0, meta=zero_meta(cfg)
+        )
+    d1, d2, meta, residual = factorize_interval_arrays(
         f.values, g.values, d.values, eps0, strict=strict
     )
-    target = f.values * g.values + d.values
-    residual = float(np.max(np.abs((f.values + d1) * (g.values + d2) - target)))
     return FactorizationResult(
         d1=GridFunction(f.domain, d1),
         d2=GridFunction(f.domain, d2),

@@ -142,7 +142,7 @@ def probe_pipeline(
             d = GridFunction(f.domain, raw * (r / sup))
             try:
                 res = open_mult_interval(f, g, d, eps0, strict=False)
-            except (OpenMultError, RuntimeError):
+            except OpenMultError:
                 continue
             scale = 1.0 + float(np.max(np.abs(f.values * g.values + d.values)))
             if (

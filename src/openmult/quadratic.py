@@ -36,26 +36,36 @@ def roots_vec(alpha, beta, gamma):
     the smaller from the product relation small = alpha / (gamma * big), so
     tiny alpha never cancels.
     """
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    beta = np.asarray(beta, dtype=np.complex128)
-    gamma = np.asarray(gamma, dtype=np.complex128)
+    arrays = [np.asarray(x, dtype=np.complex128) for x in (alpha, beta, gamma)]
+    shape = np.broadcast(*arrays).shape
+    # Scalars take the array path as 1-d arrays.  Buffers are reused only
+    # where they are our own temporaries, never a caller's array.  Complex
+    # products stay out of place: numpy rounds an in-place product of one
+    # element differently, and larger temporaries it reuses by itself.
+    alpha, beta, gamma = np.atleast_1d(*arrays)
     disc = beta * beta - 4.0 * gamma * alpha
-    s = np.sqrt(disc)
+    s = np.sqrt(disc, out=disc)
     plus = beta + s
-    minus = beta - s
-    w = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
-    q = -w / 2.0
-    big = q / gamma
-    small = np.divide(alpha, q, out=np.zeros_like(q), where=q != 0)
-    return big, small
+    w = np.subtract(beta, s, out=s)
+    np.copyto(w, plus, where=np.abs(plus) >= np.abs(w))
+    q = np.negative(w, out=w)
+    np.divide(q, 2.0, out=q)
+    big = np.divide(q, gamma, out=plus)
+    small = np.zeros(q.shape, dtype=np.complex128)
+    np.divide(alpha, q, out=small, where=q != 0)
+    return big.reshape(shape), small.reshape(shape)
 
 
 def smaller_root_vec(alpha, beta, gamma):
     """Selected (smaller-modulus) root per node; raises when any node ties."""
     big, small = roots_vec(alpha, beta, gamma)
-    gap = np.abs(big) - np.abs(small)
-    bad = gap <= TIE_TOL * (1.0 + np.abs(big) + np.abs(small))
-    if np.any(bad):
+    abs_big = np.abs(big)
+    abs_small = np.abs(small)
+    tol = abs_big + 1.0
+    tol += abs_small
+    tol *= TIE_TOL
+    bad = abs_big - abs_small <= tol
+    if bad.any():
         idx = int(np.argmax(bad))
         raise EqualModulusRoots(f"root moduli tie at index {idx}")
     return small

@@ -166,6 +166,21 @@ class TestOpenMultGraph:
         assert res.residual == 0.0
         assert sup_norm(res.d1) == 0.0 and sup_norm(res.d2) == 0.0
 
+    def test_zero_perturbation_meta_matches_interval(self):
+        g = theta()
+        fn = interp_fn(g, {"u": 1.0, "v": -1.0})
+        gn = interp_fn(g, {"u": 0.8j, "v": -0.8j})
+        dn = interp_fn(g, {"u": 0.0, "v": 0.0})
+        for eps0 in (0.7, 0.07):
+            res = open_mult_graph(fn, gn, dn, eps0)
+            for ei, er in enumerate(res.edge_results):
+                ref = open_mult_interval(
+                    fn.edge_function(ei), gn.edge_function(ei), dn.edge_function(ei), eps0
+                )
+                assert er.meta == ref.meta
+                assert list(er.meta) == list(ref.meta)
+                assert {"epsilon1", "eta1", "eta2", "eps_cover"} <= set(er.meta)
+
     def test_star_nondegenerate_shared_center(self):
         g = star3()
         rng = np.random.default_rng(2)

@@ -206,6 +206,107 @@ class TestCircleExtend:
         assert jumps[0] / jumps[2] == pytest.approx(4.0, rel=0.1)
 
 
+def _circle_extend_reference(vals, mask, pin_left=None, pin_right=None):
+    """Per-node loop over the gaps: the reference circle_extend must match bit
+    for bit (validation is not repeated here)."""
+    vals = np.array(vals, dtype=np.complex128)
+    mask = np.array(mask, dtype=bool)
+    for pin, idx in ((pin_left, 0), (pin_right, vals.size - 1)):
+        if pin is not None:
+            vals[idx] = pin
+            mask[idx] = True
+    if not np.any(mask):
+        return np.ones(vals.size, dtype=np.complex128)
+    n = vals.size
+    i = 0
+    while i < n:
+        if mask[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and not mask[j + 1]:
+            j += 1
+        left = vals[i - 1] if i > 0 else None
+        right = vals[j + 1] if j + 1 < n else None
+        if left is not None and right is not None:
+            delta = float(np.angle(right / left))
+            span = j - i + 2
+            ks = np.arange(1, j - i + 2)
+            vals[i:j + 1] = left * np.exp(1j * delta * ks / span)
+        elif left is not None:
+            vals[i:j + 1] = left
+        else:
+            vals[i:j + 1] = right
+        i = j + 1
+    return vals
+
+
+# Exact quarter-turn values make antipodal gap endpoints common.
+_unit_values = st.one_of(
+    st.sampled_from([1.0 + 0j, -1.0 + 0j, 1j, -1j]),
+    st.floats(min_value=-np.pi, max_value=np.pi).map(lambda a: complex(np.exp(1j * a))),
+)
+
+
+@st.composite
+def _partial_circle(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    shape = draw(st.sampled_from(["random", "single", "none", "boundary"]))
+    if shape == "random":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    elif shape == "single":
+        mask = np.zeros(n, dtype=bool)
+        mask[draw(st.integers(min_value=0, max_value=n - 1))] = True
+    elif shape == "none":
+        mask = np.zeros(n, dtype=bool)
+    else:  # gaps touching both ends around a defined middle
+        mask = np.zeros(n, dtype=bool)
+        lo = draw(st.integers(min_value=0, max_value=n - 1))
+        hi = draw(st.integers(min_value=lo, max_value=n - 1))
+        mask[lo:hi + 1] = True
+    vals = np.array(draw(st.lists(_unit_values, min_size=n, max_size=n)), dtype=np.complex128)
+    pin_left = draw(st.one_of(st.none(), _unit_values))
+    pin_right = draw(st.one_of(st.none(), _unit_values))
+    return vals, mask, pin_left, pin_right
+
+
+class TestCircleExtendEquivalence:
+    @given(_partial_circle())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_node_loop(self, case):
+        vals, mask, pin_left, pin_right = case
+        expected = _circle_extend_reference(vals, mask, pin_left, pin_right)
+        nan_marked = np.where(mask, vals, UNDEFINED)
+        garbage = np.where(mask, vals, 5.0 - 3.0j)
+        for out in (
+            circle_extend(nan_marked, pin_left=pin_left, pin_right=pin_right),
+            circle_extend(garbage, mask, pin_left=pin_left, pin_right=pin_right),
+        ):
+            assert out.dtype == np.complex128
+            assert np.array_equal(out.view(np.float64), expected.view(np.float64))
+
+    @given(_partial_circle())
+    @settings(max_examples=100, deadline=None)
+    def test_inputs_untouched(self, case):
+        vals, mask, pin_left, pin_right = case
+        partial = np.where(mask, vals, UNDEFINED)
+        partial.setflags(write=False)
+        frozen_mask = mask.copy()
+        frozen_mask.setflags(write=False)
+        circle_extend(partial, frozen_mask, pin_left=pin_left, pin_right=pin_right)
+
+    def test_exact_antipodal_gap_is_counterclockwise(self):
+        vals = np.array([1.0, 0.0, 0.0, 0.0, -1.0], dtype=complex)
+        mask = np.array([True, False, False, False, True])
+        out = circle_extend(vals, mask)
+        assert np.array_equal(out, _circle_extend_reference(vals, mask))
+        assert out[2].imag > 0.9
+
+    def test_mask_shape_checked(self):
+        with pytest.raises(ValueError):
+            circle_extend(np.ones(4, dtype=complex), np.ones(3, dtype=bool))
+
+
 class TestSublevelCover:
     def test_no_small_values(self):
         h = grid(np.ones(DOM.n))

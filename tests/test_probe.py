@@ -1,6 +1,8 @@
 import pytest
 
+import openmult.probe as probe_mod
 from openmult import (
+    CoverInfeasible,
     GridFunction,
     IntervalDomain,
     PreconditionViolated,
@@ -76,3 +78,22 @@ class TestProbePipeline:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "r,success_rate"
         assert len(lines) == len(rep.curve) + 1
+
+    def test_refusal_counts_as_failed_trial(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise CoverInfeasible("refine the grid")
+
+        monkeypatch.setattr(probe_mod, "open_mult_interval", refuse)
+        f = GridFunction.constant(DOM, 1.0)
+        rep = probe_pipeline(f, f, 0.5, trials=2, seed=0)
+        assert rep.curve == ((rep.delta_constructive, 0.0),)
+        assert rep.delta_empirical == 0.0
+
+    def test_internal_invariant_failure_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("internal invariant failed: factorization residual out of tolerance")
+
+        monkeypatch.setattr(probe_mod, "open_mult_interval", broken)
+        f = GridFunction.constant(DOM, 1.0)
+        with pytest.raises(RuntimeError, match="internal invariant failed"):
+            probe_pipeline(f, f, 0.5, trials=2, seed=0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openmult import EqualModulusRoots, QuadraticTriple, has_distinct_moduli, roots, smaller_root
+from openmult.quadratic import roots_vec, smaller_root_vec
 
 finite_complex = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 phases = st.floats(min_value=-np.pi, max_value=np.pi)
@@ -116,3 +117,90 @@ class TestSmallerRoot:
         assert moves[0] > moves[1] > moves[2] > 0 or moves[0] < 1e-12
         if moves[2] > 1e-14:
             assert moves[0] / moves[2] == pytest.approx(4.0, rel=0.5)
+
+
+def _plain_roots(alpha, beta, gamma):
+    """The quadratic formula written out once, with fresh temporaries."""
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    beta = np.asarray(beta, dtype=np.complex128)
+    gamma = np.asarray(gamma, dtype=np.complex128)
+    disc = beta * beta - 4.0 * gamma * alpha
+    s = np.sqrt(disc)
+    plus = beta + s
+    minus = beta - s
+    w = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
+    q = -w / 2.0
+    big = q / gamma
+    small = np.divide(alpha, q, out=np.zeros_like(q), where=q != 0)
+    return big, small
+
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=np.complex128)).view(np.float64)
+
+
+class TestVectorisedRoots:
+    @given(
+        st.lists(st.tuples(finite_complex, finite_complex, phases), min_size=1, max_size=50)
+    )
+    @settings(max_examples=200)
+    def test_arrays_match_plain_formula(self, triples):
+        alpha = np.array([t[0] for t in triples], dtype=complex)
+        beta = np.array([t[1] for t in triples], dtype=complex)
+        gamma = np.exp(1j * np.array([t[2] for t in triples]))
+        big, small = roots_vec(alpha, beta, gamma)
+        ref_big, ref_small = _plain_roots(alpha, beta, gamma)
+        assert big.shape == small.shape == alpha.shape
+        assert np.array_equal(_bits(big), _bits(ref_big))
+        assert np.array_equal(_bits(small), _bits(ref_small))
+
+    @given(finite_complex, finite_complex, phases)
+    @settings(max_examples=200)
+    def test_scalars_match_arrays_and_plain_formula(self, alpha, beta, phi):
+        gamma = unimodular(phi)
+        big, small = roots_vec(alpha, beta, gamma)
+        assert np.ndim(big) == 0 and np.ndim(small) == 0
+        big1, small1 = roots_vec([alpha], [beta], [gamma])
+        assert np.array_equal(_bits(big), _bits(big1[0]))
+        assert np.array_equal(_bits(small), _bits(small1[0]))
+        ref_big, ref_small = _plain_roots(alpha, beta, gamma)
+        assert np.array_equal(_bits(big), _bits(ref_big))
+        assert np.array_equal(_bits(small), _bits(ref_small))
+
+    def test_broadcasts_scalar_coefficients(self):
+        alpha = np.array([0.01, -0.02j, 0.0])
+        big, small = roots_vec(alpha, 1.0, 1j)
+        ref_big, ref_small = _plain_roots(alpha, 1.0, 1j)
+        assert big.shape == (3,)
+        assert np.array_equal(_bits(big), _bits(ref_big))
+        assert np.array_equal(_bits(small), _bits(ref_small))
+
+    def test_scalar_smaller_root(self):
+        z = smaller_root_vec(-0.001, 1.0 + 0.5j, 1j)
+        assert np.ndim(z) == 0
+        assert complex(z) == smaller_root(QuadraticTriple(-0.001, 1.0 + 0.5j, 1j))
+
+    def test_inputs_not_mutated(self):
+        rng = np.random.default_rng(3)
+        arrays = [
+            1e-3 * (rng.standard_normal(64) + 1j * rng.standard_normal(64)),
+            2.0 + rng.standard_normal(64) + 1j * rng.standard_normal(64),
+            np.exp(1j * rng.standard_normal(64)),
+        ]
+        before = [a.copy() for a in arrays]
+        for a in arrays:
+            a.setflags(write=False)
+        roots_vec(*arrays)
+        smaller_root_vec(*arrays)
+        for a, b in zip(arrays, before):
+            assert np.array_equal(_bits(a), _bits(b))
+
+    def test_tie_reports_first_index(self):
+        alpha = np.full(10, 1e-3, dtype=complex)
+        beta = np.full(10, 2.0, dtype=complex)
+        gamma = np.ones(10, dtype=complex)
+        # z**2 + 1 has roots +-i: equal moduli at indices 3 and 7
+        alpha[[3, 7]] = 1.0
+        beta[[3, 7]] = 0.0
+        with pytest.raises(EqualModulusRoots, match="index 3"):
+            smaller_root_vec(alpha, beta, gamma)
