@@ -61,8 +61,10 @@ from .interval import (
     open_mult_interval,
     perturb_nondegenerate,
     phase_offset,
+    plan_interval,
     quadratic_correction,
     shift_budget,
+    solve_interval,
     sublevel_cover,
 )
 from .probe import ProbeReport, brute_scalar_delta, probe_pipeline

@@ -178,18 +178,23 @@ class GraphDomain:
     edges: tuple
     crossings: tuple = ()
     parent_slices: tuple | None = field(default=None, compare=False)
+    _incidence: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
+        incidence = {v: [] for v in self.vertices}
         edges = []
-        for e in self.edges:
+        for i, e in enumerate(self.edges):
             u, v, dom = e
-            if u not in self.vertices or v not in self.vertices:
+            if u not in incidence or v not in incidence:
                 raise ValueError(f"edge endpoint {u!r} or {v!r} is not a vertex")
             if not isinstance(dom, IntervalDomain):
                 raise ValueError("edge grid must be an IntervalDomain")
             edges.append((u, v, dom))
+            incidence[u].append((i, 0))
+            incidence[v].append((i, -1))
         object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "_incidence", incidence)
         groups = []
         for group in self.crossings:
             cleaned = []
@@ -203,13 +208,7 @@ class GraphDomain:
 
     def incident(self, vertex):
         """(edge_index, side) pairs touching `vertex`; side is 0 or -1."""
-        out = []
-        for i, (u, v, _dom) in enumerate(self.edges):
-            if u == vertex:
-                out.append((i, 0))
-            if v == vertex:
-                out.append((i, -1))
-        return out
+        return list(self._incidence.get(vertex, ()))
 
 
 @dataclass(frozen=True)

@@ -198,28 +198,21 @@ def open_mult_graph(
             residual=0.0, bound1=0.0, bound2=0.0,
         )
 
-    pins = _vertex_pins(f, g, d, cfg)
-    plans = tuple(
-        EdgePlan(edge=ei, left=pins[u], right=pins[v])
-        for ei, (u, v, _dom) in enumerate(graph.edges)
-    )
-
+    plans = plan_edges(f, g, d, eps0)
     d1_edges, d2_edges, results = [], [], []
-    for plan, (u, v, dom) in zip(plans, graph.edges):
+    for plan, (_u, _v, dom) in zip(plans, graph.edges):
         ei = plan.edge
-        fv = f.edge_values[ei]
-        gv = g.edge_values[ei]
-        dv = d.edge_values[ei]
-        e1, e2, meta, residual = factorize_interval_arrays(
-            fv, gv, dv, eps0, strict=strict, pin_left=plan.left, pin_right=plan.right
+        e1, e2, meta, residual, bound1, bound2 = factorize_interval_arrays(
+            f.edge_values[ei], g.edge_values[ei], d.edge_values[ei], eps0,
+            strict=strict, pin_left=plan.left, pin_right=plan.right,
         )
         results.append(
             FactorizationResult(
                 d1=GridFunction(dom, e1),
                 d2=GridFunction(dom, e2),
                 residual=residual,
-                bound1=float(np.max(np.abs(e1))),
-                bound2=float(np.max(np.abs(e2))),
+                bound1=bound1,
+                bound2=bound2,
                 meta=meta,
             )
         )
@@ -233,15 +226,17 @@ def open_mult_graph(
         inc = graph.incident(v)
         if not inc:
             continue
+        first, first_side = inc[0]
+        pin = plans[first].left if first_side == 0 else plans[first].right
         spread = 0.0
         for fn in (d1, d2):
             samples = [fn.edge_values[ei][side] for ei, side in inc]
             for s in samples[1:]:
                 spread = max(spread, abs(s - samples[0]))
         vertex_report[v] = {
-            "kind": pins[v].kind,
-            "d1": complex(pins[v].d1),
-            "d2": complex(pins[v].d2),
+            "kind": pin.kind,
+            "d1": complex(pin.d1),
+            "d2": complex(pin.d2),
             "agreement": spread,
         }
     return GraphFactorizationResult(

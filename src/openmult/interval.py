@@ -20,6 +20,7 @@ from .errors import (
     CoverInfeasible,
     NonUnimodularInput,
     NormBudgetExceeded,
+    OpenMultError,
     PerturbationTooLarge,
     PreconditionViolated,
     VertexInconsistency,
@@ -110,13 +111,7 @@ def quadratic_correction(
             )
         if float(np.max(np.abs(np.abs(gv) - 1.0))) > 1e-9:
             raise PreconditionViolated("quadratic coefficient must be unimodular", bound="|g| = 1")
-        budget = shift_budget(eta, eps)
-        supd = float(np.max(np.abs(dv)))
-        if supd > budget * (1.0 + 1e-12):
-            raise PreconditionViolated(
-                "perturbation exceeds the shift budget",
-                bound="sup|d| <= shift_budget(eta, eps)", value=supd, limit=budget,
-            )
+        _check_shift_budget(dv, eta, eps)
     phi = smaller_root_vec(-dv, fv, gv)
     if check:
         res = np.abs(fv * phi + gv * phi * phi - dv)
@@ -334,18 +329,14 @@ def nondeg_phases(
     return GridFunction(h1.domain, np.ones_like(beta2)), GridFunction(h1.domain, beta2)
 
 
-def _perturb_arrays(fv, gv, dv, eta, eps, pin_left=None, pin_right=None, check=True):
-    beta2, f_quad = _nondeg_phase_arrays(fv, gv, eta, pin_left, pin_right)
-    if check:
-        budget = shift_budget(eta, eps)
-        supd = float(np.max(np.abs(dv)))
-        if supd > budget * (1.0 + 1e-12):
-            raise PreconditionViolated(
-                "perturbation exceeds the shift budget",
-                bound="sup|d| <= shift_budget(eta, eps)", value=supd, limit=budget,
-            )
-    phi = smaller_root_vec(-dv, f_quad, beta2)
-    return phi, beta2 * phi
+def _check_shift_budget(dv, eta, eps):
+    budget = shift_budget(eta, eps)
+    supd = float(np.max(np.abs(dv)))
+    if supd > budget * (1.0 + 1e-12):
+        raise PreconditionViolated(
+            "perturbation exceeds the shift budget",
+            bound="sup|d| <= shift_budget(eta, eps)", value=supd, limit=budget,
+        )
 
 
 def perturb_nondegenerate(
@@ -367,11 +358,11 @@ def perturb_nondegenerate(
     """
     if not (h1.domain == h2.domain == d.domain):
         raise PreconditionViolated("inputs need a common domain")
-    z1, z2 = _perturb_arrays(
-        h1.values, h2.values, d.values, eta, eps,
-        pin_left=pin_left, pin_right=pin_right, check=check,
-    )
-    return GridFunction(h1.domain, z1), GridFunction(h1.domain, z2)
+    beta2, f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta, pin_left, pin_right)
+    if check:
+        _check_shift_budget(d.values, eta, eps)
+    phi = smaller_root_vec(-d.values, f_quad, beta2)
+    return GridFunction(h1.domain, phi), GridFunction(h1.domain, beta2 * phi)
 
 
 # ---------------------------------------------------------------------------
@@ -586,53 +577,74 @@ def zero_meta(cfg):
     return _meta(cfg, cfg.eta2, 5.0 * cfg.epsilon1, ())
 
 
-def factorize_interval_arrays(fv, gv, dv, eps0, *, strict=True, pin_left=None, pin_right=None):
-    """Array-level pipeline; returns (d1, d2, meta, residual), where residual
-    is max|(f+d1)(g+d2) - (f*g+d)|.  See open_mult_interval."""
+@dataclass(frozen=True, eq=False)
+class IntervalPlan:
+    """What the pipeline computes before seeing d: the sublevel cover and, on
+    each complement segment, the rotation phase and rotated coefficient."""
+
+    fv: np.ndarray
+    gv: np.ndarray
+    cfg: PipelineConfig
+    runs: tuple
+    eta2: float
+    eps_cover: float
+    segments: tuple  # (s, e, beta2, f_quad)
+    pins: tuple  # (pin_left, pin_right), EndpointPin or None
+
+
+def plan_interval(fv, gv, eps0, pin_left=None, pin_right=None) -> IntervalPlan:
+    """The d-independent part of the pipeline; refuses an infeasible cover or
+    phase here.  One plan serves solve_interval for any number of d.  The plan
+    holds fv and gv by reference: they must not change while it is in use."""
     cfg = PipelineConfig.for_target(eps0)
     n = fv.size
-    supd = float(np.max(np.abs(dv)))
-    if strict and supd > cfg.delta0 * (1.0 + 1e-12):
-        raise PerturbationTooLarge(
-            "perturbation exceeds delta0",
-            bound="delta0", value=supd, limit=cfg.delta0,
-        )
     h = np.abs(fv) ** 2 + np.abs(gv) ** 2
-    target = fv * gv + dv
     eps1 = cfg.epsilon1
     # Wider fallback tier keeps every bound: seam moduli < 3*eps1 and
     # eps_cover + 3*eps1 <= 7*eps1 = eps0.
-    tiers = ((cfg.eta2, 5.0 * eps1), (9.0 * eps1 * eps1, 4.0 * eps1))
-    last_exc = None
-    plan = None
-    for eta2_t, eps_cov in tiers:
-        try:
-            runs = _plan_cover(h, cfg, eta2_t, pin_left, pin_right)
-        except CoverInfeasible as exc:
-            last_exc = exc
-            continue
-        plan = (runs, eta2_t, eps_cov)
-        break
-    if plan is None:
-        raise last_exc
-    runs, eta2_t, eps_cov = plan
+    eta2_t, eps_cov = cfg.eta2, 5.0 * eps1
+    try:
+        runs = _plan_cover(h, cfg, eta2_t, pin_left, pin_right)
+    except CoverInfeasible:
+        eta2_t, eps_cov = 9.0 * eps1 * eps1, 4.0 * eps1
+        runs = _plan_cover(h, cfg, eta2_t, pin_left, pin_right)
+    del h  # freed before the phases allocate their arrays
 
+    segments = []
+    for s, e in _complement_ranges(runs, n):
+        pl = pin_left.beta2 if (s == 0 and pin_left is not None and pin_left.kind == "nondeg") else None
+        pr = pin_right.beta2 if (e == n - 1 and pin_right is not None and pin_right.kind == "nondeg") else None
+        beta2, f_quad = _nondeg_phase_arrays(fv[s:e + 1], gv[s:e + 1], eps1, pl, pr)
+        segments.append((s, e, beta2, f_quad))
+    return IntervalPlan(fv, gv, cfg, tuple(runs), eta2_t, eps_cov, tuple(segments), (pin_left, pin_right))
+
+
+def solve_interval(plan: IntervalPlan, dv, *, strict=True):
+    """The d-dependent part: (d1, d2, meta, residual, bound1, bound2), where
+    residual = max|(f+d1)(g+d2) - (f*g+d)|, bound_i = max|d_i|."""
+    cfg = plan.cfg
+    fv, gv = plan.fv, plan.gv
+    pin_left, pin_right = plan.pins
+    n = fv.size
+    if dv.shape != fv.shape:
+        raise PreconditionViolated("perturbation must live on the plan's grid")
+    if strict:
+        _check_radius(dv, cfg)
     d1 = np.zeros(n, dtype=np.complex128)
     d2 = np.zeros(n, dtype=np.complex128)
     written = np.zeros(n, dtype=bool)
 
-    for s, e in _complement_ranges(runs, n):
-        pl = pin_left.beta2 if (s == 0 and pin_left is not None and pin_left.kind == "nondeg") else None
-        pr = pin_right.beta2 if (e == n - 1 and pin_right is not None and pin_right.kind == "nondeg") else None
-        z1, z2 = _perturb_arrays(
-            fv[s:e + 1], gv[s:e + 1], dv[s:e + 1], eta=eps1, eps=eps1,
-            pin_left=pl, pin_right=pr, check=strict,
-        )
-        d1[s:e + 1] = z2
-        d2[s:e + 1] = z1
+    for s, e, beta2, f_quad in plan.segments:
+        dseg = dv[s:e + 1]
+        if strict:
+            _check_shift_budget(dseg, cfg.epsilon1, cfg.epsilon1)
+        phi = smaller_root_vec(-dseg, f_quad, beta2)
+        d1[s:e + 1] = beta2 * phi
+        d2[s:e + 1] = phi
         written[s:e + 1] = True
 
-    for lo, hi in runs:
+    target = fv * gv + dv
+    for lo, hi in plan.runs:
         psi = target[lo:hi + 1]
         if lo == 0:
             if pin_left is not None and pin_left.kind == "cover":
@@ -652,7 +664,7 @@ def factorize_interval_arrays(fv, gv, dv, eps0, *, strict=True, pin_left=None, p
         else:
             zb = complex(fv[hi] + d1[hi])
             wb = complex(gv[hi] + d2[hi])
-        z1, z2 = _factor_arrays(psi, eps_cov, za, wa, zb, wb)
+        z1, z2 = _factor_arrays(psi, plan.eps_cover, za, wa, zb, wb)
         own_lo = lo if lo == 0 else lo + 1
         own_hi = hi if hi == n - 1 else hi - 1
         if own_lo <= own_hi:
@@ -676,13 +688,35 @@ def factorize_interval_arrays(fv, gv, dv, eps0, *, strict=True, pin_left=None, p
                 )
 
     residual = float(np.max(np.abs((fv + d1) * (gv + d2) - target)))
-    meta = _meta(cfg, eta2_t, eps_cov, runs)
+    bound1 = float(np.max(np.abs(d1)))
+    bound2 = float(np.max(np.abs(d2)))
     if strict:
         scale = 1.0 + float(np.max(np.abs(target)))
         _verify(residual <= RESIDUAL_TOL * scale, "factorization residual out of tolerance")
-        _verify(float(np.max(np.abs(d1))) <= eps0 * (1.0 + 1e-9), "d1 exceeds eps0")
-        _verify(float(np.max(np.abs(d2))) <= eps0 * (1.0 + 1e-9), "d2 exceeds eps0")
-    return d1, d2, meta, residual
+        _verify(bound1 <= cfg.epsilon0 * (1.0 + 1e-9), "d1 exceeds eps0")
+        _verify(bound2 <= cfg.epsilon0 * (1.0 + 1e-9), "d2 exceeds eps0")
+    return d1, d2, _meta(cfg, plan.eta2, plan.eps_cover, plan.runs), residual, bound1, bound2
+
+
+def _check_radius(dv, cfg):
+    supd = float(np.max(np.abs(dv)))
+    if supd > cfg.delta0 * (1.0 + 1e-12):
+        raise PerturbationTooLarge(
+            "perturbation exceeds delta0",
+            bound="delta0", value=supd, limit=cfg.delta0,
+        )
+
+
+def factorize_interval_arrays(fv, gv, dv, eps0, *, strict=True, pin_left=None, pin_right=None):
+    """solve_interval(plan_interval(...), dv), except that with strict=True a d
+    past delta0 is refused before any refusal of the plan."""
+    try:
+        plan = plan_interval(fv, gv, eps0, pin_left, pin_right)
+    except OpenMultError:
+        if strict:
+            _check_radius(dv, PipelineConfig.for_target(eps0))
+        raise
+    return solve_interval(plan, dv, strict=strict)
 
 
 def open_mult_interval(
@@ -703,14 +737,14 @@ def open_mult_interval(
         return FactorizationResult(
             d1=zero, d2=zero, residual=0.0, bound1=0.0, bound2=0.0, meta=zero_meta(cfg)
         )
-    d1, d2, meta, residual = factorize_interval_arrays(
+    d1, d2, meta, residual, bound1, bound2 = factorize_interval_arrays(
         f.values, g.values, d.values, eps0, strict=strict
     )
     return FactorizationResult(
         d1=GridFunction(f.domain, d1),
         d2=GridFunction(f.domain, d2),
         residual=residual,
-        bound1=float(np.max(np.abs(d1))),
-        bound2=float(np.max(np.abs(d2))),
+        bound1=bound1,
+        bound2=bound2,
         meta=meta,
     )

@@ -219,6 +219,37 @@ class TestGraphFunctions:
         with pytest.raises(ValueError):
             GraphDomain(("a",), (("a", "zz", dom),))
 
+    def test_incidence_matches_edge_scan(self):
+        from openmult import refine_partition
+
+        def scan(graph, vertex):
+            out = []
+            for i, (u, v, _dom) in enumerate(graph.edges):
+                if u == vertex:
+                    out.append((i, 0))
+                if v == vertex:
+                    out.append((i, -1))
+            return out
+
+        dom = IntervalDomain(0.0, 1.0, 9)
+        loop_multi = GraphDomain(
+            ("a", "b", "c", "lonely"),
+            (("a", "a", dom), ("a", "b", dom), ("b", "a", dom), ("a", "b", dom), ("c", "c", dom), ("b", "c", dom)),
+        )
+        crossed = GraphDomain(
+            ("p", "q", "r", "s"),
+            (("p", "q", dom), ("r", "s", dom), ("q", "q", dom)),
+            crossings=(((0, 4), (1, 3)), ((2, 5),)),
+        )
+        for graph in (loop_multi, refine_partition(crossed)):
+            for vertex in graph.vertices + ("missing",):
+                got = graph.incident(vertex)
+                assert got == scan(graph, vertex), vertex
+                got.append("scratch")  # a fresh list each call
+                assert graph.incident(vertex) == scan(graph, vertex)
+        assert loop_multi.incident("a")[:2] == [(0, 0), (0, -1)]
+        assert loop_multi.incident("lonely") == []
+
 
 class TestSerialization:
     def test_interval_roundtrip(self):

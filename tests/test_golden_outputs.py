@@ -25,9 +25,10 @@ from openmult import (
     function_from_json,
     open_mult_graph,
     open_mult_interval,
+    probe_pipeline,
     refine,
 )
-from openmult.interval import factorize_interval_arrays
+from openmult.interval import factorize_interval_arrays, plan_interval, solve_interval
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -234,6 +235,57 @@ def test_golden_digest(name):
     assert _digest(d1, d2) == GOLDEN[name]
 
 
+def _probe(n, kind):
+    dom = IntervalDomain(0.0, 1.0, n)
+    rng = np.random.default_rng([17, kind, n])
+    fv, gv = _family(dom.nodes(), rng, kind)
+    return probe_pipeline(GridFunction(dom, fv), GridFunction(dom, gv), 0.7, trials=4, seed=n + kind)
+
+
+PROBE_CASES = {
+    f"probe_family{kind}_n{n}": (lambda n=n, kind=kind: _probe(n, kind))
+    for n in (129, 1025)
+    for kind in range(4)
+}
+
+PROBE_GOLDEN = {
+    "probe_family0_n1025": "e6beb2866ed79d1a490ac4a14d6a165df4216bbafada154e913d68f32932af5f",
+    "probe_family0_n129": "f1e97f875f4dd529b360d130e92d69f9de837648e642d5b5306fcfcf45f1ab25",
+    "probe_family1_n1025": "54d7f7fc331e11f72759aa0c6e9f31ead5c615fc571513baad81f735acdb0b77",
+    "probe_family1_n129": "f1e97f875f4dd529b360d130e92d69f9de837648e642d5b5306fcfcf45f1ab25",
+    "probe_family2_n1025": "766dbe7efc08b052f6ad6797ccac626f1fc1b36c125c3efb44e8722398974a41",
+    "probe_family2_n129": "de8fda2fb34038fc690d3d3607031ad6b404783d7f27d1fcc498c7a9047f0dca",
+    "probe_family3_n1025": "3e9c53e88aacfbd08f1bcac4e542c0de117a87867fa5d25a8b287f2910b1a790",
+    "probe_family3_n129": "766dbe7efc08b052f6ad6797ccac626f1fc1b36c125c3efb44e8722398974a41",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_CASES))
+def test_probe_golden_digest(name):
+    rep = PROBE_CASES[name]()
+    digest = hashlib.sha256(repr((rep.delta_empirical, rep.curve)).encode()).hexdigest()
+    assert digest == PROBE_GOLDEN[name]
+
+
 def test_sample_exercises_cover_runs():
     for name in ("interval_fixture_257", "theta_graph", "family2_n4097_eps0.07", "family3_n65537_eps0.7"):
         assert CASES[name]()[2], name
+
+
+@pytest.mark.parametrize("kind", range(4))
+def test_plan_reuse_matches_single_runs(kind):
+    f, g, _d = _family_case(1025, 19, kind, 0.7)
+    fv, gv = f.values, g.values
+    plan = plan_interval(fv, gv, 0.7)
+    kept = [a.copy() for a in (plan.fv, plan.gv)] + [a.copy() for seg in plan.segments for a in seg[2:]]
+    rng = np.random.default_rng([19, kind])
+    for scale, strict in ((0.5, True), (1.0, True), (8.0, False), (40.0, False), (1.0, False)):
+        raw = rng.standard_normal(fv.size) + 1j * rng.standard_normal(fv.size)
+        dv = raw * (scale * delta0(0.7) / float(np.max(np.abs(raw))))
+        want = factorize_interval_arrays(fv, gv, dv, 0.7, strict=strict)
+        got = solve_interval(plan, dv, strict=strict)
+        assert _digest(got[0], got[1]) == _digest(want[0], want[1])
+        assert got[2:] == want[2:]
+    now = [plan.fv, plan.gv] + [a for seg in plan.segments for a in seg[2:]]
+    assert all(np.array_equal(a, b) for a, b in zip(kept, now))
+    assert plan.fv is fv and plan.gv is gv

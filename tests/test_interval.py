@@ -599,6 +599,16 @@ class TestOpenMultInterval:
         with pytest.raises(PerturbationTooLarge):
             open_mult_interval(f, g, d, 0.7)
 
+    def test_radius_refused_before_cover(self):
+        # the cover cannot be placed (h jumps from 0 to 2 between nodes), and
+        # d is past delta0: the radius refusal comes first
+        step = grid((T > 0.5).astype(complex))
+        d = grid(np.full(DOM.n, 2 * delta0(0.7)))
+        with pytest.raises(CoverInfeasible):
+            open_mult_interval(step, step, d * 0.25, 0.7)
+        with pytest.raises(PerturbationTooLarge):
+            open_mult_interval(step, step, d, 0.7)
+
     def test_seam_values_assigned_once(self):
         # the identity holds exactly at seams because values are written once
         rng = np.random.default_rng(7)

@@ -11,6 +11,7 @@ from openmult import (
     probe_pipeline,
     scalar_factor,
 )
+from openmult.interval import plan_interval
 
 DOM = IntervalDomain(0.0, 1.0, 129)
 
@@ -83,7 +84,7 @@ class TestProbePipeline:
         def refuse(*args, **kwargs):
             raise CoverInfeasible("refine the grid")
 
-        monkeypatch.setattr(probe_mod, "open_mult_interval", refuse)
+        monkeypatch.setattr(probe_mod, "solve_interval", refuse)
         f = GridFunction.constant(DOM, 1.0)
         rep = probe_pipeline(f, f, 0.5, trials=2, seed=0)
         assert rep.curve == ((rep.delta_constructive, 0.0),)
@@ -93,7 +94,33 @@ class TestProbePipeline:
         def broken(*args, **kwargs):
             raise RuntimeError("internal invariant failed: factorization residual out of tolerance")
 
-        monkeypatch.setattr(probe_mod, "open_mult_interval", broken)
+        monkeypatch.setattr(probe_mod, "solve_interval", broken)
         f = GridFunction.constant(DOM, 1.0)
         with pytest.raises(RuntimeError, match="internal invariant failed"):
             probe_pipeline(f, f, 0.5, trials=2, seed=0)
+
+    def test_plan_refusal_fails_every_trial(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise CoverInfeasible("refine the grid")
+
+        monkeypatch.setattr(probe_mod, "plan_interval", refuse)
+        f = GridFunction.constant(DOM, 1.0)
+        rep = probe_pipeline(f, f, 0.5, trials=2, seed=0)
+        assert rep.curve == ((delta0(0.5), 0.0),)
+        assert rep.delta_empirical == 0.0
+
+    def test_infeasible_cover_fails_every_trial(self):
+        # f = g jumps from 0 to 1 between adjacent nodes: no cover tier can
+        # place its seam, whatever the perturbation.
+        step = GridFunction(DOM, (DOM.nodes() > 0.5).astype(complex))
+        with pytest.raises(CoverInfeasible):
+            plan_interval(step.values, step.values, 0.7)
+        rep = probe_pipeline(step, step, 0.7, trials=2, seed=0)
+        assert rep.curve == ((delta0(0.7), 0.0),)
+        assert rep.delta_empirical == 0.0
+
+    def test_domain_mismatch_fails_every_trial(self):
+        f = GridFunction.constant(DOM, 1.0)
+        g = GridFunction.constant(IntervalDomain(0.0, 2.0, DOM.n), 1.0)
+        rep = probe_pipeline(f, g, 0.7, trials=2, seed=0)
+        assert rep.curve == ((delta0(0.7), 0.0),)
