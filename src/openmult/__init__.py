@@ -32,7 +32,6 @@ from .functions import (
     IntervalDomain,
     conjugate,
     function_from_json,
-    function_to_json,
     grid_function_from_csv,
     load_function,
     min_modulus_sum,

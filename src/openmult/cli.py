@@ -1,10 +1,12 @@
 """Batch front door: load functions, run factorizations, emit reports.
 
-Exit codes: 0 success, 2 precondition violations (with a machine-readable
-diagnostic on stderr naming the violated bound), 1 internal invariant
-failures.  Reports embed the exact constants used so runs are reproducible;
-re-running with the same config and seed is byte-identical apart from the
-timestamp field.
+Exit codes: 0 success; 2 a refusal of the input (a violated precondition or
+bound, or an input file or payload entry that cannot be read), with a
+machine-readable diagnostic on stderr naming the violated bound, payload key
+or flag; 1 internal invariant failures.  Each error class carries its code
+as `exit_code`.  Reports embed the exact constants used so runs are
+reproducible; re-running with the same config and seed is byte-identical
+apart from the timestamp field.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from . import probe as probe_mod
 from . import scheme as scheme_mod
 from .errors import OpenMultError, PreconditionViolated
 from .functions import (
+    FiniteSpaceFunction,
     GraphFunction,
     GridFunction,
     function_from_json,
@@ -42,16 +46,18 @@ UNSUPPORTED_MODELS = {
     "inverse-limit": "inverse-limit spaces are out of scope",
 }
 
+# What reading the input file or decoding a payload entry raises on malformed
+# input.  Only those steps turn them into PreconditionViolated (exit 2) naming
+# the file or payload key; once the library call has started they propagate
+# unchanged.
+_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
+
 
 def _load_input(path):
     if str(path).endswith(".csv"):
         return {"f": grid_function_from_csv(path)}
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _parse_function(obj):
-    return function_from_json(obj)
 
 
 def _maybe_refine(fn, grid):
@@ -64,13 +70,12 @@ def _maybe_refine(fn, grid):
     return refine(fn, factor)
 
 
-def _emit(report, args, csv_rows=None, csv_header=None):
-    if args.format == "csv" and csv_rows is not None:
+def _emit(report, args, csv_rows, csv_header):
+    if args.format == "csv":
         target = args.output or "/dev/stdout"
         with open(target, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            if csv_header:
-                writer.writerow(csv_header)
+            writer.writerow(csv_header)
             writer.writerows(csv_rows)
         return
     text = json.dumps(report, sort_keys=True, indent=2)
@@ -81,83 +86,61 @@ def _emit(report, args, csv_rows=None, csv_header=None):
         print(text)
 
 
-def _base_report(args, command):
-    return {
-        "command": command,
-        "epsilon": args.epsilon,
-        "seed": args.seed,
-        "timestamp": time.time(),
-    }
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.  `__call__` holds the steps every command shares:
+    load the input, decode the payload entries, refine grid functions under
+    --grid, run, fill the report and emit it."""
+
+    inputs: tuple   # (payload key, decode(data, key)) pairs, in `run` argument order
+    run: object     # run(args, *inputs) -> (report fields, CSV rows)
+    header: tuple   # CSV header
+
+    def __call__(self, args):
+        key = None
+        try:
+            data = _load_input(args.input)
+            inputs = []
+            for key, decode in self.inputs:
+                inputs.append(_maybe_refine(decode(data, key), args.grid))
+        except _INPUT_ERRORS as exc:
+            where = args.input if key is None else f"payload key {key!r}"
+            raise PreconditionViolated(f"{where}: {type(exc).__name__}: {exc}", bound=key or "input") from exc
+        fields, rows = self.run(args, *inputs)
+        report = {"command": args.command, "epsilon": args.epsilon, "seed": args.seed, "timestamp": time.time()}
+        report.update(fields)
+        _emit(report, args, rows, self.header)
+        return 0
 
 
-def _cmd_factor_interval(args):
-    data = _load_input(args.input)
-    f = _maybe_refine(_parse_function(data["f"]), args.grid)
-    g = _maybe_refine(_parse_function(data["g"]), args.grid)
-    d = _maybe_refine(_parse_function(data["d"]), args.grid)
-    result = open_mult_interval(f, g, d, args.epsilon)
-    cfg = PipelineConfig.for_target(args.epsilon)
-    report = _base_report(args, "factor-interval")
-    report["constants"] = {
-        "epsilon0": repr(cfg.epsilon0),
-        "epsilon1": repr(cfg.epsilon1),
-        "delta0": repr(cfg.delta0),
-    }
-    report["result"] = result.to_json()
-    ts = f.domain.nodes()
-    rows = [
-        [t, v1.real, v1.imag, v2.real, v2.imag]
-        for t, v1, v2 in zip(ts, result.d1.values, result.d2.values)
-    ]
-    _emit(report, args, rows, ["t", "d1_re", "d1_im", "d2_re", "d2_im"])
-    return 0
+def _sample(kind):
+    """Decoder of a payload entry that must be a `kind` sample function."""
+
+    def decode(data, key):
+        fn = function_from_json(data[key])
+        if not isinstance(fn, kind):
+            raise TypeError(f"expected a {kind.__name__}, got a {type(fn).__name__}")
+        return fn
+
+    return decode
 
 
-def _cmd_factor_graph(args):
-    data = _load_input(args.input)
-    f = _parse_function(data["f"])
-    g = _parse_function(data["g"])
-    d = _parse_function(data["d"])
-    if not isinstance(f, GraphFunction):
-        raise PreconditionViolated("factor-graph expects graph-domain functions")
-    result = graphs_mod.open_mult_graph(f, g, d, args.epsilon)
-    cfg = PipelineConfig.for_target(args.epsilon)
-    report = _base_report(args, "factor-graph")
-    report["constants"] = {
-        "epsilon0": repr(cfg.epsilon0),
-        "epsilon1": repr(cfg.epsilon1),
-        "delta0": repr(cfg.delta0),
-    }
-    report["result"] = result.to_json()
-    rows = []
-    for ei, er in enumerate(result.edge_results):
-        for t, v1, v2 in zip(er.d1.domain.nodes(), er.d1.values, er.d2.values):
-            rows.append([ei, t, v1.real, v1.imag, v2.real, v2.imag])
-    _emit(report, args, rows, ["edge", "t", "d1_re", "d1_im", "d2_re", "d2_im"])
-    return 0
+GRID, GRAPH, FINITE = _sample(GridFunction), _sample(GraphFunction), _sample(FiniteSpaceFunction)
 
 
-def _cmd_factor_finite(args):
-    data = _load_input(args.input)
-    a = _parse_function(data["a"])
-    b = _parse_function(data["b"])
-    d = _parse_function(data["d"])
-    a2, b2 = finite_mod.open_mult_finite(a, b, d, args.epsilon)
-    report = _base_report(args, "factor-finite")
-    report["constants"] = {
-        "epsilon": repr(args.epsilon),
-        "delta": repr(args.epsilon**2 / 4.0),
-    }
-    report["a_prime"] = a2.to_json()
-    report["b_prime"] = b2.to_json()
-    report["bound_a"] = repr(float(np.max(np.abs(a2.values - a.values))))
-    report["bound_b"] = repr(float(np.max(np.abs(b2.values - b.values))))
-    rows = [
-        [i, va.real, va.imag, vb.real, vb.imag]
-        for i, (va, vb) in enumerate(zip(a2.values, b2.values))
-    ]
-    _emit(report, args, rows, ["index", "a_re", "a_im", "b_re", "b_im"])
-    return 0
+def _trials(data, key):
+    return int(data.get(key, 8))
+
+
+def _model_spec(data, key):
+    return data.get(key, {"type": "sup"})
+
+
+def _scheme_element(data, key):
+    spec = _model_spec(data, "model")
+    if spec.get("type") == "diagonal":
+        return finite_mod.DiagonalAlgebraElement.from_json(data[key], spec["weights"])
+    return FINITE(data, key)
 
 
 def _build_model(spec_obj, sample):
@@ -173,87 +156,110 @@ def _build_model(spec_obj, sample):
     raise PreconditionViolated(f"unknown model type {kind!r}", bound="model")
 
 
-def _cmd_scheme(args):
-    data = _load_input(args.input)
-    model_obj = data.get("model", {"type": "sup"})
-    if model_obj.get("type") == "diagonal":
-        weights = model_obj["weights"]
-        F = finite_mod.DiagonalAlgebraElement.from_json(data["F"], weights)
-        G = finite_mod.DiagonalAlgebraElement.from_json(data["G"], weights)
-        H = finite_mod.DiagonalAlgebraElement.from_json(data["H"], weights)
-        model = _build_model(model_obj, F)
-    else:
-        F = _parse_function(data["F"])
-        G = _parse_function(data["G"])
-        H = _parse_function(data["H"])
-        model = _build_model(model_obj, F)
+def _pipeline_constants(eps0):
+    cfg = PipelineConfig.for_target(eps0)
+    return {"epsilon0": repr(cfg.epsilon0), "epsilon1": repr(cfg.epsilon1), "delta0": repr(cfg.delta0)}
+
+
+def _sup_distance(x, y):
+    return repr(float(np.max(np.abs(x.values - y.values))))
+
+
+def _index_rows(x, y):
+    return [[i, vx.real, vx.imag, vy.real, vy.imag] for i, (vx, vy) in enumerate(zip(x.values, y.values))]
+
+
+def _node_rows(result):
+    d1, d2 = result.d1, result.d2
+    return [[t, v1.real, v1.imag, v2.real, v2.imag] for t, v1, v2 in zip(d1.domain.nodes(), d1.values, d2.values)]
+
+
+def _factor_interval(args, f, g, d):
+    result = open_mult_interval(f, g, d, args.epsilon)
+    return {"constants": _pipeline_constants(args.epsilon), "result": result.to_json()}, _node_rows(result)
+
+
+def _factor_graph(args, f, g, d):
+    result = graphs_mod.open_mult_graph(f, g, d, args.epsilon)
+    rows = [[ei, *row] for ei, er in enumerate(result.edge_results) for row in _node_rows(er)]
+    return {"constants": _pipeline_constants(args.epsilon), "result": result.to_json()}, rows
+
+
+def _factor_finite(args, a, b, d):
+    a2, b2 = finite_mod.open_mult_finite(a, b, d, args.epsilon)
+    fields = {
+        "constants": {"epsilon": repr(args.epsilon), "delta": repr(args.epsilon**2 / 4.0)},
+        "a_prime": a2.to_json(),
+        "b_prime": b2.to_json(),
+        "bound_a": _sup_distance(a2, a),
+        "bound_b": _sup_distance(b2, b),
+    }
+    return fields, _index_rows(a2, b2)
+
+
+def _scheme(args, spec, F, G, H):
+    model = _build_model(spec, F)
     params = scheme_mod.scheme_params(F, G, args.epsilon, model)
     f, g, trace = scheme_mod.run_scheme(F, G, H, params, model, audit=True)
     audit = scheme_mod.audit_claims(trace, params)
-    report = _base_report(args, "scheme")
-    report["constants"] = params.to_json()
-    report["iterations"] = len(trace)
-    report["claims_pass"] = audit["pass"]
-    report["final_defect_norm"] = repr(trace.records[-1].norm_h)
-    report["distance_f"] = repr(model.norm(f - F))
-    report["distance_g"] = repr(model.norm(g - G))
+    fields = {
+        "constants": params.to_json(),
+        "iterations": len(trace),
+        "claims_pass": audit["pass"],
+        "final_defect_norm": repr(trace.records[-1].norm_h),
+        "distance_f": repr(model.norm(f - F)),
+        "distance_g": repr(model.norm(g - G)),
+        "trace": [rec.to_json() for rec in trace],
+    }
     if args.audit:
-        report["audit"] = audit
-    report["trace"] = [rec.to_json() for rec in trace]
+        fields["audit"] = audit
     rows = [
         [rec.n, rec.norm_f, rec.norm_g, rec.norm_h, rec.inf_embed, rec.identity_residual]
         for rec in trace
     ]
-    _emit(report, args, rows, ["n", "norm_f", "norm_g", "norm_h", "inf_embed", "identity_residual"])
-    return 0
+    return fields, rows
 
 
-def _cmd_probe(args):
-    data = _load_input(args.input)
-    f = _maybe_refine(_parse_function(data["f"]), args.grid)
-    g = _maybe_refine(_parse_function(data["g"]), args.grid)
-    trials = int(data.get("trials", 8))
+def _probe(args, f, g, trials):
     rep = probe_mod.probe_pipeline(f, g, args.epsilon, trials, args.seed)
-    report = _base_report(args, "probe")
-    report["constants"] = {
-        "epsilon0": repr(args.epsilon),
-        "delta0": repr(rep.delta_constructive),
+    fields = {
+        "constants": {"epsilon0": repr(args.epsilon), "delta0": repr(rep.delta_constructive)},
+        "result": rep.to_json(),
     }
-    report["result"] = rep.to_json()
-    rows = [[repr(r), rate] for r, rate in rep.curve]
-    _emit(report, args, rows, ["r", "success_rate"])
-    return 0
+    return fields, [[repr(r), rate] for r, rate in rep.curve]
 
 
-def _cmd_nondeg_approx(args):
-    data = _load_input(args.input)
-    f = _parse_function(data["f"])
-    g = _parse_function(data["g"])
+def _nondeg_approx(args, f, g):
     f2, g2 = finite_mod.nondeg_approx(f, g, args.epsilon)
-    report = _base_report(args, "nondeg-approx")
-    report["constants"] = {"epsilon": repr(args.epsilon)}
-    report["f_prime"] = f2.to_json()
-    report["g_prime"] = g2.to_json()
-    report["distance_f"] = repr(float(np.max(np.abs(f2.values - f.values))))
-    report["distance_g"] = repr(float(np.max(np.abs(g2.values - g.values))))
-    report["min_joint_modulus_sq"] = repr(
-        float(np.min(np.abs(f2.values) ** 2 + np.abs(g2.values) ** 2))
-    )
-    rows = [
-        [i, va.real, va.imag, vb.real, vb.imag]
-        for i, (va, vb) in enumerate(zip(f2.values, g2.values))
-    ]
-    _emit(report, args, rows, ["index", "f_re", "f_im", "g_re", "g_im"])
-    return 0
+    fields = {
+        "constants": {"epsilon": repr(args.epsilon)},
+        "f_prime": f2.to_json(),
+        "g_prime": g2.to_json(),
+        "distance_f": _sup_distance(f2, f),
+        "distance_g": _sup_distance(g2, g),
+        "min_joint_modulus_sq": repr(float(np.min(np.abs(f2.values) ** 2 + np.abs(g2.values) ** 2))),
+    }
+    return fields, _index_rows(f2, g2)
 
 
 COMMANDS = {
-    "factor-interval": _cmd_factor_interval,
-    "factor-graph": _cmd_factor_graph,
-    "factor-finite": _cmd_factor_finite,
-    "scheme": _cmd_scheme,
-    "probe": _cmd_probe,
-    "nondeg-approx": _cmd_nondeg_approx,
+    "factor-interval": Command(
+        (("f", GRID), ("g", GRID), ("d", GRID)), _factor_interval, ("t", "d1_re", "d1_im", "d2_re", "d2_im"),
+    ),
+    "factor-graph": Command(
+        (("f", GRAPH), ("g", GRAPH), ("d", GRAPH)), _factor_graph, ("edge", "t", "d1_re", "d1_im", "d2_re", "d2_im"),
+    ),
+    "factor-finite": Command(
+        (("a", FINITE), ("b", FINITE), ("d", FINITE)), _factor_finite, ("index", "a_re", "a_im", "b_re", "b_im"),
+    ),
+    "scheme": Command(
+        (("model", _model_spec), ("F", _scheme_element), ("G", _scheme_element), ("H", _scheme_element)),
+        _scheme, ("n", "norm_f", "norm_g", "norm_h", "inf_embed", "identity_residual"),
+    ),
+    "probe": Command((("f", GRID), ("g", GRID), ("trials", _trials)), _probe, ("r", "success_rate")),
+    "nondeg-approx": Command(
+        (("f", FINITE), ("g", FINITE)), _nondeg_approx, ("index", "f_re", "f_im", "g_re", "g_im"),
+    ),
 }
 
 
@@ -285,49 +291,14 @@ def _diagnostic(exc) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not 0.0 < args.epsilon < 1.0:
-        print(_diagnostic(PreconditionViolated("epsilon must lie in (0, 1)", bound="epsilon")), file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
+        if not 0.0 < args.epsilon < 1.0:
+            raise PreconditionViolated("epsilon must lie in (0, 1)", bound="epsilon")
         return COMMANDS[args.command](args)
-    except PreconditionViolated as exc:
+    except (OpenMultError, RuntimeError, AssertionError) as exc:
         print(_diagnostic(exc), file=sys.stderr)
-        return 2
-    except OpenMultError as exc:
-        print(_diagnostic(exc), file=sys.stderr)
-        return 2 if _is_input_error(exc) else 1
-    except (RuntimeError, AssertionError) as exc:
-        print(_diagnostic(exc), file=sys.stderr)
-        return 1
-
-
-def _is_input_error(exc) -> bool:
-    from .errors import (
-        BoundaryMismatch,
-        CoverInfeasible,
-        DegeneratePair,
-        DomainMismatch,
-        EqualModulusRoots,
-        NonUnimodularInput,
-        NormBudgetExceeded,
-        ZeroArgument,
-    )
-
-    return isinstance(
-        exc,
-        (
-            BoundaryMismatch,
-            CoverInfeasible,
-            DegeneratePair,
-            DomainMismatch,
-            EqualModulusRoots,
-            NonUnimodularInput,
-            NormBudgetExceeded,
-            ZeroArgument,
-        ),
-    )
+        return getattr(exc, "exit_code", 1)
 
 
 if __name__ == "__main__":

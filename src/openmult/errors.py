@@ -4,13 +4,21 @@
 class OpenMultError(Exception):
     """Base class for all library errors."""
 
+    # CLI exit status: 1 for an internal invariant failure; subclasses that
+    # refuse the input (a violated bound, a malformed or out-of-scope input) set 2.
+    exit_code = 1
+
 
 class DomainMismatch(OpenMultError):
     """Two functions live on different domains."""
 
+    exit_code = 2
+
 
 class PreconditionViolated(OpenMultError):
     """An operation was called outside its admissible input region."""
+
+    exit_code = 2
 
     def __init__(self, message, *, bound=None, value=None, limit=None):
         super().__init__(message)
@@ -26,25 +34,37 @@ class PerturbationTooLarge(PreconditionViolated):
 class EqualModulusRoots(OpenMultError):
     """Quadratic root selection is undefined: both roots have the same modulus."""
 
+    exit_code = 2
+
 
 class ZeroArgument(OpenMultError):
     """A nonzero complex argument was required."""
+
+    exit_code = 2
 
 
 class NonUnimodularInput(OpenMultError):
     """A value expected on the unit circle was not unimodular."""
 
+    exit_code = 2
+
 
 class CoverInfeasible(OpenMultError):
     """The grid is too coarse to place sublevel-cover seams; refine the grid."""
+
+    exit_code = 2
 
 
 class BoundaryMismatch(OpenMultError):
     """Prescribed boundary data is inconsistent with the target product."""
 
+    exit_code = 2
+
 
 class NormBudgetExceeded(OpenMultError):
     """Input data exceeds the norm budget of a factorization step."""
+
+    exit_code = 2
 
 
 class VertexInconsistency(OpenMultError):
@@ -53,6 +73,8 @@ class VertexInconsistency(OpenMultError):
 
 class DegeneratePair(OpenMultError):
     """The pair is not jointly non-degenerate."""
+
+    exit_code = 2
 
 
 class ClaimViolation(OpenMultError):

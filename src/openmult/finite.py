@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PerturbationTooLarge, PreconditionViolated
-from .functions import FiniteSpaceFunction
+from .functions import FiniteSpaceFunction, values_from_json, values_to_json
 
 
 def scalar_factor(x: complex, y: complex, w: complex, eps: float) -> tuple[complex, complex]:
@@ -172,7 +172,7 @@ class DiagonalAlgebraElement:
     def to_json(self) -> dict:
         return {
             "scalar": [self.scalar.real, self.scalar.imag],
-            "coords": [[c.real, c.imag] for c in self.coords],
+            "coords": values_to_json(self.coords),
             "weights": list(map(float, self.weights)),
         }
 
@@ -182,8 +182,7 @@ class DiagonalAlgebraElement:
         if w is None:
             raise ValueError("weights missing")
         re, im = obj["scalar"]
-        coords = np.asarray([complex(a, b) for a, b in obj["coords"]], dtype=np.complex128)
-        return cls(complex(re, im), coords, np.asarray(w, dtype=float))
+        return cls(complex(re, im), values_from_json(obj["coords"]), np.asarray(w, dtype=float))
 
 
 def diagonal_open_mult(

@@ -33,6 +33,65 @@ def _as_complex_array(values, n=None):
     return arr
 
 
+def values_to_json(values) -> list:
+    """The wire form [[re, im], ...] of a complex array: its float64 pairs as
+    they are stored, with no arithmetic on them."""
+    return np.ascontiguousarray(values, dtype=np.complex128).view(np.float64).reshape(-1, 2).tolist()
+
+
+def values_from_json(pairs) -> np.ndarray:
+    """Inverse of values_to_json; anything but a list of pairs of numbers
+    (strings included) is refused with ValueError."""
+    arr = np.asarray(pairs)
+    if arr.shape == (0,):
+        return np.empty(0, dtype=np.complex128)
+    if arr.dtype.kind not in "biuf" or arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("values must be a list of [re, im] pairs of numbers")
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128).ravel()
+
+
+class _Samples:
+    """Pointwise arithmetic shared by the sampled function types.
+
+    A subclass names its value arrays with `_arrays()` (one array, or one per
+    edge) and builds a sample on its own domain from new arrays with
+    `_like(arrays)`.  Two samples combine node by node only when they have
+    the same type and equal `domain`.
+    """
+
+    def _arrays(self):
+        return (self.values,)
+
+    def _check_domain(self, other):
+        if type(other) is not type(self) or other.domain != self.domain:
+            raise DomainMismatch(f"{type(self).__name__} and {type(other).__name__} live on different domains")
+
+    def _binop(self, other, op):
+        if isinstance(other, _Samples):
+            self._check_domain(other)
+            return self._like(tuple(op(a, b) for a, b in zip(self._arrays(), other._arrays())))
+        return self._like(tuple(op(a, other) for a in self._arrays()))
+
+    def __add__(self, other):
+        return self._binop(other, np.add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._binop(other, np.subtract)
+
+    def __rsub__(self, other):
+        return self._binop(other, lambda a, b: b - a)
+
+    def __mul__(self, other):
+        return self._binop(other, np.multiply)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._like(tuple(-a for a in self._arrays()))
+
+
 @dataclass(frozen=True)
 class IntervalDomain:
     """Uniform grid on a closed interval: nodes a + k*(b-a)/(n-1)."""
@@ -50,13 +109,9 @@ class IntervalDomain:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.a, self.b, self.n)
 
-    @property
-    def step(self) -> float:
-        return (self.b - self.a) / (self.n - 1)
-
 
 @dataclass(frozen=True)
-class GridFunction:
+class GridFunction(_Samples):
     """Complex node samples on an IntervalDomain."""
 
     domain: IntervalDomain
@@ -66,15 +121,8 @@ class GridFunction:
         object.__setattr__(self, "values", _as_complex_array(self.values, self.domain.n))
 
     @classmethod
-    def from_callable(cls, domain: IntervalDomain, fn) -> "GridFunction":
-        return cls(domain, np.asarray([fn(t) for t in domain.nodes()]))
-
-    @classmethod
     def constant(cls, domain: IntervalDomain, c) -> "GridFunction":
         return cls(domain, np.full(domain.n, c, dtype=np.complex128))
-
-    def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.domain, values)
 
     def restrict(self, lo: int, hi: int) -> "GridFunction":
         """Closed node-index range [lo, hi] as a new GridFunction."""
@@ -84,43 +132,18 @@ class GridFunction:
         sub = IntervalDomain(float(nodes[lo]), float(nodes[hi]), hi - lo + 1)
         return GridFunction(sub, self.values[lo:hi + 1])
 
-    def _binop(self, other, op):
-        if isinstance(other, GridFunction):
-            if other.domain != self.domain:
-                raise DomainMismatch("grid functions live on different domains")
-            return GridFunction(self.domain, op(self.values, other.values))
-        return GridFunction(self.domain, op(self.values, other))
-
-    def __add__(self, other):
-        return self._binop(other, np.add)
-
-    def __radd__(self, other):
-        return self._binop(other, np.add)
-
-    def __sub__(self, other):
-        return self._binop(other, np.subtract)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, np.multiply)
-
-    def __rmul__(self, other):
-        return self._binop(other, np.multiply)
-
-    def __neg__(self):
-        return GridFunction(self.domain, -self.values)
+    def _like(self, arrays):
+        return GridFunction(self.domain, arrays[0])
 
     def to_json(self) -> dict:
         return {
             "domain": {"type": "interval", "a": self.domain.a, "b": self.domain.b, "n": self.domain.n},
-            "values": [[float(v.real), float(v.imag)] for v in self.values],
+            "values": values_to_json(self.values),
         }
 
 
 @dataclass(frozen=True)
-class FiniteSpaceFunction:
+class FiniteSpaceFunction(_Samples):
     """Complex values indexed by the points of a finite discrete space."""
 
     values: np.ndarray
@@ -132,33 +155,13 @@ class FiniteSpaceFunction:
     def n(self) -> int:
         return self.values.size
 
-    def _binop(self, other, op):
-        if isinstance(other, FiniteSpaceFunction):
-            if other.n != self.n:
-                raise DomainMismatch("finite-space functions have different sizes")
-            return FiniteSpaceFunction(op(self.values, other.values))
-        return FiniteSpaceFunction(op(self.values, other))
+    domain = n  # the space {0, ..., n-1}, identified by its number of points
 
-    def __add__(self, other):
-        return self._binop(other, np.add)
-
-    def __sub__(self, other):
-        return self._binop(other, np.subtract)
-
-    def __mul__(self, other):
-        return self._binop(other, np.multiply)
-
-    def __rmul__(self, other):
-        return self._binop(other, np.multiply)
-
-    def __neg__(self):
-        return FiniteSpaceFunction(-self.values)
+    def _like(self, arrays):
+        return FiniteSpaceFunction(arrays[0])
 
     def to_json(self) -> dict:
-        return {
-            "domain": {"type": "finite", "n": self.n},
-            "values": [[float(v.real), float(v.imag)] for v in self.values],
-        }
+        return {"domain": {"type": "finite", "n": self.n}, "values": values_to_json(self.values)}
 
 
 @dataclass(frozen=True)
@@ -212,7 +215,7 @@ class GraphDomain:
 
 
 @dataclass(frozen=True)
-class GraphFunction:
+class GraphFunction(_Samples):
     """Per-edge grid samples with matching values at shared vertices."""
 
     domain: GraphDomain
@@ -246,24 +249,11 @@ class GraphFunction:
     def edge_function(self, i: int) -> GridFunction:
         return GridFunction(self.domain.edges[i][2], self.edge_values[i])
 
-    def _binop(self, other, op):
-        if isinstance(other, GraphFunction):
-            if other.domain != self.domain:
-                raise DomainMismatch("graph functions live on different graphs")
-            return GraphFunction(self.domain, tuple(op(a, b) for a, b in zip(self.edge_values, other.edge_values)))
-        return GraphFunction(self.domain, tuple(op(a, other) for a in self.edge_values))
+    def _arrays(self):
+        return self.edge_values
 
-    def __add__(self, other):
-        return self._binop(other, np.add)
-
-    def __sub__(self, other):
-        return self._binop(other, np.subtract)
-
-    def __mul__(self, other):
-        return self._binop(other, np.multiply)
-
-    def __rmul__(self, other):
-        return self._binop(other, np.multiply)
+    def _like(self, arrays):
+        return GraphFunction(self.domain, tuple(arrays))
 
     def to_json(self) -> dict:
         return {
@@ -275,9 +265,7 @@ class GraphFunction:
                     for u, v, dom in self.domain.edges
                 ],
             },
-            "values": [
-                [[float(v.real), float(v.imag)] for v in vals] for vals in self.edge_values
-            ],
+            "values": [values_to_json(vals) for vals in self.edge_values],
         }
 
 
@@ -287,9 +275,7 @@ class GraphFunction:
 
 def sup_norm(f) -> float:
     """Max of |value| over all nodes."""
-    if isinstance(f, GraphFunction):
-        return max(float(np.max(np.abs(vals))) for vals in f.edge_values)
-    return float(np.max(np.abs(f.values)))
+    return max(float(np.max(np.abs(vals))) for vals in f._arrays())
 
 
 def pointwise_product(f, g):
@@ -299,29 +285,13 @@ def pointwise_product(f, g):
 
 def conjugate(f):
     """Node-wise complex conjugation (the involution of the algebra)."""
-    if isinstance(f, GridFunction):
-        return GridFunction(f.domain, np.conj(f.values))
-    if isinstance(f, FiniteSpaceFunction):
-        return FiniteSpaceFunction(np.conj(f.values))
-    if isinstance(f, GraphFunction):
-        return GraphFunction(f.domain, tuple(np.conj(v) for v in f.edge_values))
-    raise TypeError(f"unsupported function type {type(f)!r}")
+    return f._like(tuple(np.conj(vals) for vals in f._arrays()))
 
 
 def min_modulus_sum(f, g, squared: bool = False) -> float:
     """Min over nodes of |f| + |g|, or of |f|^2 + |g|^2 with squared=True."""
-    if isinstance(f, GraphFunction) or isinstance(g, GraphFunction):
-        if f.domain != g.domain:
-            raise DomainMismatch("graph functions live on different graphs")
-        pairs = zip(f.edge_values, g.edge_values)
-        return min(_min_modulus_arrays(a, b, squared) for a, b in pairs)
-    if type(f) is not type(g):
-        raise DomainMismatch("mixed function types")
-    if isinstance(f, GridFunction) and f.domain != g.domain:
-        raise DomainMismatch("grid functions live on different domains")
-    if isinstance(f, FiniteSpaceFunction) and f.n != g.n:
-        raise DomainMismatch("finite-space functions have different sizes")
-    return _min_modulus_arrays(f.values, g.values, squared)
+    f._check_domain(g)
+    return min(_min_modulus_arrays(a, b, squared) for a, b in zip(f._arrays(), g._arrays()))
 
 
 def _min_modulus_arrays(a, b, squared):
@@ -360,9 +330,9 @@ def function_from_json(obj) -> GridFunction | FiniteSpaceFunction | GraphFunctio
     kind = dom["type"]
     if kind == "interval":
         domain = IntervalDomain(float(dom["a"]), float(dom["b"]), int(dom["n"]))
-        return GridFunction(domain, _values_from_pairs(obj["values"]))
+        return GridFunction(domain, values_from_json(obj["values"]))
     if kind == "finite":
-        values = _values_from_pairs(obj["values"])
+        values = values_from_json(obj["values"])
         if "n" in dom and int(dom["n"]) != values.size:
             raise ValueError("declared size disagrees with values")
         return FiniteSpaceFunction(values)
@@ -372,16 +342,8 @@ def function_from_json(obj) -> GridFunction | FiniteSpaceFunction | GraphFunctio
             for e in dom["edges"]
         )
         graph = GraphDomain(tuple(dom["vertices"]), edges)
-        return GraphFunction(graph, tuple(_values_from_pairs(v) for v in obj["values"]))
+        return GraphFunction(graph, tuple(values_from_json(v) for v in obj["values"]))
     raise ValueError(f"unknown domain type {kind!r}")
-
-
-def _values_from_pairs(pairs):
-    return np.asarray([complex(re, im) for re, im in pairs], dtype=np.complex128)
-
-
-def function_to_json(f) -> dict:
-    return f.to_json()
 
 
 def load_function(path) -> GridFunction | FiniteSpaceFunction | GraphFunction:

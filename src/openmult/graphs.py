@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PerturbationTooLarge, PreconditionViolated
+from .errors import PreconditionViolated
 from .functions import GraphDomain, GraphFunction, GridFunction, IntervalDomain, sup_norm
 from .interval import (
     EndpointPin,
@@ -173,11 +173,8 @@ def open_mult_graph(
         raise PreconditionViolated("run refine_partition first: graph declares unresolved crossings")
     cfg = PipelineConfig.for_target(eps0)
     supd = sup_norm(d)
-    if strict and supd > cfg.delta0 * (1.0 + 1e-12):
-        raise PerturbationTooLarge(
-            "perturbation exceeds delta0",
-            bound="delta0", value=supd, limit=cfg.delta0,
-        )
+    if strict:
+        cfg.check_radius(supd)
 
     if supd == 0.0:
         zero = GraphFunction(graph, tuple(np.zeros(dom.n, dtype=np.complex128) for _u, _v, dom in graph.edges))

@@ -89,6 +89,14 @@ class PipelineConfig:
             delta0=delta0(eps0),
         )
 
+    def check_radius(self, supd: float):
+        """Refuse a perturbation whose sup norm `supd` exceeds delta0."""
+        if supd > self.delta0 * (1.0 + 1e-12):
+            raise PerturbationTooLarge(
+                "perturbation exceeds delta0",
+                bound="delta0", value=supd, limit=self.delta0,
+            )
+
 
 # ---------------------------------------------------------------------------
 # Quadratic root tracking on the grid
@@ -629,7 +637,7 @@ def solve_interval(plan: IntervalPlan, dv, *, strict=True):
     if dv.shape != fv.shape:
         raise PreconditionViolated("perturbation must live on the plan's grid")
     if strict:
-        _check_radius(dv, cfg)
+        cfg.check_radius(float(np.max(np.abs(dv))))
     d1 = np.zeros(n, dtype=np.complex128)
     d2 = np.zeros(n, dtype=np.complex128)
     written = np.zeros(n, dtype=bool)
@@ -698,15 +706,6 @@ def solve_interval(plan: IntervalPlan, dv, *, strict=True):
     return d1, d2, _meta(cfg, plan.eta2, plan.eps_cover, plan.runs), residual, bound1, bound2
 
 
-def _check_radius(dv, cfg):
-    supd = float(np.max(np.abs(dv)))
-    if supd > cfg.delta0 * (1.0 + 1e-12):
-        raise PerturbationTooLarge(
-            "perturbation exceeds delta0",
-            bound="delta0", value=supd, limit=cfg.delta0,
-        )
-
-
 def factorize_interval_arrays(fv, gv, dv, eps0, *, strict=True, pin_left=None, pin_right=None):
     """solve_interval(plan_interval(...), dv), except that with strict=True a d
     past delta0 is refused before any refusal of the plan."""
@@ -714,7 +713,7 @@ def factorize_interval_arrays(fv, gv, dv, eps0, *, strict=True, pin_left=None, p
         plan = plan_interval(fv, gv, eps0, pin_left, pin_right)
     except OpenMultError:
         if strict:
-            _check_radius(dv, PipelineConfig.for_target(eps0))
+            PipelineConfig.for_target(eps0).check_radius(float(np.max(np.abs(dv))))
         raise
     return solve_interval(plan, dv, strict=strict)
 

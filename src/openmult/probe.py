@@ -9,7 +9,6 @@ verifies results a posteriori.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +172,3 @@ def probe_pipeline(
         seed=seed,
         curve=tuple(curve),
     )
-
-
-def probe_report_to_json(report: ProbeReport) -> str:
-    return json.dumps(report.to_json(), sort_keys=True)

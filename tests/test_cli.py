@@ -1,4 +1,7 @@
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +267,46 @@ class TestArgumentHandling:
         assert diag["error"] == "RuntimeError"
 
 
+def _malformed_payload(tmp_path, case):
+    """Input path for one malformed factor-interval input, and the bound the
+    diagnostic must name."""
+    if case == "missing file":
+        return str(tmp_path / "absent.json"), "input"
+    if case == "bad json":
+        path = tmp_path / "bad.json"
+        path.write_text('{"f": [1, 2')
+        return str(path), "input"
+    data = json.loads(Path(interval_triple(tmp_path, delta0(0.7))).read_text())
+    if case == "missing d":
+        del data["d"]
+        return write_json(tmp_path / "no_d.json", data), "d"
+    if case == "wrong value count":
+        data["d"]["values"] = data["d"]["values"][:5]
+        return write_json(tmp_path / "short_d.json", data), "d"
+    if case == "nan value":
+        data["d"]["values"][3] = [float("nan"), 0.0]
+        return write_json(tmp_path / "nan_d.json", data), "d"
+    assert case == "finite payload"
+    finite = {k: FiniteSpaceFunction(np.full(4, 0.5 + 0j)).to_json() for k in ("f", "g", "d")}
+    return write_json(tmp_path / "finite.json", finite), "f"
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["missing file", "bad json", "missing d", "wrong value count", "nan value", "finite payload"],
+)
+def test_malformed_input_exit_two(tmp_path, capsys, case):
+    path, bound = _malformed_payload(tmp_path, case)
+    code = main(["factor-interval", "--input", path, "--epsilon", "0.7"])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "PreconditionViolated"
+    assert diag["bound"] == bound
+    assert diag["message"].startswith(path if bound == "input" else f"payload key {bound!r}: ")
+
+
 class TestDiagonalSchemeCommand:
     def test_diagonal_model_roundtrip(self, tmp_path, capsys):
         from openmult import DiagonalAlgebraElement, diagonal_algebra_model, scheme_params
@@ -295,3 +338,95 @@ class TestDiagonalSchemeCommand:
         path = write_json(tmp_path / "nu.json", payload)
         code = main(["scheme", "--input", path, "--epsilon", "0.5"])
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# Golden reports: sha256 of every command's report in both formats.  The JSON
+# digest is of the report bytes with the volatile `timestamp` line removed;
+# the CSV digest is of all bytes.  A refactor of the CLI must leave every
+# digest unchanged; a deliberate change of a report must update them and say
+# so.
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _finite_payload(tmp_path):
+    rng = np.random.default_rng(41)
+    m = 24
+    tiny = np.arange(m) % 4 == 0
+    a = np.where(tiny, 0.05, 1.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    b = np.where(tiny, 0.05, 1.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    raw = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    d = raw * (0.9 * 0.25 * 0.5 * 0.5 / np.max(np.abs(raw)))
+    payload = {k: FiniteSpaceFunction(v).to_json() for k, v in (("a", a), ("b", b), ("d", d))}
+    return write_json(tmp_path / "finite.json", payload)
+
+
+def _nondeg_payload(tmp_path):
+    rng = np.random.default_rng(42)
+    m = 24
+    small = np.arange(m) % 3 == 0
+    f = np.where(small, 0.05, 1.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    g = np.where(small, 0.05, 1.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    payload = {"f": FiniteSpaceFunction(f).to_json(), "g": FiniteSpaceFunction(g).to_json()}
+    return write_json(tmp_path / "nondeg.json", payload)
+
+
+def _probe_payload(tmp_path):
+    rng = np.random.default_rng(43)
+    dom = IntervalDomain(0.0, 1.0, 65)
+    t = dom.nodes()
+    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    f = GridFunction(dom, np.exp(2j * np.pi * t) + 0.2 * c[0] * t)
+    g = GridFunction(dom, c[1] + c[2] * t + c[3] * t * t)
+    return write_json(tmp_path / "probe.json", {"f": f.to_json(), "g": g.to_json(), "trials": 3})
+
+
+GOLDEN_COMMANDS = {
+    "factor-interval": (lambda tmp: str(FIXTURE_DIR / "interval_joint_zero.json"), ["--epsilon", "0.7"]),
+    "factor-graph": (lambda tmp: str(FIXTURE_DIR / "theta_graph.json"), ["--epsilon", "0.7"]),
+    "scheme": (lambda tmp: str(FIXTURE_DIR / "scheme_64.json"), ["--epsilon", "0.5", "--audit"]),
+    "factor-finite": (_finite_payload, ["--epsilon", "0.5"]),
+    "nondeg-approx": (_nondeg_payload, ["--epsilon", "0.6"]),
+    "probe": (_probe_payload, ["--epsilon", "0.5", "--seed", "3"]),
+}
+
+GOLDEN_REPORTS = {
+    ("factor-interval", "json"):
+        "483bab3bf428a297cbff4ebb6dbad9b206c7f4587599a22f4c1b636ea430de6e",
+    ("factor-interval", "csv"):
+        "e6ba68342b373239b6b61976dcca184207705e25ebb11b1c8c10346ebaf45d60",
+    ("factor-graph", "json"):
+        "f5f7fd32ee741982365c702ab8990d4e96b1132b43f27932145c029924b18260",
+    ("factor-graph", "csv"):
+        "ba5f729b6386d93e8fbaac3ce487ea719da60fd0e600dde22d40f7704a7e4264",
+    ("scheme", "json"):
+        "bbb8248cfbe297a4ba11fb7805564eab3a479a4ffa8f78ec09a0650ce7c94c38",
+    ("scheme", "csv"):
+        "841cede699b75445f57398086e0cc51e28386ffdddc24399d06e69bd61305436",
+    ("factor-finite", "json"):
+        "ca013152376911fe0f59131088aa856558292ef768d7ec251a948969353b29cd",
+    ("factor-finite", "csv"):
+        "8c752e3c33d9339857b48c36af23515b2ac8120e3d6cf9d1dd97a3c2ccbcaabc",
+    ("nondeg-approx", "json"):
+        "b1fd05ead7049a2b3d476077043abe8a9629a390997af98d07639313e815d87d",
+    ("nondeg-approx", "csv"):
+        "fd7ef534299a8b9460951bdf0aa797b92e0343943e163c65e756f8dffdec05db",
+    ("probe", "json"):
+        "ecd3f503e3d01044236de42d0da4e033d58409209fc9a6417ad0064e95e4a6f6",
+    ("probe", "csv"):
+        "f1f2ff277ff66beeac060b8ef2ab7546453f139d4dd3e903fbe19993300bd04a",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(GOLDEN_REPORTS))
+def test_golden_report(tmp_path, command, fmt):
+    make_input, extra = GOLDEN_COMMANDS[command]
+    out = tmp_path / f"report.{fmt}"
+    argv = [command, "--input", make_input(tmp_path), *extra, "--format", fmt, "--output", str(out)]
+    assert main(argv) == 0
+    data = out.read_bytes()
+    if fmt == "json":
+        data, removed = re.subn(rb'\n  "timestamp": [^\n]*', b"", data)
+        assert removed == 1
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_REPORTS[(command, fmt)]

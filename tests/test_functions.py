@@ -20,6 +20,7 @@ from openmult import (
     refine,
     sup_norm,
 )
+from openmult.functions import values_from_json, values_to_json
 
 DOM = IntervalDomain(0.0, 1.0, 101)
 T = DOM.nodes()
@@ -132,6 +133,42 @@ class TestPointwiseProduct:
         other = GridFunction.constant(IntervalDomain(0.0, 2.0, 101), 1)
         with pytest.raises(DomainMismatch):
             pointwise_product(rand_grid(6), other)
+
+
+def _graph_fn(n):
+    return GraphFunction(star_graph(n), (np.ones(n, dtype=complex), np.ones(n, dtype=complex)))
+
+
+class TestDomainCheck:
+    """Every sample type refuses a partner of another type or domain, in
+    arithmetic and in min_modulus_sum alike."""
+
+    MISMATCHED = [
+        (lambda: rand_grid(0), lambda: rand_grid(1, IntervalDomain(0.0, 2.0, DOM.n))),
+        (lambda: FiniteSpaceFunction(np.ones(4)), lambda: FiniteSpaceFunction(np.ones(5))),
+        (lambda: _graph_fn(9), lambda: _graph_fn(11)),
+        (lambda: FiniteSpaceFunction(np.ones(DOM.n)), lambda: rand_grid(2)),
+        (lambda: rand_grid(3), lambda: _graph_fn(9)),
+    ]
+
+    @pytest.mark.parametrize("make_a,make_b", MISMATCHED)
+    def test_mismatch_refused(self, make_a, make_b):
+        a, b = make_a(), make_b()
+        for combine in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, min_modulus_sum):
+            with pytest.raises(DomainMismatch):
+                combine(a, b)
+            with pytest.raises(DomainMismatch):
+                combine(b, a)
+
+    def test_scalar_operands_on_every_type(self):
+        for fn in (rand_grid(4), FiniteSpaceFunction([1.0, 2j]), _graph_fn(9)):
+            for arrays, expected in (
+                ((2 - fn)._arrays(), [2 - a for a in fn._arrays()]),
+                ((fn + 1)._arrays(), [a + 1 for a in fn._arrays()]),
+                ((-fn)._arrays(), [-a for a in fn._arrays()]),
+                (conjugate(fn)._arrays(), [np.conj(a) for a in fn._arrays()]),
+            ):
+                assert all(np.array_equal(x, y) for x, y in zip(arrays, expected))
 
 
 class TestMinModulusSum:
@@ -292,3 +329,32 @@ class TestSerialization:
         f = grid_function_from_csv(path)
         assert f.domain.n == 11
         assert f.values[5] == pytest.approx(0.25 - 0.5j)
+
+
+wire_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals and +-1.7e308 included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+)
+
+
+class TestValueCodec:
+    @given(st.lists(st.lists(wire_numbers, min_size=2, max_size=2), max_size=24))
+    @settings(max_examples=300)
+    def test_round_trip_is_bit_exact(self, pairs):
+        arr = values_from_json(pairs)
+        # reference: the per-pair decoder the wire format was defined by
+        ref = np.asarray([complex(re, im) for re, im in pairs], dtype=np.complex128)
+        assert arr.dtype == np.complex128 and arr.tobytes() == ref.tobytes()
+        wire = json.loads(json.dumps(values_to_json(arr)))
+        assert wire == [[float(v.real), float(v.imag)] for v in ref]
+        assert values_from_json(wire).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[["1", 2.0]], [[1.0, "2"]], [[1.0, None]], [[1.0, 2.0, 3.0]], [[1.0]], [1.0, 2.0],
+         [[[1.0, 2.0]]], [[1.0, 2.0], [3.0]]],
+    )
+    def test_refuses_anything_but_number_pairs(self, bad):
+        with pytest.raises(ValueError):
+            values_from_json(bad)
