@@ -1,7 +1,8 @@
 """Batch front door: load functions, run factorizations, emit reports.
 
 Exit codes: 0 success; 2 a refusal of the input (a violated precondition or
-bound, or an input file or payload entry that cannot be read), with a
+bound, an input file or payload entry that cannot be read, or an output file
+that cannot be written), with a
 machine-readable diagnostic on stderr naming the violated bound, payload key
 or flag; 1 internal invariant failures.  Each error class carries its code
 as `exit_code`.  Reports embed the exact constants used so runs are
@@ -31,7 +32,6 @@ from .functions import (
     GraphFunction,
     GridFunction,
     function_from_json,
-    grid_function_from_csv,
     refine,
 )
 from .interval import PipelineConfig, open_mult_interval
@@ -54,8 +54,6 @@ _INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
 
 
 def _load_input(path):
-    if str(path).endswith(".csv"):
-        return {"f": grid_function_from_csv(path)}
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -109,7 +107,11 @@ class Command:
         fields, rows = self.run(args, *inputs)
         report = {"command": args.command, "epsilon": args.epsilon, "seed": args.seed, "timestamp": time.time()}
         report.update(fields)
-        _emit(report, args, rows, self.header)
+        try:
+            _emit(report, args, rows, self.header)
+        except OSError as exc:
+            where = args.output or "/dev/stdout"
+            raise PreconditionViolated(f"{where}: {type(exc).__name__}: {exc}", bound="output") from exc
         return 0
 
 
@@ -271,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--input", required=True, help="input JSON (or CSV for a single grid function)")
+        p.add_argument("--input", required=True, help="input JSON")
         p.add_argument("--epsilon", type=float, required=True, help="target bound in (0, 1)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--grid", type=int, default=None, help="refine grid inputs to at least this many nodes")

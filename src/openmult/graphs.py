@@ -10,17 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import PreconditionViolated
-from .functions import GraphDomain, GraphFunction, GridFunction, IntervalDomain, sup_norm
+from .functions import GraphDomain, GraphFunction, IntervalDomain, sup_norm
 from .interval import (
     EndpointPin,
     FactorizationResult,
     PipelineConfig,
     factorize_interval_arrays,
     phase_offset,
-    zero_meta,
+    root_pair,
 )
 from .quadratic import smaller_root_vec
 
@@ -143,9 +141,7 @@ class GraphFactorizationResult:
 def _vertex_pin(fval, gval, dval, cfg: PipelineConfig) -> EndpointPin:
     h = abs(fval) ** 2 + abs(gval) ** 2
     if h < cfg.eta2:
-        psi = fval * gval + dval
-        za = complex(np.sqrt(psi))
-        wa = psi / za if za != 0 else 0j
+        za, wa = root_pair(fval * gval + dval)
         return EndpointPin(kind="cover", d1=za - fval, d2=wa - gval, za=za, wa=wa)
     if fval != 0 and gval != 0:
         beta2 = phase_offset(fval, gval)
@@ -157,7 +153,7 @@ def _vertex_pin(fval, gval, dval, cfg: PipelineConfig) -> EndpointPin:
 
 
 def open_mult_graph(
-    f: GraphFunction, g: GraphFunction, d: GraphFunction, eps0: float, *, strict: bool = True
+    f: GraphFunction, g: GraphFunction, d: GraphFunction, eps0: float
 ) -> GraphFactorizationResult:
     """Per-edge factorization of f*g + d with exact agreement at vertices.
 
@@ -173,74 +169,44 @@ def open_mult_graph(
         raise PreconditionViolated("run refine_partition first: graph declares unresolved crossings")
     cfg = PipelineConfig.for_target(eps0)
     supd = sup_norm(d)
-    if strict:
-        cfg.check_radius(supd)
+    cfg.check_radius(supd)
 
     if supd == 0.0:
-        zero = GraphFunction(graph, tuple(np.zeros(dom.n, dtype=np.complex128) for _u, _v, dom in graph.edges))
-        results = tuple(
-            FactorizationResult(
-                d1=zero.edge_function(i), d2=zero.edge_function(i),
-                residual=0.0, bound1=0.0, bound2=0.0,
-                meta=zero_meta(cfg),
-            )
-            for i in range(len(graph.edges))
-        )
+        # No pipeline runs; every vertex is "trivial", isolated ones included.
+        results = tuple(FactorizationResult.zero(dom, cfg) for _u, _v, dom in graph.edges)
         report = {
             v: {"kind": "trivial", "d1": 0j, "d2": 0j, "agreement": 0.0}
             for v in graph.vertices
         }
-        return GraphFactorizationResult(
-            d1=zero, d2=zero, edge_results=results, vertex_report=report,
-            residual=0.0, bound1=0.0, bound2=0.0,
+    else:
+        pins = _vertex_pins(f, g, d, cfg)
+        results = tuple(
+            FactorizationResult.of(dom, factorize_interval_arrays(
+                f.edge_values[ei], g.edge_values[ei], d.edge_values[ei], eps0,
+                pin_left=pins[u], pin_right=pins[v],
+            ))
+            for ei, (u, v, dom) in enumerate(graph.edges)
         )
-
-    plans = plan_edges(f, g, d, eps0)
-    d1_edges, d2_edges, results = [], [], []
-    for plan, (_u, _v, dom) in zip(plans, graph.edges):
-        ei = plan.edge
-        e1, e2, meta, residual, bound1, bound2 = factorize_interval_arrays(
-            f.edge_values[ei], g.edge_values[ei], d.edge_values[ei], eps0,
-            strict=strict, pin_left=plan.left, pin_right=plan.right,
-        )
-        results.append(
-            FactorizationResult(
-                d1=GridFunction(dom, e1),
-                d2=GridFunction(dom, e2),
-                residual=residual,
-                bound1=bound1,
-                bound2=bound2,
-                meta=meta,
-            )
-        )
-        d1_edges.append(e1)
-        d2_edges.append(e2)
-
-    d1 = GraphFunction(graph, tuple(d1_edges))
-    d2 = GraphFunction(graph, tuple(d2_edges))
-    vertex_report = {}
-    for v in graph.vertices:
-        inc = graph.incident(v)
-        if not inc:
-            continue
-        first, first_side = inc[0]
-        pin = plans[first].left if first_side == 0 else plans[first].right
-        spread = 0.0
-        for fn in (d1, d2):
-            samples = [fn.edge_values[ei][side] for ei, side in inc]
-            for s in samples[1:]:
-                spread = max(spread, abs(s - samples[0]))
-        vertex_report[v] = {
-            "kind": pin.kind,
-            "d1": complex(pin.d1),
-            "d2": complex(pin.d2),
-            "agreement": spread,
-        }
+        sides = ([r.d1.values for r in results], [r.d2.values for r in results])
+        report = {}
+        for v, pin in pins.items():
+            inc = graph.incident(v)
+            spread = 0.0
+            for edges in sides:
+                samples = [edges[ei][side] for ei, side in inc]
+                for s in samples[1:]:
+                    spread = max(spread, abs(s - samples[0]))
+            report[v] = {
+                "kind": pin.kind,
+                "d1": complex(pin.d1),
+                "d2": complex(pin.d2),
+                "agreement": spread,
+            }
     return GraphFactorizationResult(
-        d1=d1,
-        d2=d2,
-        edge_results=tuple(results),
-        vertex_report=vertex_report,
+        d1=GraphFunction(graph, tuple(r.d1.values for r in results)),
+        d2=GraphFunction(graph, tuple(r.d2.values for r in results)),
+        edge_results=results,
+        vertex_report=report,
         residual=max(r.residual for r in results),
         bound1=max(r.bound1 for r in results),
         bound2=max(r.bound2 for r in results),

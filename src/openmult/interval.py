@@ -60,10 +60,7 @@ def delta0(eps0: float) -> float:
     Equals eps0**2 / 245 with the shift budget above: the target bound is
     split as eps1 = eps0/7 and the radius is capped at eps1**2.
     """
-    if not 0.0 < eps0 < 1.0:
-        raise PreconditionViolated("eps0 must lie in (0, 1)")
-    eps1 = eps0 / 7.0
-    return min(eps1 * eps1, shift_budget(eps1, eps1))
+    return PipelineConfig.for_target(eps0).delta0
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,7 @@ class PipelineConfig:
             epsilon1=eps1,
             eta1=eps1 * eps1,
             eta2=4.0 * eps1 * eps1,
-            delta0=delta0(eps0),
+            delta0=min(eps1 * eps1, shift_budget(eps1, eps1)),
         )
 
     def check_radius(self, supd: float):
@@ -102,8 +99,21 @@ class PipelineConfig:
 # Quadratic root tracking on the grid
 
 
+def _track_root(dv, linear, quad, eta, eps, gate=True):
+    """smaller_root_vec(-d, linear, quad), behind the shift-budget gate on d."""
+    if gate:
+        budget = shift_budget(eta, eps)
+        supd = float(np.max(np.abs(dv)))
+        if supd > budget * (1.0 + 1e-12):
+            raise PreconditionViolated(
+                "perturbation exceeds the shift budget",
+                bound="sup|d| <= shift_budget(eta, eps)", value=supd, limit=budget,
+            )
+    return smaller_root_vec(-dv, linear, quad)
+
+
 def quadratic_correction(
-    f: GridFunction, g: GridFunction, d: GridFunction, eta: float, eps: float, check: bool = True
+    f: GridFunction, g: GridFunction, d: GridFunction, eta: float, eps: float
 ) -> GridFunction:
     """phi with f*phi + g*phi**2 = d node-wise, |phi| <= eps.
 
@@ -111,20 +121,17 @@ def quadratic_correction(
     shift_budget(eta, eps).
     """
     fv, gv, dv = f.values, g.values, d.values
-    if check:
-        if float(np.min(np.abs(fv))) < eta * (1.0 - 1e-12):
-            raise PreconditionViolated(
-                "linear coefficient drops below the eta floor",
-                bound="min|f| >= eta", value=float(np.min(np.abs(fv))), limit=eta,
-            )
-        if float(np.max(np.abs(np.abs(gv) - 1.0))) > 1e-9:
-            raise PreconditionViolated("quadratic coefficient must be unimodular", bound="|g| = 1")
-        _check_shift_budget(dv, eta, eps)
-    phi = smaller_root_vec(-dv, fv, gv)
-    if check:
-        res = np.abs(fv * phi + gv * phi * phi - dv)
-        _verify(float(np.max(res)) <= 1e-10 * (1.0 + float(np.max(np.abs(dv)))), "root identity residual")
-        _verify(float(np.max(np.abs(phi))) <= eps * (1.0 + 1e-9), "tracked root exceeds eps")
+    if float(np.min(np.abs(fv))) < eta * (1.0 - 1e-12):
+        raise PreconditionViolated(
+            "linear coefficient drops below the eta floor",
+            bound="min|f| >= eta", value=float(np.min(np.abs(fv))), limit=eta,
+        )
+    if float(np.max(np.abs(np.abs(gv) - 1.0))) > 1e-9:
+        raise PreconditionViolated("quadratic coefficient must be unimodular", bound="|g| = 1")
+    phi = _track_root(dv, fv, gv, eta, eps)
+    res = np.abs(fv * phi + gv * phi * phi - dv)
+    _verify(float(np.max(res)) <= 1e-10 * (1.0 + float(np.max(np.abs(dv)))), "root identity residual")
+    _verify(float(np.max(np.abs(phi))) <= eps * (1.0 + 1e-9), "tracked root exceeds eps")
     return GridFunction(f.domain, phi)
 
 
@@ -141,7 +148,7 @@ def phase_offset(z: complex, w: complex) -> complex:
 
 
 def circle_extend(partial, defined=None, pin_left=None, pin_right=None):
-    """Fill undefined index gaps with unit-circle values.
+    """Fill undefined index gaps of the array `partial` with unit-circle values.
 
     Defined entries must be unimodular; undefined entries are NaN (or given
     by a `defined` mask).  Interior gaps are bridged by the shortest arc
@@ -150,8 +157,7 @@ def circle_extend(partial, defined=None, pin_left=None, pin_right=None):
     unless a pinned boundary value is supplied, in which case the gap is
     bridged toward the pin.  Defined entries are preserved exactly.
     """
-    wrap = isinstance(partial, GridFunction)
-    vals = np.array(partial.values if wrap else partial, dtype=np.complex128)
+    vals = np.array(partial, dtype=np.complex128)
     if defined is None:
         mask = ~np.isnan(vals)
     else:
@@ -165,8 +171,7 @@ def circle_extend(partial, defined=None, pin_left=None, pin_right=None):
             vals[idx] = pin
             mask[idx] = True
     if not np.any(mask):
-        out = np.ones(vals.size, dtype=np.complex128)
-        return GridFunction(partial.domain, out) if wrap else out
+        return np.ones(vals.size, dtype=np.complex128)
     dev = np.abs(vals)
     dev -= 1.0
     np.abs(dev, out=dev)
@@ -187,7 +192,7 @@ def circle_extend(partial, defined=None, pin_left=None, pin_right=None):
             vals[i:j + 1] = left
         else:
             vals[i:j + 1] = right
-    return GridFunction(partial.domain, vals) if wrap else vals
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +342,6 @@ def nondeg_phases(
     return GridFunction(h1.domain, np.ones_like(beta2)), GridFunction(h1.domain, beta2)
 
 
-def _check_shift_budget(dv, eta, eps):
-    budget = shift_budget(eta, eps)
-    supd = float(np.max(np.abs(dv)))
-    if supd > budget * (1.0 + 1e-12):
-        raise PreconditionViolated(
-            "perturbation exceeds the shift budget",
-            bound="sup|d| <= shift_budget(eta, eps)", value=supd, limit=budget,
-        )
-
-
 def perturb_nondegenerate(
     h1: GridFunction,
     h2: GridFunction,
@@ -356,7 +351,6 @@ def perturb_nondegenerate(
     *,
     pin_left=None,
     pin_right=None,
-    check: bool = True,
 ) -> tuple[GridFunction, GridFunction]:
     """z1, z2 with h1*z1 + h2*z2 + z1*z2 = d node-wise and |z_i| <= eps.
 
@@ -367,9 +361,7 @@ def perturb_nondegenerate(
     if not (h1.domain == h2.domain == d.domain):
         raise PreconditionViolated("inputs need a common domain")
     beta2, f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta, pin_left, pin_right)
-    if check:
-        _check_shift_budget(d.values, eta, eps)
-    phi = smaller_root_vec(-d.values, f_quad, beta2)
+    phi = _track_root(d.values, f_quad, beta2, eta, eps)
     return GridFunction(h1.domain, phi), GridFunction(h1.domain, beta2 * phi)
 
 
@@ -377,9 +369,12 @@ def perturb_nondegenerate(
 # Direct factorization with prescribed boundary data
 
 
-def _half_arrays(psi, eps, za, wa, zhat):
-    """Factor psi on a local grid with the (za, wa) pair pinned at index 0
-    and both factors equal to zhat at the last index."""
+def _half_arrays(psi, eps, za, wa, zhat, side="left"):
+    """Factor psi on a local grid with the (za, wa) pair pinned at the `side`
+    end and both factors equal to zhat at the other end."""
+    if side == "right":
+        z1, z2 = _half_arrays(psi[::-1].copy(), eps, za, wa, zhat)
+        return z1[::-1], z2[::-1]
     m = psi.size
     p, q = (za, wa) if abs(za) >= abs(wa) else (wa, za)
     radius = np.maximum(np.sqrt(np.abs(psi)), np.linspace(abs(p), abs(zhat), m))
@@ -400,7 +395,7 @@ def _half_arrays(psi, eps, za, wa, zhat):
 
 def factor_halfboundary(
     psi: GridFunction, eps: float, za: complex, wa: complex, zhat: complex,
-    side: str = "left", check: bool = True,
+    side: str = "left",
 ) -> tuple[GridFunction, GridFunction]:
     """Z1*Z2 = psi with the full pair (za, wa) prescribed at one end and the
     shared square-root value zhat at the other.
@@ -412,18 +407,13 @@ def factor_halfboundary(
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     pv = psi.values
-    if check:
-        _check_budget(pv, eps, (za, wa))
-        end = 0 if side == "left" else -1
-        other = -1 if side == "left" else 0
-        _check_pair(za, wa, pv[end])
-        if abs(zhat * zhat - pv[other]) > RESIDUAL_TOL * (1.0 + abs(pv[other])):
-            raise BoundaryMismatch("zhat^2 does not match psi at the far end")
-    if side == "left":
-        z1, z2 = _half_arrays(pv, eps, za, wa, zhat)
-    else:
-        z1, z2 = _half_arrays(pv[::-1].copy(), eps, za, wa, zhat)
-        z1, z2 = z1[::-1], z2[::-1]
+    _check_budget(pv, eps, (za, wa))
+    end = 0 if side == "left" else -1
+    other = -1 if side == "left" else 0
+    _check_pair(za, wa, pv[end])
+    if abs(zhat * zhat - pv[other]) > RESIDUAL_TOL * (1.0 + abs(pv[other])):
+        raise BoundaryMismatch("zhat^2 does not match psi at the far end")
+    z1, z2 = _half_arrays(pv, eps, za, wa, zhat, side)
     return GridFunction(psi.domain, z1), GridFunction(psi.domain, z2)
 
 
@@ -453,16 +443,14 @@ def _factor_arrays(psi, eps, za, wa, zb, wb):
     mid = m // 2
     zhat = complex(np.sqrt(psi[mid]))
     l1, l2 = _half_arrays(psi[: mid + 1], eps, za, wa, zhat)
-    r1, r2 = _half_arrays(psi[mid:][::-1].copy(), eps, zb, wb, zhat)
-    r1, r2 = r1[::-1], r2[::-1]
+    r1, r2 = _half_arrays(psi[mid:], eps, zb, wb, zhat, "right")
     z1 = np.concatenate([l1, r1[1:]])
     z2 = np.concatenate([l2, r2[1:]])
     return z1, z2
 
 
 def factor_interval(
-    psi: GridFunction, eps: float, za: complex, wa: complex, zb: complex, wb: complex,
-    check: bool = True,
+    psi: GridFunction, eps: float, za: complex, wa: complex, zb: complex, wb: complex
 ) -> tuple[GridFunction, GridFunction]:
     """Z1*Z2 = psi with full boundary pairs prescribed at both ends.
 
@@ -472,10 +460,9 @@ def factor_interval(
     if psi.domain.n < 2:
         raise PreconditionViolated("need at least two nodes")
     pv = psi.values
-    if check:
-        _check_budget(pv, eps, (za, wa, zb, wb))
-        _check_pair(za, wa, pv[0])
-        _check_pair(zb, wb, pv[-1])
+    _check_budget(pv, eps, (za, wa, zb, wb))
+    _check_pair(za, wa, pv[0])
+    _check_pair(zb, wb, pv[-1])
     z1, z2 = _factor_arrays(pv, eps, za, wa, zb, wb)
     return GridFunction(psi.domain, z1), GridFunction(psi.domain, z2)
 
@@ -513,6 +500,22 @@ class FactorizationResult:
     bound2: float
     meta: dict = field(default_factory=dict, compare=False)
 
+    @classmethod
+    def of(cls, domain, solved) -> "FactorizationResult":
+        """Wrap solve_interval's (d1, d2, meta, residual, bound1, bound2)."""
+        d1, d2, meta, residual, bound1, bound2 = solved
+        return cls(
+            d1=GridFunction(domain, d1), d2=GridFunction(domain, d2),
+            residual=residual, bound1=bound1, bound2=bound2, meta=meta,
+        )
+
+    @classmethod
+    def zero(cls, domain, cfg: PipelineConfig) -> "FactorizationResult":
+        """The result for d = 0, where no pipeline runs."""
+        zero = GridFunction(domain, np.zeros(domain.n, dtype=np.complex128))
+        meta = _meta(cfg, cfg.eta2, 5.0 * cfg.epsilon1, ())
+        return cls(d1=zero, d2=zero, residual=0.0, bound1=0.0, bound2=0.0, meta=meta)
+
     def to_json(self) -> dict:
         return {
             "d1": self.d1.to_json(),
@@ -524,29 +527,27 @@ class FactorizationResult:
         }
 
 
+def _pinned(pin, kind):
+    """Whether `pin` is an EndpointPin of `kind` ("cover" or "nondeg")."""
+    return pin is not None and pin.kind == kind
+
+
 def _plan_cover(h, cfg, eta2_t, pin_left, pin_right):
-    n = h.size
+    ends = ((pin_left, 0, "left"), (pin_right, h.size - 1, "right"))
     force = []
-    if pin_left is not None and pin_left.kind == "cover":
-        if h[0] >= eta2_t:
-            raise CoverInfeasible("left endpoint pinned as degenerate but not in the sublevel set")
-        force.append(0)
-    if pin_right is not None and pin_right.kind == "cover":
-        if h[n - 1] >= eta2_t:
-            raise CoverInfeasible("right endpoint pinned as degenerate but not in the sublevel set")
-        force.append(n - 1)
+    for pin, idx, side in ends:
+        if _pinned(pin, "cover"):
+            if h[idx] >= eta2_t:
+                raise CoverInfeasible(f"{side} endpoint pinned as degenerate but not in the sublevel set")
+            force.append(idx)
     runs = _cover_runs(h, cfg.eta1, eta2_t, force_nodes=force)
     for lo, hi in runs:
-        if lo == 0:
-            if pin_left is not None and pin_left.kind == "nondeg":
-                raise CoverInfeasible("cover run absorbed a non-degenerate pinned endpoint")
-            if hi == 0:
-                raise CoverInfeasible("single-node boundary cover run; refine the grid")
-        if hi == n - 1:
-            if pin_right is not None and pin_right.kind == "nondeg":
-                raise CoverInfeasible("cover run absorbed a non-degenerate pinned endpoint")
-            if lo == n - 1:
-                raise CoverInfeasible("single-node boundary cover run; refine the grid")
+        for pin, idx, _side in ends:
+            if idx in (lo, hi):
+                if _pinned(pin, "nondeg"):
+                    raise CoverInfeasible("cover run absorbed a non-degenerate pinned endpoint")
+                if lo == hi:
+                    raise CoverInfeasible("single-node boundary cover run; refine the grid")
     return runs
 
 
@@ -554,18 +555,24 @@ def _complement_ranges(runs, n):
     """Gaps between cover runs, inclusive of seam nodes."""
     out = []
     prev = 0
-    prev_open = True  # domain start not inside a run
     for lo, hi in runs:
         if lo > 0:
             out.append((prev, lo))
         prev = hi
-        prev_open = hi < n - 1
-        if not prev_open:
-            break
-    if prev_open and (not runs or runs[-1][1] < n - 1):
-        start = runs[-1][1] if runs else 0
-        out.append((start, n - 1))
+    # only the last run can reach the domain end
+    if not runs or prev < n - 1:
+        out.append((prev, n - 1))
     return out
+
+
+def root_pair(psi):
+    """The square-root boundary pair (z, psi / z), z = sqrt(psi); (z, 0) at psi = 0.
+
+    psi keeps its caller's type: numpy's and Python's complex division round
+    differently.
+    """
+    z = complex(np.sqrt(psi))
+    return z, (psi / z if z != 0 else 0j)
 
 
 def _meta(cfg, eta2, eps_cover, runs):
@@ -578,11 +585,6 @@ def _meta(cfg, eta2, eps_cover, runs):
         "eps_cover": eps_cover,
         "cover": [list(r) for r in runs],
     }
-
-
-def zero_meta(cfg):
-    """Constants reported when d vanishes and no pipeline runs."""
-    return _meta(cfg, cfg.eta2, 5.0 * cfg.epsilon1, ())
 
 
 @dataclass(frozen=True, eq=False)
@@ -620,8 +622,8 @@ def plan_interval(fv, gv, eps0, pin_left=None, pin_right=None) -> IntervalPlan:
 
     segments = []
     for s, e in _complement_ranges(runs, n):
-        pl = pin_left.beta2 if (s == 0 and pin_left is not None and pin_left.kind == "nondeg") else None
-        pr = pin_right.beta2 if (e == n - 1 and pin_right is not None and pin_right.kind == "nondeg") else None
+        pl = pin_left.beta2 if s == 0 and _pinned(pin_left, "nondeg") else None
+        pr = pin_right.beta2 if e == n - 1 and _pinned(pin_right, "nondeg") else None
         beta2, f_quad = _nondeg_phase_arrays(fv[s:e + 1], gv[s:e + 1], eps1, pl, pr)
         segments.append((s, e, beta2, f_quad))
     return IntervalPlan(fv, gv, cfg, tuple(runs), eta2_t, eps_cov, tuple(segments), (pin_left, pin_right))
@@ -643,44 +645,32 @@ def solve_interval(plan: IntervalPlan, dv, *, strict=True):
     written = np.zeros(n, dtype=bool)
 
     for s, e, beta2, f_quad in plan.segments:
-        dseg = dv[s:e + 1]
-        if strict:
-            _check_shift_budget(dseg, cfg.epsilon1, cfg.epsilon1)
-        phi = smaller_root_vec(-dseg, f_quad, beta2)
+        phi = _track_root(dv[s:e + 1], f_quad, beta2, cfg.epsilon1, cfg.epsilon1, strict)
         d1[s:e + 1] = beta2 * phi
         d2[s:e + 1] = phi
         written[s:e + 1] = True
 
     target = fv * gv + dv
+
+    def end_pair(k, seam, pin):
+        # Boundary pair of a cover run at node k: a seam takes the tracked
+        # values, a domain end its cover pin, or else the square-root pair.
+        if seam:
+            return complex(fv[k] + d1[k]), complex(gv[k] + d2[k])
+        if _pinned(pin, "cover"):
+            return pin.za, pin.wa
+        return root_pair(target[k])
+
     for lo, hi in plan.runs:
-        psi = target[lo:hi + 1]
-        if lo == 0:
-            if pin_left is not None and pin_left.kind == "cover":
-                za, wa = pin_left.za, pin_left.wa
-            else:
-                za = complex(np.sqrt(psi[0]))
-                wa = psi[0] / za if za != 0 else 0j
-        else:
-            za = complex(fv[lo] + d1[lo])
-            wa = complex(gv[lo] + d2[lo])
-        if hi == n - 1:
-            if pin_right is not None and pin_right.kind == "cover":
-                zb, wb = pin_right.za, pin_right.wa
-            else:
-                zb = complex(np.sqrt(psi[-1]))
-                wb = psi[-1] / zb if zb != 0 else 0j
-        else:
-            zb = complex(fv[hi] + d1[hi])
-            wb = complex(gv[hi] + d2[hi])
-        z1, z2 = _factor_arrays(psi, plan.eps_cover, za, wa, zb, wb)
-        own_lo = lo if lo == 0 else lo + 1
-        own_hi = hi if hi == n - 1 else hi - 1
-        if own_lo <= own_hi:
-            off = own_lo - lo
-            span = own_hi - own_lo + 1
-            d1[own_lo:own_hi + 1] = z1[off:off + span] - fv[own_lo:own_hi + 1]
-            d2[own_lo:own_hi + 1] = z2[off:off + span] - gv[own_lo:own_hi + 1]
-            written[own_lo:own_hi + 1] = True
+        za, wa = end_pair(lo, lo > 0, pin_left)
+        zb, wb = end_pair(hi, hi < n - 1, pin_right)
+        z1, z2 = _factor_arrays(target[lo:hi + 1], plan.eps_cover, za, wa, zb, wb)
+        # seam nodes belong to the neighbouring segments
+        own = slice(lo if lo == 0 else lo + 1, hi + 1 if hi == n - 1 else hi)
+        local = slice(own.start - lo, own.stop - lo)
+        d1[own] = z1[local] - fv[own]
+        d2[own] = z2[local] - gv[own]
+        written[own] = True
 
     _verify(bool(np.all(written)), "pipeline left unassigned nodes")
 
@@ -719,31 +709,17 @@ def factorize_interval_arrays(fv, gv, dv, eps0, *, strict=True, pin_left=None, p
 
 
 def open_mult_interval(
-    f: GridFunction, g: GridFunction, d: GridFunction, eps0: float, *, strict: bool = True
+    f: GridFunction, g: GridFunction, d: GridFunction, eps0: float
 ) -> FactorizationResult:
     """Factor the perturbed product: (f+d1)(g+d2) = f*g + d with |d_i| <= eps0.
 
     Requires sup|d| <= delta0(eps0); the same radius works for every (f, g)
-    pair, with no per-instance tuning.  With strict=False the admissibility
-    gates are skipped and the caller judges the returned residual and bounds
-    (used by the empirical openness probe).
+    pair, with no per-instance tuning.
     """
     if not (f.domain == g.domain == d.domain):
         raise PreconditionViolated("f, g, d need a common domain")
     cfg = PipelineConfig.for_target(eps0)
     if not np.any(d.values):
-        zero = GridFunction(f.domain, np.zeros(f.domain.n, dtype=np.complex128))
-        return FactorizationResult(
-            d1=zero, d2=zero, residual=0.0, bound1=0.0, bound2=0.0, meta=zero_meta(cfg)
-        )
-    d1, d2, meta, residual, bound1, bound2 = factorize_interval_arrays(
-        f.values, g.values, d.values, eps0, strict=strict
-    )
-    return FactorizationResult(
-        d1=GridFunction(f.domain, d1),
-        d2=GridFunction(f.domain, d2),
-        residual=residual,
-        bound1=bound1,
-        bound2=bound2,
-        meta=meta,
-    )
+        return FactorizationResult.zero(f.domain, cfg)
+    solved = factorize_interval_arrays(f.values, g.values, d.values, eps0)
+    return FactorizationResult.of(f.domain, solved)

@@ -136,6 +136,7 @@ def probe_pipeline(
         plan = plan_interval(f.values, g.values, eps0) if f.domain == g.domain else None
     except OpenMultError:
         plan = None  # refused whatever d is: every trial fails
+    fg = None if plan is None else plan.fv * plan.gv  # base of the a-posteriori scale
     curve = []
     delta_emp = 0.0
     for k in range(max_steps):
@@ -151,7 +152,7 @@ def probe_pipeline(
                 residual, bound1, bound2 = solve_interval(plan, dv, strict=False)[3:]
             except OpenMultError:
                 continue
-            scale = 1.0 + float(np.max(np.abs(f.values * g.values + dv)))
+            scale = 1.0 + float(np.max(np.abs(fg + dv)))
             if (
                 residual <= RESIDUAL_TOL * scale
                 and bound1 <= eps0 * (1.0 + 1e-9)

@@ -276,6 +276,10 @@ def _malformed_payload(tmp_path, case):
         path = tmp_path / "bad.json"
         path.write_text('{"f": [1, 2')
         return str(path), "input"
+    if case == "csv input":
+        path = tmp_path / "one.csv"
+        path.write_text("t,re,im\n0.0,1.0,0.0\n1.0,1.0,0.0\n")
+        return str(path), "input"
     data = json.loads(Path(interval_triple(tmp_path, delta0(0.7))).read_text())
     if case == "missing d":
         del data["d"]
@@ -293,7 +297,7 @@ def _malformed_payload(tmp_path, case):
 
 @pytest.mark.parametrize(
     "case",
-    ["missing file", "bad json", "missing d", "wrong value count", "nan value", "finite payload"],
+    ["missing file", "bad json", "csv input", "missing d", "wrong value count", "nan value", "finite payload"],
 )
 def test_malformed_input_exit_two(tmp_path, capsys, case):
     path, bound = _malformed_payload(tmp_path, case)
@@ -305,6 +309,20 @@ def test_malformed_input_exit_two(tmp_path, capsys, case):
     assert diag["error"] == "PreconditionViolated"
     assert diag["bound"] == bound
     assert diag["message"].startswith(path if bound == "input" else f"payload key {bound!r}: ")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_output_in_missing_directory_exit_two(tmp_path, capsys, fmt):
+    path = interval_triple(tmp_path, delta0(0.7))
+    out = str(tmp_path / "missing" / f"report.{fmt}")
+    code = main(["factor-interval", "--input", path, "--epsilon", "0.7", "--format", fmt, "--output", out])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "PreconditionViolated"
+    assert diag["bound"] == "output"
+    assert diag["message"].startswith(f"{out}: ")
 
 
 class TestDiagonalSchemeCommand:

@@ -19,14 +19,20 @@ import numpy as np
 import pytest
 
 from openmult import (
+    EndpointPin,
+    GraphDomain,
+    GraphFunction,
     GridFunction,
     IntervalDomain,
+    OpenMultError,
+    VertexInconsistency,
     delta0,
     function_from_json,
     open_mult_graph,
     open_mult_interval,
     probe_pipeline,
     refine,
+    sup_norm,
 )
 from openmult.interval import factorize_interval_arrays, plan_interval, solve_interval
 
@@ -289,3 +295,191 @@ def test_plan_reuse_matches_single_runs(kind):
     now = [plan.fv, plan.gv] + [a for seg in plan.segments for a in seg[2:]]
     assert all(np.array_equal(a, b) for a, b in zip(kept, now))
     assert plan.fv is fv and plan.gv is gv
+
+
+# ---------------------------------------------------------------------------
+# Graph pins: a vertex of each kind, a loop edge, and the zero perturbation.
+# The digests cover d1/d2 and the vertex report.
+
+GRAPH_N = 129
+GRAPH_T = IntervalDomain(0.0, 1.0, GRAPH_N).nodes()
+
+
+def _graph_digest(res):
+    h = hashlib.sha256(bytes.fromhex(_digest(*res.d1.edge_values, *res.d2.edge_values)))
+    h.update(repr(sorted(res.vertex_report.items())).encode())
+    return h.hexdigest()
+
+
+def _scaled(d, r):
+    return d * (r / sup_norm(d))
+
+
+def _interp(graph, vertex_values, rng, bump):
+    vals = []
+    for u, v, dom in graph.edges:
+        t = dom.nodes()
+        raw = rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n)
+        vals.append(vertex_values[u] * (1 - t) + vertex_values[v] * t + bump * t * (1 - t) * raw)
+    return GraphFunction(graph, tuple(vals))
+
+
+def _graph_degenerate_vertex():
+    # joint zero at u on every edge of a theta graph: u gets a cover pin
+    dom = IntervalDomain(0.0, 1.0, GRAPH_N)
+    graph = GraphDomain(("u", "v"), tuple(("u", "v", dom) for _ in range(3)))
+    fe = GRAPH_T.astype(complex) * (1 - 0.5 * GRAPH_T)
+    f = GraphFunction(graph, (fe, fe.copy(), fe.copy()))
+    g = GraphFunction(graph, (0.5j * fe, 0.5j * fe.copy(), 0.5j * fe.copy()))
+    d = _scaled(_interp(graph, {"u": 0.1, "v": -0.1j}, np.random.default_rng(4), 0.5), delta0(0.7))
+    return open_mult_graph(f, g, d, 0.7)
+
+
+def _graph_loop_edge():
+    dom = IntervalDomain(0.0, 1.0, GRAPH_N)
+    t = GRAPH_T
+    graph = GraphDomain(("u",), (("u", "u", dom),))
+    fv = 1.0 + 0.3 * np.cos(2 * np.pi * t) + 0.3j * np.sin(2 * np.pi * t)
+    fv[-1] = fv[0]
+    gv = np.full(dom.n, 0.8 + 0j)
+    rng = np.random.default_rng(8)
+    raw = t * (1 - t) * (rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n)) + 0.1
+    de = raw * (delta0(0.7) / np.max(np.abs(raw)))
+    de[-1] = de[0]
+    parts = (GraphFunction(graph, (x,)) for x in (fv, gv, de))
+    return open_mult_graph(*parts, 0.7)
+
+
+def _graph_mixed_star():
+    # leaves a and b are joint zeros (cover pins), the centre c and leaf e
+    # are not (nondeg pins)
+    dom = IntervalDomain(0.0, 1.0, GRAPH_N)
+    graph = GraphDomain(("c", "a", "b", "e"), (("c", "a", dom), ("c", "b", dom), ("c", "e", dom)))
+    rng = np.random.default_rng(21)
+    f = _interp(graph, {"c": 1.0 + 0.2j, "a": 0.0, "b": 0.0, "e": -0.9}, rng, 0.1)
+    g = _interp(graph, {"c": 0.3 - 0.8j, "a": 0.0, "b": 0.0, "e": 1.1j}, rng, 0.1)
+    d = _scaled(_interp(graph, {"c": 0.2, "a": 0.1j, "b": -0.1, "e": 0.3}, rng, 0.4), delta0(0.7))
+    return open_mult_graph(f, g, d, 0.7)
+
+
+GRAPH_CASES = {
+    "degenerate_vertex": _graph_degenerate_vertex,
+    "loop_edge": _graph_loop_edge,
+    "mixed_star": _graph_mixed_star,
+}
+
+GRAPH_GOLDEN = {
+    "degenerate_vertex": "9af7dea2fd8093ecc6735aaa0ec6e1f537cfd1ba8de30bc8ee4d32ff8dd145a9",
+    "loop_edge": "c0473bc8cf13aec500a61ddf966efa1a055781b509b983bceed7a3911993bd3f",
+    "mixed_star": "afc87e70237f6a9d2f5cbfee4f188aea73d173d255cfc8624d16239c4f4a16e0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_CASES))
+def test_graph_golden_digest(name):
+    assert _graph_digest(GRAPH_CASES[name]()) == GRAPH_GOLDEN[name]
+
+
+def test_mixed_star_has_both_pin_kinds():
+    kinds = {v: rep["kind"] for v, rep in _graph_mixed_star().vertex_report.items()}
+    assert kinds == {"c": "nondeg", "a": "cover", "b": "cover", "e": "nondeg"}
+
+
+def test_graph_zero_perturbation_with_isolated_vertex():
+    dom = IntervalDomain(0.0, 1.0, 33)
+    graph = GraphDomain(("u", "v", "w"), (("u", "v", dom), ("v", "u", dom)))
+    rng = np.random.default_rng(22)
+    f = _interp(graph, {"u": 1.0, "v": 0.5j, "w": 0.0}, rng, 0.2)
+    g = _interp(graph, {"u": -0.3, "v": 0.9, "w": 0.0}, rng, 0.2)
+    d = GraphFunction(graph, tuple(np.zeros(dom.n, dtype=complex) for _ in graph.edges))
+    res = open_mult_graph(f, g, d, 0.35)
+    assert res.residual == 0.0 and res.bound1 == 0.0 and res.bound2 == 0.0
+    assert {v: rep["kind"] for v, rep in res.vertex_report.items()} == {"u": "trivial", "v": "trivial", "w": "trivial"}
+    metas = [(r.residual, r.bound1, r.bound2, list(r.meta.items())) for r in res.edge_results]
+    digest = hashlib.sha256(repr((metas, sorted(res.vertex_report.items()))).encode()).hexdigest()
+    assert digest == ZERO_GRAPH_GOLDEN
+
+
+ZERO_GRAPH_GOLDEN = "86b194009829b55e625dd3727798890b95ae8673e1343d48073fc61038fb3d2e"
+
+
+# ---------------------------------------------------------------------------
+# Refusals of explicit endpoint pins: class and message, in refusal order.
+
+
+def _pin_case(name):
+    n = 65
+    t = IntervalDomain(0.0, 1.0, n).nodes()
+    fv = (0.8 + 0.3j) * np.exp(1j * t)
+    gv = (0.2 - 0.7j) * (1.0 + t)
+    dv = np.full(n, 1e-4 + 0j)
+    zero_left = (t - t[0]) * (1.0 + 0.5j)
+    zero_right = (t[-1] - t) * (1.0 + 0.5j)
+    cover = EndpointPin(kind="cover", d1=0j, d2=0j, za=0j, wa=0j)
+    nondeg = EndpointPin(kind="nondeg", d1=0j, d2=0j, beta2=1j)
+    if name == "cover pin left not in sublevel":
+        return fv, gv, dv, cover, None
+    if name == "cover pin right not in sublevel":
+        return fv, gv, dv, None, cover
+    if name == "cover pins both not in sublevel":
+        return fv, gv, dv, cover, cover
+    if name == "nondeg pin left absorbed":
+        return zero_left, 0.5j * zero_left, dv, nondeg, None
+    if name == "nondeg pin right absorbed":
+        return zero_right, 0.5j * zero_right, dv, None, nondeg
+    if name == "nondeg pin left absorbed, single-node run right":
+        f_both, g_both = zero_left.copy(), 0.5j * zero_left
+        f_both[-1], g_both[-1] = 0.25, 0.0
+        return f_both, g_both, dv, nondeg, cover
+    # |f|^2 + |g|^2 sits between 4 and 9 eps1^2 at the pinned end and jumps
+    # past both cover thresholds at the next node
+    lone = fv.copy()
+    lone_g = gv.copy()
+    idx = 0 if name == "single-node run left" else n - 1
+    lone[idx] = 0.25
+    lone_g[idx] = 0.0
+    pins = (cover, None) if idx == 0 else (None, cover)
+    return lone, lone_g, dv, *pins
+
+
+PIN_REFUSALS = {
+    "cover pin left not in sublevel":
+        ("CoverInfeasible", "left endpoint pinned as degenerate but not in the sublevel set"),
+    "cover pin right not in sublevel":
+        ("CoverInfeasible", "right endpoint pinned as degenerate but not in the sublevel set"),
+    "cover pins both not in sublevel":
+        ("CoverInfeasible", "left endpoint pinned as degenerate but not in the sublevel set"),
+    "nondeg pin left absorbed":
+        ("CoverInfeasible", "cover run absorbed a non-degenerate pinned endpoint"),
+    "nondeg pin right absorbed":
+        ("CoverInfeasible", "cover run absorbed a non-degenerate pinned endpoint"),
+    "nondeg pin left absorbed, single-node run right":
+        ("CoverInfeasible", "cover run absorbed a non-degenerate pinned endpoint"),
+    "single-node run left":
+        ("CoverInfeasible", "single-node boundary cover run; refine the grid"),
+    "single-node run right":
+        ("CoverInfeasible", "single-node boundary cover run; refine the grid"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_REFUSALS))
+def test_pin_refusal(name):
+    fv, gv, dv, pin_left, pin_right = _pin_case(name)
+    with pytest.raises(OpenMultError) as exc:
+        factorize_interval_arrays(fv, gv, dv, 0.7, pin_left=pin_left, pin_right=pin_right)
+    assert (type(exc.value).__name__, str(exc.value)) == PIN_REFUSALS[name]
+
+
+def test_vertex_inconsistency_refusal():
+    n = 65
+    t = IntervalDomain(0.0, 1.0, n).nodes()
+    fv = (0.8 + 0.3j) * np.exp(1j * t)
+    gv = (0.2 - 0.7j) * (1.0 + t)
+    dv = np.full(n, 1e-4 + 0j)
+    pin = EndpointPin(kind="nondeg", d1=1e-3 + 0j, d2=-1e-3j, beta2=1j)
+    with pytest.raises(VertexInconsistency) as exc:
+        factorize_interval_arrays(fv, gv, dv, 0.7, pin_right=pin)
+    assert str(exc.value) == VERTEX_INCONSISTENCY
+
+
+VERTEX_INCONSISTENCY = "edge construction disagrees with the pinned endpoint by 0.0009700807360431933"

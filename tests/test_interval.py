@@ -27,7 +27,7 @@ from openmult import (
     sublevel_cover,
     sup_norm,
 )
-from openmult.interval import UNDEFINED
+from openmult.interval import UNDEFINED, root_pair
 
 DOM = IntervalDomain(0.0, 1.0, 257)
 T = DOM.nodes()
@@ -541,6 +541,21 @@ class TestFactorInterval:
         z1, z2 = factor_interval(psi, 0.3, 0.2, 0.2, 0.1, 0.1)
         assert np.array_equal(z1.values, np.array([0.2, 0.1], dtype=complex))
         assert np.array_equal(z2.values, np.array([0.2, 0.1], dtype=complex))
+
+
+class TestRootPair:
+    def test_zero(self):
+        assert root_pair(0j) == (0j, 0j)
+        assert root_pair(np.complex128(0)) == (0j, 0j)
+
+    @given(st.complex_numbers(min_magnitude=1e-100, max_magnitude=1e100, allow_nan=False, allow_infinity=False))
+    @settings(max_examples=100)
+    def test_pair_multiplies_back(self, psi):
+        for scalar in (psi, np.complex128(psi)):
+            z, w = root_pair(scalar)
+            assert type(z) is complex and type(w) is type(scalar)
+            assert z == complex(np.sqrt(scalar)) and w == scalar / z
+            assert abs(z * w - psi) <= 1e-15 * abs(psi)
 
 
 class TestDelta0:
