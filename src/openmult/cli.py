@@ -13,6 +13,7 @@ apart from the timestamp field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -68,27 +69,38 @@ def _maybe_refine(fn, grid):
     return refine(fn, factor)
 
 
-def _emit(report, args, csv_rows, csv_header):
+def _writing(args, step, *step_args):
+    """Run an output step; an OSError refuses the output path (exit 2)."""
+    try:
+        return step(*step_args)
+    except OSError as exc:
+        where = args.output or "/dev/stdout"
+        raise PreconditionViolated(f"{where}: {type(exc).__name__}: {exc}", bound="output") from exc
+
+
+def _open_output(args):
+    # Opened before the library call, as shell redirection would be.
+    if args.format == "json" and not args.output:
+        return contextlib.nullcontext(sys.stdout)
+    newline = "" if args.format == "csv" else None
+    return open(args.output or "/dev/stdout", "w", encoding="utf-8", newline=newline)
+
+
+def _emit(fh, report, args, csv_rows, csv_header):
     if args.format == "csv":
-        target = args.output or "/dev/stdout"
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(csv_header)
-            writer.writerows(csv_rows)
-        return
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows)
     else:
-        print(text)
+        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    fh.flush()
 
 
 @dataclass(frozen=True)
 class Command:
     """One subcommand.  `__call__` holds the steps every command shares:
     load the input, decode the payload entries, refine grid functions under
-    --grid, run, fill the report and emit it."""
+    --grid, open the output, run, fill the report and emit it."""
 
     inputs: tuple   # (payload key, decode(data, key)) pairs, in `run` argument order
     run: object     # run(args, *inputs) -> (report fields, CSV rows)
@@ -104,14 +116,11 @@ class Command:
         except _INPUT_ERRORS as exc:
             where = args.input if key is None else f"payload key {key!r}"
             raise PreconditionViolated(f"{where}: {type(exc).__name__}: {exc}", bound=key or "input") from exc
-        fields, rows = self.run(args, *inputs)
-        report = {"command": args.command, "epsilon": args.epsilon, "seed": args.seed, "timestamp": time.time()}
-        report.update(fields)
-        try:
-            _emit(report, args, rows, self.header)
-        except OSError as exc:
-            where = args.output or "/dev/stdout"
-            raise PreconditionViolated(f"{where}: {type(exc).__name__}: {exc}", bound="output") from exc
+        with _writing(args, _open_output, args) as fh:
+            fields, rows = self.run(args, *inputs)
+            report = {"command": args.command, "epsilon": args.epsilon, "seed": args.seed, "timestamp": time.time()}
+            report.update(fields)
+            _writing(args, _emit, fh, report, args, rows, self.header)
         return 0
 
 
@@ -202,7 +211,7 @@ def _factor_finite(args, a, b, d):
 def _scheme(args, spec, F, G, H):
     model = _build_model(spec, F)
     params = scheme_mod.scheme_params(F, G, args.epsilon, model)
-    f, g, trace = scheme_mod.run_scheme(F, G, H, params, model, audit=True)
+    f, g, trace = scheme_mod.run_scheme(F, G, H, params, model)
     audit = scheme_mod.audit_claims(trace, params)
     fields = {
         "constants": params.to_json(),

@@ -192,16 +192,11 @@ def diagonal_open_mult(
 
     Delegates to the inversion scheme with the diagonal algebra model; the
     pair (a, b) must be jointly non-degenerate and d must be smaller than the
-    scheme's admissible radius for the pair.
+    scheme's admissible radius for the pair, which run_scheme enforces.
     """
     from .scheme import diagonal_algebra_model, run_scheme, scheme_params
 
     model = diagonal_algebra_model(a.weights)
     params = scheme_params(a, b, eps, model)
-    if d.norm() >= params.delta:
-        raise PerturbationTooLarge(
-            "perturbation exceeds the scheme radius",
-            bound="norm(d) < delta", value=d.norm(), limit=params.delta,
-        )
     f, g, _trace = run_scheme(a, b, d, params, model)
     return f, g

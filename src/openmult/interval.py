@@ -99,16 +99,15 @@ class PipelineConfig:
 # Quadratic root tracking on the grid
 
 
-def _track_root(dv, linear, quad, eta, eps, gate=True):
+def _track_root(dv, linear, quad, eta, eps):
     """smaller_root_vec(-d, linear, quad), behind the shift-budget gate on d."""
-    if gate:
-        budget = shift_budget(eta, eps)
-        supd = float(np.max(np.abs(dv)))
-        if supd > budget * (1.0 + 1e-12):
-            raise PreconditionViolated(
-                "perturbation exceeds the shift budget",
-                bound="sup|d| <= shift_budget(eta, eps)", value=supd, limit=budget,
-            )
+    budget = shift_budget(eta, eps)
+    supd = float(np.max(np.abs(dv)))
+    if supd > budget * (1.0 + 1e-12):
+        raise PreconditionViolated(
+            "perturbation exceeds the shift budget",
+            bound="sup|d| <= shift_budget(eta, eps)", value=supd, limit=budget,
+        )
     return smaller_root_vec(-dv, linear, quad)
 
 
@@ -629,23 +628,23 @@ def plan_interval(fv, gv, eps0, pin_left=None, pin_right=None) -> IntervalPlan:
     return IntervalPlan(fv, gv, cfg, tuple(runs), eta2_t, eps_cov, tuple(segments), (pin_left, pin_right))
 
 
-def solve_interval(plan: IntervalPlan, dv, *, strict=True):
-    """The d-dependent part: (d1, d2, meta, residual, bound1, bound2), where
-    residual = max|(f+d1)(g+d2) - (f*g+d)|, bound_i = max|d_i|."""
+def _solve(plan: IntervalPlan, dv):
+    """The d-dependent part, ungated, for dv of the plan's shape: (d1, d2,
+    meta, residual, bound1, bound2, failed), where residual =
+    max|(f+d1)(g+d2) - (f*g+d)|, bound_i = max|d_i| and `failed` names the
+    first certificate claim that fails (residual, then d1, then d2), or is
+    None when the result is certified."""
     cfg = plan.cfg
     fv, gv = plan.fv, plan.gv
     pin_left, pin_right = plan.pins
     n = fv.size
-    if dv.shape != fv.shape:
-        raise PreconditionViolated("perturbation must live on the plan's grid")
-    if strict:
-        cfg.check_radius(float(np.max(np.abs(dv))))
     d1 = np.zeros(n, dtype=np.complex128)
     d2 = np.zeros(n, dtype=np.complex128)
     written = np.zeros(n, dtype=bool)
 
     for s, e, beta2, f_quad in plan.segments:
-        phi = _track_root(dv[s:e + 1], f_quad, beta2, cfg.epsilon1, cfg.epsilon1, strict)
+        # solve_interval's gate, sup|d| <= delta0 = shift_budget(eps1, eps1), is this step's budget
+        phi = smaller_root_vec(-dv[s:e + 1], f_quad, beta2)
         d1[s:e + 1] = beta2 * phi
         d2[s:e + 1] = phi
         written[s:e + 1] = True
@@ -688,24 +687,35 @@ def solve_interval(plan: IntervalPlan, dv, *, strict=True):
     residual = float(np.max(np.abs((fv + d1) * (gv + d2) - target)))
     bound1 = float(np.max(np.abs(d1)))
     bound2 = float(np.max(np.abs(d2)))
-    if strict:
-        scale = 1.0 + float(np.max(np.abs(target)))
-        _verify(residual <= RESIDUAL_TOL * scale, "factorization residual out of tolerance")
-        _verify(bound1 <= cfg.epsilon0 * (1.0 + 1e-9), "d1 exceeds eps0")
-        _verify(bound2 <= cfg.epsilon0 * (1.0 + 1e-9), "d2 exceeds eps0")
-    return d1, d2, _meta(cfg, plan.eta2, plan.eps_cover, plan.runs), residual, bound1, bound2
+    claims = (
+        (residual <= RESIDUAL_TOL * (1.0 + float(np.max(np.abs(target)))), "factorization residual out of tolerance"),
+        (bound1 <= cfg.epsilon0 * (1.0 + 1e-9), "d1 exceeds eps0"),
+        (bound2 <= cfg.epsilon0 * (1.0 + 1e-9), "d2 exceeds eps0"),
+    )
+    failed = next((message for holds, message in claims if not holds), None)
+    return d1, d2, _meta(cfg, plan.eta2, plan.eps_cover, plan.runs), residual, bound1, bound2, failed
 
 
-def factorize_interval_arrays(fv, gv, dv, eps0, *, strict=True, pin_left=None, pin_right=None):
-    """solve_interval(plan_interval(...), dv), except that with strict=True a d
-    past delta0 is refused before any refusal of the plan."""
+def solve_interval(plan: IntervalPlan, dv):
+    """_solve behind the delta0 gate: (d1, d2, meta, residual, bound1, bound2)
+    of a certified result; a failed claim is an internal invariant failure."""
+    if dv.shape != plan.fv.shape:
+        raise PreconditionViolated("perturbation must live on the plan's grid")
+    plan.cfg.check_radius(float(np.max(np.abs(dv))))
+    *solved, failed = _solve(plan, dv)
+    _verify(failed is None, failed)
+    return tuple(solved)
+
+
+def factorize_interval_arrays(fv, gv, dv, eps0, *, pin_left=None, pin_right=None):
+    """solve_interval(plan_interval(...), dv), except that a d past delta0 is
+    refused before any refusal of the plan."""
     try:
         plan = plan_interval(fv, gv, eps0, pin_left, pin_right)
     except OpenMultError:
-        if strict:
-            PipelineConfig.for_target(eps0).check_radius(float(np.max(np.abs(dv))))
+        PipelineConfig.for_target(eps0).check_radius(float(np.max(np.abs(dv))))
         raise
-    return solve_interval(plan, dv, strict=strict)
+    return solve_interval(plan, dv)
 
 
 def open_mult_interval(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import OpenMultError, PreconditionViolated
 from .functions import GridFunction
-from .interval import RESIDUAL_TOL, delta0, plan_interval, solve_interval
+from .interval import _solve, delta0, plan_interval
 from .interval import open_mult_interval  # noqa: F401  traced under this name by perfbench/layers.py
 
 
@@ -46,11 +46,6 @@ class ProbeReport:
                 writer.writerow([repr(r), rate])
 
 
-def _psi_zero_reachable(x, y, eps):
-    # x'*y' = 0 needs one factor exactly zero within its eps-ball
-    return abs(x) <= eps or abs(y) <= eps
-
-
 def _reachable(x, y, eps, w, grid):
     """Whether some x', y' in the eps-balls around x, y give x'*y' = x*y + w.
 
@@ -59,7 +54,8 @@ def _reachable(x, y, eps, w, grid):
     """
     psi = x * y + w
     if psi == 0:
-        return _psi_zero_reachable(x, y, eps)
+        # x'*y' = 0 needs one factor exactly zero within its eps-ball
+        return abs(x) <= eps or abs(y) <= eps
     lo_r, hi_r = 0.0, 1.0
     lo_t, hi_t = 0.0, 2.0 * np.pi
     center = x
@@ -91,13 +87,7 @@ def brute_scalar_delta(eps: float, x: complex, y: complex, grid: int = 32) -> fl
 
     def success(r):
         for phase in np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False):
-            w = r * np.exp(1j * phase)
-            psi = x * y + w
-            if psi == 0:
-                if not _psi_zero_reachable(x, y, eps):
-                    return False
-                continue
-            if not _reachable(x, y, eps, w, grid):
+            if not _reachable(x, y, eps, r * np.exp(1j * phase), grid):
                 return False
         return True
 
@@ -122,10 +112,10 @@ def probe_pipeline(
     """Push random perturbations past the certified radius.
 
     For each radius on a fixed geometric ladder starting at delta0(eps0), run
-    `trials` random directions through the pipeline with the admissibility
-    gates off and verify identity and bounds a posteriori.  Reports the
-    largest radius at which every sampled direction succeeded.  The cover and
-    phases are planned once for (f, g); each trial is one solve_interval.
+    `trials` random directions through the ungated solve; a trial succeeds
+    when the solve certifies its result (identity and bounds, checked a
+    posteriori).  Reports the largest radius at which every sampled direction
+    succeeded.  The cover and phases are planned once for (f, g).
     """
     if trials < 1:
         raise PreconditionViolated("trials must be at least 1")
@@ -136,7 +126,6 @@ def probe_pipeline(
         plan = plan_interval(f.values, g.values, eps0) if f.domain == g.domain else None
     except OpenMultError:
         plan = None  # refused whatever d is: every trial fails
-    fg = None if plan is None else plan.fv * plan.gv  # base of the a-posteriori scale
     curve = []
     delta_emp = 0.0
     for k in range(max_steps):
@@ -149,16 +138,10 @@ def probe_pipeline(
             if plan is None:
                 continue
             try:
-                residual, bound1, bound2 = solve_interval(plan, dv, strict=False)[3:]
+                failed = _solve(plan, dv)[6]
             except OpenMultError:
                 continue
-            scale = 1.0 + float(np.max(np.abs(fg + dv)))
-            if (
-                residual <= RESIDUAL_TOL * scale
-                and bound1 <= eps0 * (1.0 + 1e-9)
-                and bound2 <= eps0 * (1.0 + 1e-9)
-            ):
-                successes += 1
+            successes += failed is None
         rate = successes / trials
         curve.append((r, rate))
         if rate == 1.0:

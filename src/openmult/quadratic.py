@@ -14,7 +14,6 @@ import numpy as np
 from .errors import EqualModulusRoots
 
 TIE_TOL = 1e-12
-UNIMODULAR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,11 @@ def roots(t: QuadraticTriple) -> tuple[complex, complex]:
 
 def has_distinct_moduli(t: QuadraticTriple) -> bool:
     """Whether the two root moduli split, so the selection is defined."""
-    big, small = roots_vec(t.alpha, t.beta, t.gamma)
-    gap = float(np.abs(big) - np.abs(small))
-    return gap > TIE_TOL * (1.0 + abs(complex(big)) + abs(complex(small)))
+    try:
+        smaller_root_vec(t.alpha, t.beta, t.gamma)
+    except EqualModulusRoots:
+        return False
+    return True
 
 
 def smaller_root(t: QuadraticTriple) -> complex:
@@ -90,7 +91,4 @@ def smaller_root(t: QuadraticTriple) -> complex:
     In the tracking regime |beta| >= eta, |alpha| <= eta^2/4 the returned
     value satisfies |z| <= 2|alpha|/|beta|.
     """
-    if not has_distinct_moduli(t):
-        raise EqualModulusRoots("root moduli tie; selection undefined")
-    _big, small = roots_vec(t.alpha, t.beta, t.gamma)
-    return complex(small)
+    return complex(smaller_root_vec(t.alpha, t.beta, t.gamma))

@@ -41,9 +41,6 @@ class AlgebraModel:
     D: float
     psi: object
 
-    def embedded_values(self, el) -> np.ndarray:
-        return self.embed(el).values
-
 
 def sup_algebra_model(n: int) -> AlgebraModel:
     """Continuous functions on n points under the sup norm.
@@ -199,24 +196,13 @@ def _claims_for(n, norm_f, norm_g, norm_h, inf_embed, residual, ref_norm, params
 CLAIM_KEYS = ("product_conserved", "norms_capped", "lower_bound_kept", "defect_halved")
 
 
-def run_scheme(
-    F,
-    G,
-    H,
-    params: SchemeParams,
-    model: AlgebraModel,
-    tol: float | None = None,
-    max_iter: int = 200,
-    audit: bool = True,
-) -> tuple:
-    """Run the recursion until the defect norm drops below tol.
+def run_scheme(F, G, H, params: SchemeParams, model: AlgebraModel, max_iter: int = 200) -> tuple:
+    """Run the recursion until the defect norm drops to 1e-12 * params.delta.
 
-    Returns (f, g, trace) with f*g equal to F*G + H up to tol and
-    norm(f - F), norm(g - G) < params.eps.  With audit on, a failing
-    invariant raises ClaimViolation naming the iteration.
+    Returns (f, g, trace) with f*g equal to F*G + H up to that defect and
+    norm(f - F), norm(g - G) < params.eps.  A failing invariant raises
+    ClaimViolation naming the iteration.
     """
-    if tol is None:
-        tol = 1e-12 * params.delta
     norm_h0 = model.norm(H)
     if norm_h0 >= params.delta:
         raise PerturbationTooLarge(
@@ -230,18 +216,17 @@ def run_scheme(
     move_f = move_g = 0.0
     for n in range(max_iter + 1):
         residual = model.norm(Fn * Gn + Hn - reference)
-        inf_embed = float(
-            np.min(np.abs(model.embedded_values(Fn)) + np.abs(model.embedded_values(Gn)))
-        )
-        claims = _claims_for(
-            n, model.norm(Fn), model.norm(Gn), model.norm(Hn), inf_embed, residual, ref_norm, params
-        )
+        norm_f = model.norm(Fn)
+        norm_g = model.norm(Gn)
+        norm_h = model.norm(Hn)
+        inf_embed = float(np.min(np.abs(model.embed(Fn).values) + np.abs(model.embed(Gn).values)))
+        claims = _claims_for(n, norm_f, norm_g, norm_h, inf_embed, residual, ref_norm, params)
         trace.append(
             TraceRecord(
                 n=n,
-                norm_f=model.norm(Fn),
-                norm_g=model.norm(Gn),
-                norm_h=model.norm(Hn),
+                norm_f=norm_f,
+                norm_g=norm_g,
+                norm_h=norm_h,
                 inf_embed=inf_embed,
                 identity_residual=residual,
                 claims=claims,
@@ -249,11 +234,10 @@ def run_scheme(
                 move_g=move_g,
             )
         )
-        if audit:
-            for key in CLAIM_KEYS:
-                if not claims[key]:
-                    raise ClaimViolation(n, key)
-        if model.norm(Hn) <= tol:
+        for key in CLAIM_KEYS:
+            if not claims[key]:
+                raise ClaimViolation(n, key)
+        if norm_h <= 1e-12 * params.delta:
             return Fn, Gn, trace
         u = Fn * model.conj(Fn) + Gn * model.conj(Gn)
         inv_u = model.invert(u)

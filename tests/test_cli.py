@@ -325,6 +325,26 @@ def test_output_in_missing_directory_exit_two(tmp_path, capsys, fmt):
     assert diag["message"].startswith(f"{out}: ")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unwritable_output_refused_before_library_call(tmp_path, capsys, monkeypatch, fmt):
+    import openmult.cli as cli_mod
+
+    calls = []
+    real = cli_mod.open_mult_interval
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli_mod, "open_mult_interval", recorded)
+    path = interval_triple(tmp_path, delta0(0.7))
+    out = str(tmp_path / "missing" / f"report.{fmt}")
+    code = main(["factor-interval", "--input", path, "--epsilon", "0.7", "--format", fmt, "--output", out])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["bound"] == "output"
+    assert calls == []
+
+
 class TestDiagonalSchemeCommand:
     def test_diagonal_model_roundtrip(self, tmp_path, capsys):
         from openmult import DiagonalAlgebraElement, diagonal_algebra_model, scheme_params

@@ -34,7 +34,7 @@ from openmult import (
     refine,
     sup_norm,
 )
-from openmult.interval import factorize_interval_arrays, plan_interval, solve_interval
+from openmult.interval import _solve, factorize_interval_arrays, plan_interval, solve_interval
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -145,7 +145,7 @@ def _wide_gap(n):
 def _family_unchecked(n, seed, kind, eps0, scale):
     # Past the certified radius with the gates off, as the probe runs it.
     f, g, d = _family_case(n, seed, kind, eps0, scale)
-    d1, d2, meta = factorize_interval_arrays(f.values, g.values, d.values, eps0, strict=False)[:3]
+    d1, d2, meta = _solve(plan_interval(f.values, g.values, eps0), d.values)[:3]
     return d1, d2, meta["cover"]
 
 
@@ -288,13 +288,59 @@ def test_plan_reuse_matches_single_runs(kind):
     for scale, strict in ((0.5, True), (1.0, True), (8.0, False), (40.0, False), (1.0, False)):
         raw = rng.standard_normal(fv.size) + 1j * rng.standard_normal(fv.size)
         dv = raw * (scale * delta0(0.7) / float(np.max(np.abs(raw))))
-        want = factorize_interval_arrays(fv, gv, dv, 0.7, strict=strict)
-        got = solve_interval(plan, dv, strict=strict)
+        want = factorize_interval_arrays(fv, gv, dv, 0.7) if strict else _solve(plan_interval(fv, gv, 0.7), dv)[:6]
+        got = solve_interval(plan, dv) if strict else _solve(plan, dv)[:6]
         assert _digest(got[0], got[1]) == _digest(want[0], want[1])
         assert got[2:] == want[2:]
     now = [plan.fv, plan.gv] + [a for seg in plan.segments for a in seg[2:]]
     assert all(np.array_equal(a, b) for a, b in zip(kept, now))
     assert plan.fv is fv and plan.gv is gv
+
+
+# ---------------------------------------------------------------------------
+# The certificate verdict of _solve against the probe's former a-posteriori
+# check, recomputed here: the same trials fail, and the first failing claim
+# is the first false clause of (residual, d1, d2).
+
+
+RESIDUAL, D1, D2 = "factorization residual out of tolerance", "d1 exceeds eps0", "d2 exceeds eps0"
+
+
+def _three_clause_failure(plan, dv, residual, bound1, bound2, eps0):
+    scale = 1.0 + float(np.max(np.abs(plan.fv * plan.gv + dv)))
+    clauses = (
+        (residual <= 1e-9 * scale, RESIDUAL),
+        (bound1 <= eps0 * (1.0 + 1e-9), D1),
+        (bound2 <= eps0 * (1.0 + 1e-9), D2),
+    )
+    return next((claim for holds, claim in clauses if not holds), None)
+
+
+# The claims seen failing first, per family and scale of f: 20 rungs of the
+# probe ladder at scale 1, where a bound on d1 or d2 always gives way before
+# the residual, and rung 0 with f scaled by 1e155, where f*g overflows.
+FIRST_FAILURES = {
+    (0, 1.0): {D1}, (1, 1.0): {D1}, (2, 1.0): {D1, D2}, (3, 1.0): {D1, D2},
+    **{(kind, 1e155): {RESIDUAL} for kind in range(4)},
+}
+
+
+@pytest.mark.parametrize("f_scale", [1.0, 1e155])
+@pytest.mark.parametrize("kind", range(4))
+def test_solve_verdict_matches_three_clause_check(kind, f_scale):
+    f, g, _d = _family_case(1025, 23, kind, 0.7)
+    rng = np.random.default_rng([23, kind])
+    seen = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        plan = plan_interval(f.values * f_scale, g.values, 0.7)
+        for k in range(20 if f_scale == 1.0 else 1):
+            for _ in range(8):
+                raw = rng.standard_normal(f.domain.n) + 1j * rng.standard_normal(f.domain.n)
+                dv = raw * (delta0(0.7) * 1.5**k / float(np.max(np.abs(raw))))
+                _d1, _d2, _meta, residual, bound1, bound2, failed = _solve(plan, dv)
+                assert failed == _three_clause_failure(plan, dv, residual, bound1, bound2, 0.7)
+                seen.add(failed)
+    assert seen - {None} == FIRST_FAILURES[kind, f_scale]
 
 
 # ---------------------------------------------------------------------------

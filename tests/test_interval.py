@@ -58,6 +58,14 @@ class TestShiftBudget:
         assert 2.0 * delta / eta <= eps * (1 + 1e-12)
         assert 2.0 * delta / eta < eta / 2.0
 
+    @given(st.floats(min_value=1e-320, max_value=1.0, exclude_max=True))
+    @settings(max_examples=500)
+    def test_delta0_is_the_tracking_budget(self, eps0):
+        # Bit for bit, so the delta0 gate of solve_interval also keeps every
+        # segment's d inside the shift budget of its root tracking.  (Below
+        # about 3.5e-323, eps0/7 underflows to zero and both sides refuse.)
+        assert delta0(eps0) == shift_budget(eps0 / 7, eps0 / 7)
+
 
 class TestQuadraticCorrection:
     def test_zero_perturbation(self):

@@ -84,7 +84,7 @@ class TestProbePipeline:
         def refuse(*args, **kwargs):
             raise CoverInfeasible("refine the grid")
 
-        monkeypatch.setattr(probe_mod, "solve_interval", refuse)
+        monkeypatch.setattr(probe_mod, "_solve", refuse)
         f = GridFunction.constant(DOM, 1.0)
         rep = probe_pipeline(f, f, 0.5, trials=2, seed=0)
         assert rep.curve == ((rep.delta_constructive, 0.0),)
@@ -94,7 +94,7 @@ class TestProbePipeline:
         def broken(*args, **kwargs):
             raise RuntimeError("internal invariant failed: factorization residual out of tolerance")
 
-        monkeypatch.setattr(probe_mod, "solve_interval", broken)
+        monkeypatch.setattr(probe_mod, "_solve", broken)
         f = GridFunction.constant(DOM, 1.0)
         with pytest.raises(RuntimeError, match="internal invariant failed"):
             probe_pipeline(f, f, 0.5, trials=2, seed=0)
