@@ -61,9 +61,11 @@ from .interval import (
     perturb_nondegenerate,
     phase_offset,
     plan_interval,
+    plan_intervals,
     quadratic_correction,
     shift_budget,
     solve_interval,
+    solve_intervals,
     sublevel_cover,
 )
 from .probe import ProbeReport, brute_scalar_delta, probe_pipeline

@@ -59,6 +59,18 @@ class _Samples:
     the same type and equal `domain`.
     """
 
+    @classmethod
+    def _trusted(cls, *fields):
+        """An instance around arrays the library made itself, taken as they
+        are: no copy, no finiteness scan, no vertex-agreement check.  The
+        arrays are made read-only.  Public construction keeps every check."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, fields):
+            object.__setattr__(obj, name, value)
+        for arr in obj._arrays():
+            arr.setflags(write=False)
+        return obj
+
     def _arrays(self):
         return (self.values,)
 

@@ -1,16 +1,19 @@
-"""Edge-by-edge factorization on a finite graph with consistent vertex values.
+"""Factorization on a finite graph with consistent vertex values.
 
 Vertex values of the perturbations are fixed first from the canonical samples
-(so every incident edge sees the same number), then each edge runs the
-interval pipeline with those values pinned at its endpoints.  The certified
-radius is the same delta0 as on a single interval, for every graph.
+(so every incident edge sees the same number), then the interval pipeline
+runs once over all edges laid end to end, each with those values pinned at
+its endpoints and with the bits it gets alone.  The certified radius is the
+same delta0 as on a single interval, for every graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import PreconditionViolated
+import numpy as np
+
+from .errors import OpenMultError, PreconditionViolated
 from .functions import GraphDomain, GraphFunction, IntervalDomain, sup_norm
 from .interval import (
     EndpointPin,
@@ -18,7 +21,9 @@ from .interval import (
     PipelineConfig,
     factorize_interval_arrays,
     phase_offset,
+    plan_intervals,
     root_pair,
+    solve_intervals,
 )
 from .quadratic import smaller_root_vec
 
@@ -159,8 +164,10 @@ def open_mult_graph(
 
     Vertices are classified against the cover threshold of the interval
     pipeline: jointly degenerate vertices get direct-factorization boundary
-    data, the rest get a globally fixed rotation phase, and each edge is
-    solved with those pins so the values at a vertex are assigned once.
+    data, the rest get a globally fixed rotation phase, and every edge is
+    solved with those pins so the values at a vertex are assigned once.  One
+    plan and one solve cover all edges; a refusal is that of the first edge,
+    in edge order, that refuses on its own.
     """
     if not (f.domain == g.domain == d.domain):
         raise PreconditionViolated("f, g, d must live on the same graph")
@@ -180,12 +187,22 @@ def open_mult_graph(
         }
     else:
         pins = _vertex_pins(f, g, d, cfg)
+        ends = tuple((pins[u], pins[v]) for u, v, _dom in graph.edges)
+        offsets = np.cumsum([0] + [dom.n for _u, _v, dom in graph.edges])
+        try:
+            d1, d2, rows = solve_intervals(
+                plan_intervals(np.concatenate(f.edge_values), np.concatenate(g.edge_values), eps0, offsets, ends),
+                np.concatenate(d.edge_values),
+            )
+        except (OpenMultError, RuntimeError):
+            # The refusal is that of the first edge that refuses alone.
+            for parts, (pin_left, pin_right) in zip(zip(f.edge_values, g.edge_values, d.edge_values), ends):
+                factorize_interval_arrays(*parts, eps0, pin_left=pin_left, pin_right=pin_right)
+            raise
+        bounds = offsets.tolist()
         results = tuple(
-            FactorizationResult.of(dom, factorize_interval_arrays(
-                f.edge_values[ei], g.edge_values[ei], d.edge_values[ei], eps0,
-                pin_left=pins[u], pin_right=pins[v],
-            ))
-            for ei, (u, v, dom) in enumerate(graph.edges)
+            FactorizationResult.of(dom, (d1[a:b], d2[a:b], *row))
+            for (_u, _v, dom), a, b, row in zip(graph.edges, bounds, bounds[1:], rows)
         )
         sides = ([r.d1.values for r in results], [r.d2.values for r in results])
         report = {}
@@ -203,8 +220,8 @@ def open_mult_graph(
                 "agreement": spread,
             }
     return GraphFactorizationResult(
-        d1=GraphFunction(graph, tuple(r.d1.values for r in results)),
-        d2=GraphFunction(graph, tuple(r.d2.values for r in results)),
+        d1=GraphFunction._trusted(graph, tuple(r.d1.values for r in results)),
+        d2=GraphFunction._trusted(graph, tuple(r.d2.values for r in results)),
         edge_results=results,
         vertex_report=report,
         residual=max(r.residual for r in results),

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     BoundaryMismatch,
     CoverInfeasible,
+    EqualModulusRoots,
     NonUnimodularInput,
     NormBudgetExceeded,
     OpenMultError,
@@ -78,6 +80,11 @@ class PipelineConfig:
         if not 0.0 < eps0 < 1.0:
             raise PreconditionViolated("eps0 must lie in (0, 1)")
         eps1 = eps0 / 7.0
+        if eps1 == 0.0:
+            raise PreconditionViolated(
+                "eps0 is too small: eps0/7 underflows to zero",
+                bound="eps0/7 > 0 (no underflow)", value=eps0, limit=math.ulp(0.0) * 4,
+            )
         return cls(
             epsilon0=eps0,
             epsilon1=eps1,
@@ -146,7 +153,20 @@ def phase_offset(z: complex, w: complex) -> complex:
 # Unimodular extension across gaps
 
 
-def circle_extend(partial, defined=None, pin_left=None, pin_right=None):
+def _runs(idx, group):
+    """Maximal runs of consecutive node indices in the sorted array `idx` that
+    keep one `group` value: arrays (lo, hi, group, first), `first` being the
+    position in `idx` where each run starts."""
+    if idx.size == 0:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, empty, empty
+    brk = np.flatnonzero((np.diff(idx) != 1) | (np.diff(group) != 0)) + 1
+    first = np.concatenate(([0], brk))
+    last = np.concatenate((brk - 1, [idx.size - 1]))
+    return idx[first], idx[last], group[first], first
+
+
+def circle_extend(partial, defined=None, pin_left=None, pin_right=None, segments=None):
     """Fill undefined index gaps of the array `partial` with unit-circle values.
 
     Defined entries must be unimodular; undefined entries are NaN (or given
@@ -154,7 +174,10 @@ def circle_extend(partial, defined=None, pin_left=None, pin_right=None):
     between their endpoint values, counterclockwise on antipodal ties.
     Boundary gaps extend the single adjacent defined value as a constant,
     unless a pinned boundary value is supplied, in which case the gap is
-    bridged toward the pin.  Defined entries are preserved exactly.
+    bridged toward the pin.  With nothing defined the result is constant
+    one.  Defined entries are preserved exactly.  `segments`, a pair of
+    arrays (first, last), extends each node range [first[i], last[i]] as an
+    array of its own and leaves the nodes outside every range as they are.
     """
     vals = np.array(partial, dtype=np.complex128)
     if defined is None:
@@ -169,18 +192,20 @@ def circle_extend(partial, defined=None, pin_left=None, pin_right=None):
                 raise NonUnimodularInput("pinned boundary value must be unimodular")
             vals[idx] = pin
             mask[idx] = True
-    if not np.any(mask):
-        return np.ones(vals.size, dtype=np.complex128)
     dev = np.abs(vals)
     dev -= 1.0
     np.abs(dev, out=dev)
     if float(np.max(dev, where=mask, initial=0.0)) > 1e-9:
         raise NonUnimodularInput("defined values must lie on the unit circle")
 
-    n = vals.size
-    for i, j in _true_runs(~mask):
-        left = vals[i - 1] if i > 0 else None
-        right = vals[j + 1] if j + 1 < n else None
+    seg_lo, seg_hi = segments if segments is not None else (np.zeros(1, dtype=np.intp), np.array([vals.size - 1]))
+    idx = np.flatnonzero(~mask)
+    seg = np.searchsorted(seg_lo, idx, side="right") - 1
+    inside = idx <= np.append(seg_hi, -1)[seg]  # seg = -1: before every segment
+    lo, hi, seg, _first = _runs(idx[inside], seg[inside])
+    for i, j, k in zip(lo.tolist(), hi.tolist(), seg.tolist()):
+        left = vals[i - 1] if i > seg_lo[k] else None
+        right = vals[j + 1] if j < seg_hi[k] else None
         if left is not None and right is not None:
             # angle() maps antipodal pairs to +pi: counterclockwise tie-break
             delta = float(np.angle(right / left))
@@ -189,8 +214,10 @@ def circle_extend(partial, defined=None, pin_left=None, pin_right=None):
             vals[i:j + 1] = left * np.exp(1j * delta * ks / span)
         elif left is not None:
             vals[i:j + 1] = left
-        else:
+        elif right is not None:
             vals[i:j + 1] = right
+        else:
+            vals[i:j + 1] = 1.0
     return vals
 
 
@@ -214,52 +241,62 @@ class IntervalCover:
             prev_hi = hi
 
 
-def _true_runs(mask):
-    runs = []
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return runs
-    starts = [int(idx[0])]
-    ends = []
-    gaps = np.flatnonzero(np.diff(idx) > 1)
-    for gpos in gaps:
-        ends.append(int(idx[gpos]))
-        starts.append(int(idx[gpos + 1]))
-    ends.append(int(idx[-1]))
-    return list(zip(starts, ends))
+def _plan_cover(h, eta1, eta2, lefts, rights, cover, nondeg):
+    """One cover tier on intervals [lefts[k], rights[k]] laid end to end.
 
-
-def _cover_runs(h, eta1, eta2, force_nodes=()):
-    """Maximal runs of {h < eta2} that contain a node of {h <= eta1}.
-
-    Runs containing a node listed in force_nodes are kept as well.  Raises
-    CoverInfeasible when a kept run's seam endpoint (an endpoint that is not
-    a domain endpoint) sits at h <= eta1, i.e. the grid jumps from the inner
-    to the outer threshold between adjacent nodes.
+    Keeps the maximal runs of {h < eta2} inside each interval that contain a
+    node of {h <= eta1} or an interval end pinned as degenerate (cover[k] is
+    the (left, right) pair of such flags; nondeg[k] flags ends pinned as
+    non-degenerate).  Returns (runs, refused): the kept runs as (k, lo, hi)
+    in node order, and a map from each interval the tier refuses to its
+    CoverInfeasible (see _cover_refusal).
     """
-    n = h.size
-    runs = _true_runs(h < eta2)
-    kept = []
+    low = np.flatnonzero(h < eta2)
+    lo, hi, k, first = _runs(low, np.searchsorted(lefts, low, side="right") - 1)
+    inner = np.logical_or.reduceat(h[low] <= eta1, first) if first.size else first.astype(bool)
+    at_left, at_right = lo == lefts[k], hi == rights[k]
+    keep = inner | (at_left & cover[k, 0]) | (at_right & cover[k, 1])
+    lo, hi, k, at_left, at_right = (x[keep] for x in (lo, hi, k, at_left, at_right))
+    bad = (~at_left & (h[lo] <= eta1)) | (~at_right & (h[hi] <= eta1))
+    bad |= (at_left & nondeg[k, 0]) | (at_right & nondeg[k, 1]) | ((at_left | at_right) & (lo == hi))
+    pin_bad = (cover[:, 0] & (h[lefts] >= eta2)) | (cover[:, 1] & (h[rights] >= eta2))
+    runs = list(zip(k.tolist(), lo.tolist(), hi.tolist()))
+    refused = {}
+    for j in sorted(set(np.flatnonzero(pin_bad).tolist()) | set(k[bad].tolist())):
+        own = [(lo_, hi_) for k_, lo_, hi_ in runs if k_ == j]
+        refused[j] = _cover_refusal(h, eta1, eta2, int(lefts[j]), int(rights[j]), cover[j], nondeg[j], own)
+    return runs, refused
+
+
+def _cover_refusal(h, eta1, eta2, s, e, cover, nondeg, runs):
+    """The first refusal of one cover tier on the interval [s, e] with kept
+    runs `runs`, in check order: an end pinned as degenerate outside the
+    sublevel set; a seam (a run end that is not an interval end) at
+    h <= eta1, i.e. the grid jumps from the inner to the outer threshold
+    between adjacent nodes; a run absorbing an end pinned as non-degenerate,
+    or a single-node run at an interval end."""
+    for pinned, node, side in ((cover[0], s, "left"), (cover[1], e, "right")):
+        if pinned and h[node] >= eta2:
+            return CoverInfeasible(f"{side} endpoint pinned as degenerate but not in the sublevel set")
     for lo, hi in runs:
-        keep = bool(np.any(h[lo:hi + 1] <= eta1))
-        if not keep:
-            keep = any(lo <= k <= hi for k in force_nodes)
-        if keep:
-            kept.append((lo, hi))
-    for lo, hi in kept:
-        if lo > 0 and h[lo] <= eta1:
-            raise CoverInfeasible(
-                f"cover seam at node {lo} has h <= eta1; refine the grid"
-            )
-        if hi < n - 1 and h[hi] <= eta1:
-            raise CoverInfeasible(
-                f"cover seam at node {hi} has h <= eta1; refine the grid"
-            )
-    return kept
+        for node, seam in ((lo, lo > s), (hi, hi < e)):
+            if seam and h[node] <= eta1:
+                return CoverInfeasible(f"cover seam at node {node - s} has h <= eta1; refine the grid")
+    for lo, hi in runs:
+        for absorbs, at_end in ((nondeg[0], lo == s), (nondeg[1], hi == e)):
+            if at_end and absorbs:
+                return CoverInfeasible("cover run absorbed a non-degenerate pinned endpoint")
+            if at_end and lo == hi:
+                return CoverInfeasible("single-node boundary cover run; refine the grid")
+    _verify(False, "cover tier refused without a reason")
 
 
 def sublevel_cover(h: GridFunction, eta1: float, eta2: float) -> IntervalCover:
-    """Node-index cover with {h <= eta1} inside and {h < eta2} outside bound."""
+    """Node-index cover with {h <= eta1} inside and {h < eta2} outside bound.
+
+    Raises CoverInfeasible when a run's seam endpoint (one that is not a
+    domain endpoint) sits at h <= eta1.
+    """
     if not 0.0 < eta1 < eta2:
         raise PreconditionViolated("need 0 < eta1 < eta2")
     values = np.asarray(h.values)
@@ -268,59 +305,136 @@ def sublevel_cover(h: GridFunction, eta1: float, eta2: float) -> IntervalCover:
     hv = values.real
     if float(np.min(hv)) < 0.0:
         raise PreconditionViolated("sublevel function must be nonnegative")
-    return IntervalCover(tuple(_cover_runs(hv, eta1, eta2)))
+    no_pins = np.zeros((1, 2), dtype=bool)
+    runs, refused = _plan_cover(hv, eta1, eta2, np.zeros(1, dtype=np.intp), np.array([hv.size - 1]), no_pins, no_pins)
+    if refused:
+        raise refused[0]
+    return IntervalCover(tuple((lo, hi) for _k, lo, hi in runs))
 
 
 # ---------------------------------------------------------------------------
 # Non-degeneracy phases
 
+# numpy computes `a * tmp` in place in the temporary `tmp` once it holds this
+# many bytes, which swaps the operands of a complex product.
+_ELIDE_BYTES = 256 * 1024
 
-def _phase_formula(h1, h2):
-    # One expression on purpose: for large arrays numpy computes it in place
-    # in the conj() temporary, which fixes the operand order of the complex
-    # product and so its rounding.
-    u = h1 * np.conj(h2)
+
+def _phase_formula(h1, h2, counts):
+    """1j*u/|u| with u = h1*conj(h2), on consecutive segments of counts[i]
+    entries, each rounded as it is on an array of its own: a segment of
+    >= 256 KiB multiplies as (conj(h2), h1), as numpy's in-place reuse of
+    the conj() temporary does, a smaller one as (h1, conj(h2)), and one of a
+    single entry out of place (an in-place product of one element rounds
+    differently)."""
+    u = np.conj(h2)
+    if u.size == 0:
+        return u
+    swapped = np.asarray(counts) * u.itemsize >= _ELIDE_BYTES
+    ends = np.cumsum(counts)
+    change = np.flatnonzero(swapped[1:] != swapped[:-1])
+    starts = np.concatenate(([0], ends[change]))
+    stops = np.concatenate((ends[change], ends[-1:]))
+    for a, b, swap in zip(starts.tolist(), stops.tolist(), swapped[np.r_[0, change + 1]].tolist()):
+        x, y = h1[a:b], u[a:b]
+        if swap:
+            np.multiply(y, x, out=y)
+        elif b - a == 1:
+            y[...] = x * y
+        else:
+            np.multiply(x, y, out=y)
     r = np.abs(u)
     u *= 1j
     u /= r
     return u
 
 
-def _nondeg_phase_arrays(h1, h2, eta, pin_left=None, pin_right=None):
-    """(beta2, f_quad): the rotation phase and the rotated linear coefficient
-    f_quad = h1 + h2*beta2, with |f_quad| >= eta certified."""
+class _Pieces(NamedTuple):
+    """Consecutive node ranges that partition a grid: complement segments,
+    where the rotation phase is tracked, and the ranges cover runs own."""
+
+    starts: np.ndarray  # first node of each piece, increasing from 0
+    tracked: np.ndarray  # per piece: whether it is a complement segment
+    pins: dict  # node -> beta2 pinned there, at segment ends
+
+    @classmethod
+    def one(cls, n, pin_left=None, pin_right=None) -> "_Pieces":
+        """One segment over n nodes with optional pins at its ends."""
+        pins = {node: pin for node, pin in ((0, pin_left), (n - 1, pin_right)) if pin is not None}
+        return cls(np.zeros(1, dtype=np.intp), np.ones(1, dtype=bool), pins)
+
+    def bounds(self, n, tracked=True):
+        """(first, last) node arrays of the segments, or with tracked=False
+        of the ranges cover runs own."""
+        pick = self.tracked if tracked else ~self.tracked
+        return self.starts[pick], np.append(self.starts[1:], n)[pick] - 1
+
+
+def _nondeg_phase_arrays(h1, h2, eta, pieces, h=None):
+    """(beta2, f_quad) on every segment of `pieces`, bit for bit as on that
+    segment alone: the rotation phase and the rotated linear coefficient
+    f_quad = h1 + h2*beta2, with |f_quad| >= eta certified.  On the ranges
+    cover runs own both are 1.  `h` is |h1|^2 + |h2|^2 when the caller has
+    it; it is overwritten.  A refusal is that of the first segment that
+    refuses alone."""
+    try:
+        return _phases(h1, h2, eta, pieces, h)
+    except (OpenMultError, RuntimeError):
+        for s, e in zip(*(x.tolist() for x in pieces.bounds(h1.size))):
+            seg = _Pieces.one(e - s + 1, pieces.pins.get(s), pieces.pins.get(e))
+            _phases(h1[s:e + 1], h2[s:e + 1], eta, seg)
+        raise
+
+
+def _phases(h1, h2, eta, pieces, h=None):
+    n = h1.size
     a1 = np.abs(h1)
     a2 = np.abs(h2)
-    h = a1 * a1 + a2 * a2
-    hmin = float(np.min(h))
-    if hmin < eta * eta * (1.0 - 1e-12):
+    if h is None:
+        h = a1 * a1 + a2 * a2
+    starts, tracked = pieces.starts, pieces.tracked
+    hmin = np.minimum.reduceat(h, starts)[tracked]
+    low = hmin < eta * eta * (1.0 - 1e-12)
+    if low.any():
         raise PreconditionViolated(
             "pair is not jointly eta^2-non-degenerate",
-            bound="min(|h1|^2+|h2|^2) >= eta^2", value=hmin, limit=eta * eta,
+            bound="min(|h1|^2+|h2|^2) >= eta^2", value=float(hmin[np.argmax(low)]), limit=eta * eta,
         )
-    eta0_sq = min(hmin - eta * eta, 0.4999 * eta * eta)
-    if eta0_sq <= 0.0:
-        if not (np.all(a1 > 0) and np.all(a2 > 0)):
-            raise PreconditionViolated(
-                "zero non-degeneracy margin at a node where a factor vanishes"
-            )
-        defined = np.ones(h1.size, dtype=bool)
+    eta0_sq = np.minimum(hmin - eta * eta, 0.4999 * eta * eta)
+    margin = eta0_sq > 0.0
+    if not margin.all():
+        factor_min = np.minimum.reduceat(np.minimum(a1, a2), starts)[tracked]
+        if np.any(~margin & (factor_min <= 0.0)):
+            raise PreconditionViolated("zero non-degeneracy margin at a node where a factor vanishes")
+    eta0 = np.sqrt(eta0_sq, out=np.ones_like(eta0_sq), where=margin)
+    # largest tau with sqrt(eta^2 + (1-tau^2)*eta0^2) - tau*eta0 >= eta;
+    # with no margin every node is defined
+    with np.errstate(invalid="ignore"):
+        tau = np.minimum(1.0, (np.sqrt(eta * eta + 2.0 * eta0_sq) - eta) / (2.0 * eta0)) * 0.999
+    theta = np.full(starts.size, np.inf)  # cover-owned nodes are never defined
+    theta[tracked] = np.where(margin, tau * eta0, -np.inf)
+    for s, e, t in zip(starts.tolist(), starts[1:].tolist() + [n], theta.tolist()):
+        h[s:e] = t  # h is spent: it holds each node's theta from here on
+    defined = a1 > h
+    defined &= a2 > h
+    del a1, a2, h  # freed before the phases allocate their arrays
+    counts = np.add.reduceat(defined, starts, dtype=np.intp)[tracked]
+    if counts.sum() == n:
+        beta2 = _phase_formula(h1, h2, counts)
     else:
-        eta0 = math.sqrt(eta0_sq)
-        # largest tau with sqrt(eta^2 + (1-tau^2)*eta0^2) - tau*eta0 >= eta
-        tau = min(1.0, (math.sqrt(eta * eta + 2.0 * eta0_sq) - eta) / (2.0 * eta0)) * 0.999
-        theta = tau * eta0
-        defined = a1 > theta
-        defined &= a2 > theta
-    if defined.all():
-        beta2 = _phase_formula(h1, h2)
-    else:
-        # Only the defined nodes, as an array of their own length: the
-        # length decides how numpy rounds the product (see _phase_formula).
-        beta2 = np.full(h1.size, UNDEFINED, dtype=np.complex128)
-        beta2[defined] = _phase_formula(h1[defined], h2[defined])
-    beta2 = circle_extend(beta2, defined, pin_left=pin_left, pin_right=pin_right)
+        beta2 = np.ones(n, dtype=np.complex128)
+        beta2[defined] = _phase_formula(h1[defined], h2[defined], counts)
+    if pieces.pins:
+        nodes = np.fromiter(pieces.pins, dtype=np.intp, count=len(pieces.pins))
+        pins = np.array(list(pieces.pins.values()), dtype=np.complex128)
+        if np.any(np.abs(np.hypot(pins.real, pins.imag) - 1.0) > 1e-9):  # hypot: Python's abs
+            raise NonUnimodularInput("pinned boundary value must be unimodular")
+        beta2[nodes] = pins
+        defined[nodes] = True
+    beta2 = circle_extend(beta2, defined, segments=pieces.bounds(n))
     f_quad = h1 + h2 * beta2
+    for s, e in zip(*(x.tolist() for x in pieces.bounds(n, tracked=False))):
+        f_quad[s:e + 1] = 1.0  # >= eta: cover runs exist only where eta = eps1 < 1
     _verify(float(np.min(np.abs(f_quad))) >= eta * (1.0 - 1e-12), "rotated lower bound lost")
     return beta2, f_quad
 
@@ -337,7 +451,8 @@ def nondeg_phases(
     """
     if h1.domain != h2.domain:
         raise PreconditionViolated("phases need a common domain")
-    beta2, _f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta, pin_left, pin_right)
+    pieces = _Pieces.one(h1.domain.n, pin_left, pin_right)
+    beta2, _f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta, pieces)
     return GridFunction(h1.domain, np.ones_like(beta2)), GridFunction(h1.domain, beta2)
 
 
@@ -359,7 +474,8 @@ def perturb_nondegenerate(
     """
     if not (h1.domain == h2.domain == d.domain):
         raise PreconditionViolated("inputs need a common domain")
-    beta2, f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta, pin_left, pin_right)
+    pieces = _Pieces.one(h1.domain.n, pin_left, pin_right)
+    beta2, f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta, pieces)
     phi = _track_root(d.values, f_quad, beta2, eta, eps)
     return GridFunction(h1.domain, phi), GridFunction(h1.domain, beta2 * phi)
 
@@ -501,17 +617,18 @@ class FactorizationResult:
 
     @classmethod
     def of(cls, domain, solved) -> "FactorizationResult":
-        """Wrap solve_interval's (d1, d2, meta, residual, bound1, bound2)."""
+        """Wrap solve_interval's (d1, d2, meta, residual, bound1, bound2);
+        the arrays are taken as they are and made read-only."""
         d1, d2, meta, residual, bound1, bound2 = solved
         return cls(
-            d1=GridFunction(domain, d1), d2=GridFunction(domain, d2),
+            d1=GridFunction._trusted(domain, d1), d2=GridFunction._trusted(domain, d2),
             residual=residual, bound1=bound1, bound2=bound2, meta=meta,
         )
 
     @classmethod
     def zero(cls, domain, cfg: PipelineConfig) -> "FactorizationResult":
         """The result for d = 0, where no pipeline runs."""
-        zero = GridFunction(domain, np.zeros(domain.n, dtype=np.complex128))
+        zero = GridFunction._trusted(domain, np.zeros(domain.n, dtype=np.complex128))
         meta = _meta(cfg, cfg.eta2, 5.0 * cfg.epsilon1, ())
         return cls(d1=zero, d2=zero, residual=0.0, bound1=0.0, bound2=0.0, meta=meta)
 
@@ -529,39 +646,6 @@ class FactorizationResult:
 def _pinned(pin, kind):
     """Whether `pin` is an EndpointPin of `kind` ("cover" or "nondeg")."""
     return pin is not None and pin.kind == kind
-
-
-def _plan_cover(h, cfg, eta2_t, pin_left, pin_right):
-    ends = ((pin_left, 0, "left"), (pin_right, h.size - 1, "right"))
-    force = []
-    for pin, idx, side in ends:
-        if _pinned(pin, "cover"):
-            if h[idx] >= eta2_t:
-                raise CoverInfeasible(f"{side} endpoint pinned as degenerate but not in the sublevel set")
-            force.append(idx)
-    runs = _cover_runs(h, cfg.eta1, eta2_t, force_nodes=force)
-    for lo, hi in runs:
-        for pin, idx, _side in ends:
-            if idx in (lo, hi):
-                if _pinned(pin, "nondeg"):
-                    raise CoverInfeasible("cover run absorbed a non-degenerate pinned endpoint")
-                if lo == hi:
-                    raise CoverInfeasible("single-node boundary cover run; refine the grid")
-    return runs
-
-
-def _complement_ranges(runs, n):
-    """Gaps between cover runs, inclusive of seam nodes."""
-    out = []
-    prev = 0
-    for lo, hi in runs:
-        if lo > 0:
-            out.append((prev, lo))
-        prev = hi
-    # only the last run can reach the domain end
-    if not runs or prev < n - 1:
-        out.append((prev, n - 1))
-    return out
 
 
 def root_pair(psi):
@@ -588,123 +672,197 @@ def _meta(cfg, eta2, eps_cover, runs):
 
 @dataclass(frozen=True, eq=False)
 class IntervalPlan:
-    """What the pipeline computes before seeing d: the sublevel cover and, on
-    each complement segment, the rotation phase and rotated coefficient."""
+    """What the pipeline computes before seeing d, for intervals laid end to
+    end in fv/gv (interval k on nodes offsets[k] .. offsets[k+1]-1): each
+    interval's cover tier and sublevel cover and, on the complement
+    segments, the rotation phase beta2 and rotated coefficient f_quad.
+    beta2 and f_quad span the whole grid and are 1 where cover runs own the
+    nodes."""
 
     fv: np.ndarray
     gv: np.ndarray
     cfg: PipelineConfig
-    runs: tuple
-    eta2: float
-    eps_cover: float
-    segments: tuple  # (s, e, beta2, f_quad)
-    pins: tuple  # (pin_left, pin_right), EndpointPin or None
+    offsets: np.ndarray
+    pins: tuple  # (pin_left, pin_right) per interval, EndpointPin or None
+    tiers: tuple  # (eta2, eps_cover) per interval
+    runs: tuple  # per interval: its cover runs (lo, hi), interval-local
+    cover: tuple  # (k, lo, hi, own_lo, own_stop) per cover run, global
+    pieces: _Pieces
+    beta2: np.ndarray
+    f_quad: np.ndarray
+    pinned: tuple  # (nodes, d1, d2, tol) arrays of the pinned interval ends
+
+    @property
+    def segments(self):
+        """(s, e, beta2, f_quad) per complement segment: its first and last
+        node and its stretch of the phase arrays."""
+        return tuple(
+            (s, e, self.beta2[s:e + 1], self.f_quad[s:e + 1])
+            for s, e in zip(*(x.tolist() for x in self.pieces.bounds(self.fv.size)))
+        )
 
 
-def plan_interval(fv, gv, eps0, pin_left=None, pin_right=None) -> IntervalPlan:
-    """The d-independent part of the pipeline; refuses an infeasible cover or
-    phase here.  One plan serves solve_interval for any number of d.  The plan
-    holds fv and gv by reference: they must not change while it is in use."""
+def plan_intervals(fv, gv, eps0, offsets, pins) -> IntervalPlan:
+    """plan_interval for intervals laid end to end in fv/gv: interval k on
+    nodes offsets[k] .. offsets[k+1]-1, with pins[k] = (pin_left, pin_right).
+
+    Every interval gets the cover tier, cover and phases it gets alone, bit
+    for bit, and one refusing interval refuses the plan (the first one in
+    order that the cover refuses, else the first refusing segment).
+    """
     cfg = PipelineConfig.for_target(eps0)
-    n = fv.size
+    offsets = np.asarray(offsets, dtype=np.intp)
+    lefts, rights = offsets[:-1], offsets[1:] - 1
+    ends = np.stack((lefts, rights), axis=1).ravel().tolist()
+    flat = [pin for pair in pins for pin in pair]
+    cover, nondeg = (np.array([_pinned(pin, kind) for pin in flat]).reshape(-1, 2) for kind in ("cover", "nondeg"))
+
     h = np.abs(fv) ** 2 + np.abs(gv) ** 2
     eps1 = cfg.epsilon1
     # Wider fallback tier keeps every bound: seam moduli < 3*eps1 and
     # eps_cover + 3*eps1 <= 7*eps1 = eps0.
-    eta2_t, eps_cov = cfg.eta2, 5.0 * eps1
-    try:
-        runs = _plan_cover(h, cfg, eta2_t, pin_left, pin_right)
-    except CoverInfeasible:
-        eta2_t, eps_cov = 9.0 * eps1 * eps1, 4.0 * eps1
-        runs = _plan_cover(h, cfg, eta2_t, pin_left, pin_right)
-    del h  # freed before the phases allocate their arrays
+    first, wide = (cfg.eta2, 5.0 * eps1), (9.0 * eps1 * eps1, 4.0 * eps1)
+    tiers = [first] * len(pins)
+    runs, refused = _plan_cover(h, cfg.eta1, first[0], lefts, rights, cover, nondeg)
+    if refused:
+        runs2, refused2 = _plan_cover(h, cfg.eta1, wide[0], lefts, rights, cover, nondeg)
+        for k in sorted(refused):
+            if k in refused2:
+                raise refused2[k]
+            tiers[k] = wide
+        runs = sorted([r for r in runs if r[0] not in refused] + [r for r in runs2 if r[0] in refused])
 
-    segments = []
-    for s, e in _complement_ranges(runs, n):
-        pl = pin_left.beta2 if s == 0 and _pinned(pin_left, "nondeg") else None
-        pr = pin_right.beta2 if e == n - 1 and _pinned(pin_right, "nondeg") else None
-        beta2, f_quad = _nondeg_phase_arrays(fv[s:e + 1], gv[s:e + 1], eps1, pl, pr)
-        segments.append((s, e, beta2, f_quad))
-    return IntervalPlan(fv, gv, cfg, tuple(runs), eta2_t, eps_cov, tuple(segments), (pin_left, pin_right))
+    local = [[] for _ in pins]
+    rows = []
+    for k, lo, hi in runs:
+        s, e = ends[2 * k], ends[2 * k + 1]
+        local[k].append((lo - s, hi - s))
+        rows.append((k, lo, hi, lo if lo == s else lo + 1, hi + 1 if hi == e else hi))
+    owned = {r[3] for r in rows}
+    starts = sorted(owned.union(ends[::2], (r[4] for r in rows)) - {fv.size})
+    pieces = _Pieces(
+        np.array(starts, dtype=np.intp), np.array([s not in owned for s in starts], dtype=bool),
+        {node: pin.beta2 for node, pin in zip(ends, flat) if _pinned(pin, "nondeg")},
+    )
+    beta2, f_quad = _nondeg_phase_arrays(fv, gv, eps1, pieces, h)
+
+    at = [(node, pin) for node, pin in zip(ends, flat) if pin is not None]
+    pinned = (
+        np.array([node for node, _pin in at], dtype=np.intp),
+        np.array([pin.d1 for _node, pin in at], dtype=np.complex128),
+        np.array([pin.d2 for _node, pin in at], dtype=np.complex128),
+        np.array([RESIDUAL_TOL * (1.0 + abs(pin.d1) + abs(pin.d2)) for _node, pin in at]),
+    )
+    return IntervalPlan(
+        fv, gv, cfg, offsets, tuple(pins), tuple(tiers), tuple(local),
+        tuple(rows), pieces, beta2, f_quad, pinned,
+    )
 
 
-def _solve(plan: IntervalPlan, dv):
+def plan_interval(fv, gv, eps0, pin_left=None, pin_right=None) -> IntervalPlan:
+    """The d-independent part of the pipeline on one interval; refuses an
+    infeasible cover or phase here.  One plan serves solve_interval for any
+    number of d.  The plan holds fv and gv by reference: they must not
+    change while it is in use."""
+    return plan_intervals(fv, gv, eps0, (0, fv.size), ((pin_left, pin_right),))
+
+
+_CLAIMS = ("factorization residual out of tolerance", "d1 exceeds eps0", "d2 exceeds eps0")
+
+
+def _solve_ragged(plan: IntervalPlan, dv):
     """The d-dependent part, ungated, for dv of the plan's shape: (d1, d2,
-    meta, residual, bound1, bound2, failed), where residual =
+    rows) with d1, d2 over the whole grid and one row (meta, residual,
+    bound1, bound2, failed) per interval, where residual =
     max|(f+d1)(g+d2) - (f*g+d)|, bound_i = max|d_i| and `failed` names the
     first certificate claim that fails (residual, then d1, then d2), or is
-    None when the result is certified."""
+    None when the interval's result is certified."""
     cfg = plan.cfg
     fv, gv = plan.fv, plan.gv
-    pin_left, pin_right = plan.pins
-    n = fv.size
-    d1 = np.zeros(n, dtype=np.complex128)
-    d2 = np.zeros(n, dtype=np.complex128)
-    written = np.zeros(n, dtype=bool)
-
-    for s, e, beta2, f_quad in plan.segments:
+    alpha = np.negative(dv)
+    for _k, _lo, _hi, a, b in plan.cover:
+        alpha[a:b] = 0.0  # nodes the cover runs own: a root of no use, never a tie
+    try:
         # solve_interval's gate, sup|d| <= delta0 = shift_budget(eps1, eps1), is this step's budget
-        phi = smaller_root_vec(-dv[s:e + 1], f_quad, beta2)
-        d1[s:e + 1] = beta2 * phi
-        d2[s:e + 1] = phi
-        written[s:e + 1] = True
-
+        phi = smaller_root_vec(alpha, plan.f_quad, plan.beta2)
+    except EqualModulusRoots:
+        for s, e, beta2, f_quad in plan.segments:  # the tie as indexed within its segment
+            smaller_root_vec(alpha[s:e + 1], f_quad, beta2)
+        raise
+    d1 = plan.beta2 * phi
+    d2 = phi
     target = fv * gv + dv
 
     def end_pair(k, seam, pin):
         # Boundary pair of a cover run at node k: a seam takes the tracked
-        # values, a domain end its cover pin, or else the square-root pair.
+        # values, an interval end its cover pin, or else the square-root pair.
         if seam:
             return complex(fv[k] + d1[k]), complex(gv[k] + d2[k])
         if _pinned(pin, "cover"):
             return pin.za, pin.wa
         return root_pair(target[k])
 
-    for lo, hi in plan.runs:
-        za, wa = end_pair(lo, lo > 0, pin_left)
-        zb, wb = end_pair(hi, hi < n - 1, pin_right)
-        z1, z2 = _factor_arrays(target[lo:hi + 1], plan.eps_cover, za, wa, zb, wb)
+    offsets = plan.offsets
+    for k, lo, hi, a, b in plan.cover:
+        pin_left, pin_right = plan.pins[k]
+        za, wa = end_pair(lo, lo > offsets[k], pin_left)
+        zb, wb = end_pair(hi, hi < offsets[k + 1] - 1, pin_right)
+        z1, z2 = _factor_arrays(target[lo:hi + 1], plan.tiers[k][1], za, wa, zb, wb)
         # seam nodes belong to the neighbouring segments
-        own = slice(lo if lo == 0 else lo + 1, hi + 1 if hi == n - 1 else hi)
-        local = slice(own.start - lo, own.stop - lo)
-        d1[own] = z1[local] - fv[own]
-        d2[own] = z2[local] - gv[own]
-        written[own] = True
+        d1[a:b] = z1[a - lo:b - lo] - fv[a:b]
+        d2[a:b] = z2[a - lo:b - lo] - gv[a:b]
 
-    _verify(bool(np.all(written)), "pipeline left unassigned nodes")
+    nodes, pin_d1, pin_d2, tol = plan.pinned
+    if nodes.size:
+        # hypot rounds as Python's abs of a complex does, np.abs does not
+        err1, err2 = (np.hypot(x.real, x.imag) for x in (d1[nodes] - pin_d1, d2[nodes] - pin_d2))
+        err = np.where(err2 > err1, err2, err1)  # max(err1, err2)
+        d1[nodes] = pin_d1
+        d2[nodes] = pin_d2
+        bad = np.flatnonzero(err > tol)
+        if bad.size:
+            raise VertexInconsistency(
+                f"edge construction disagrees with the pinned endpoint by {float(err[bad[0]])}"
+            )
 
-    for pin, idx in ((pin_left, 0), (pin_right, n - 1)):
-        if pin is not None:
-            local = complex(d1[idx]), complex(d2[idx])
-            d1[idx] = pin.d1
-            d2[idx] = pin.d2
-            err = max(abs(local[0] - pin.d1), abs(local[1] - pin.d2))
-            if err > RESIDUAL_TOL * (1.0 + abs(pin.d1) + abs(pin.d2)):
-                raise VertexInconsistency(
-                    f"edge construction disagrees with the pinned endpoint by {err}"
-                )
-
-    residual = float(np.max(np.abs((fv + d1) * (gv + d2) - target)))
-    bound1 = float(np.max(np.abs(d1)))
-    bound2 = float(np.max(np.abs(d2)))
-    claims = (
-        (residual <= RESIDUAL_TOL * (1.0 + float(np.max(np.abs(target)))), "factorization residual out of tolerance"),
-        (bound1 <= cfg.epsilon0 * (1.0 + 1e-9), "d1 exceeds eps0"),
-        (bound2 <= cfg.epsilon0 * (1.0 + 1e-9), "d2 exceeds eps0"),
-    )
-    failed = next((message for holds, message in claims if not holds), None)
-    return d1, d2, _meta(cfg, plan.eta2, plan.eps_cover, plan.runs), residual, bound1, bound2, failed
+    starts = offsets[:-1]
+    residual = np.maximum.reduceat(np.abs((fv + d1) * (gv + d2) - target), starts).tolist()
+    scale = np.maximum.reduceat(np.abs(target), starts).tolist()
+    bound1 = np.maximum.reduceat(np.abs(d1), starts).tolist()
+    bound2 = np.maximum.reduceat(np.abs(d2), starts).tolist()
+    rows = []
+    for k, (r, sc, b1, b2) in enumerate(zip(residual, scale, bound1, bound2)):
+        holds = (r <= RESIDUAL_TOL * (1.0 + sc), b1 <= cfg.epsilon0 * (1.0 + 1e-9), b2 <= cfg.epsilon0 * (1.0 + 1e-9))
+        failed = next((claim for ok, claim in zip(holds, _CLAIMS) if not ok), None)
+        rows.append((_meta(cfg, *plan.tiers[k], plan.runs[k]), r, b1, b2, failed))
+    return d1, d2, tuple(rows)
 
 
-def solve_interval(plan: IntervalPlan, dv):
-    """_solve behind the delta0 gate: (d1, d2, meta, residual, bound1, bound2)
-    of a certified result; a failed claim is an internal invariant failure."""
+def _solve(plan: IntervalPlan, dv):
+    """_solve_ragged on a one-interval plan: (d1, d2, meta, residual, bound1,
+    bound2, failed)."""
+    d1, d2, (row,) = _solve_ragged(plan, dv)
+    return (d1, d2, *row)
+
+
+def solve_intervals(plan: IntervalPlan, dv):
+    """_solve_ragged behind the delta0 gate: (d1, d2, rows) with one row
+    (meta, residual, bound1, bound2) per interval, each certified; a failed
+    claim is an internal invariant failure."""
     if dv.shape != plan.fv.shape:
         raise PreconditionViolated("perturbation must live on the plan's grid")
     plan.cfg.check_radius(float(np.max(np.abs(dv))))
-    *solved, failed = _solve(plan, dv)
+    d1, d2, rows = _solve_ragged(plan, dv)
+    failed = next((row[4] for row in rows if row[4] is not None), None)
     _verify(failed is None, failed)
-    return tuple(solved)
+    return d1, d2, tuple(row[:4] for row in rows)
+
+
+def solve_interval(plan: IntervalPlan, dv):
+    """solve_intervals on a one-interval plan: (d1, d2, meta, residual,
+    bound1, bound2) of a certified result."""
+    d1, d2, (row,) = solve_intervals(plan, dv)
+    return (d1, d2, *row)
 
 
 def factorize_interval_arrays(fv, gv, dv, eps0, *, pin_left=None, pin_right=None):

@@ -253,6 +253,14 @@ class TestArgumentHandling:
         code = main(["factor-interval", "--input", path, "--epsilon", "1.5"])
         assert code == 2
 
+    def test_underflowing_epsilon_exit_two(self, tmp_path, capsys):
+        path = interval_triple(tmp_path, 0)
+        code = main(["factor-interval", "--input", path, "--epsilon", "5e-324"])
+        assert code == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert diag["error"] == "PreconditionViolated"
+        assert "eps0" in diag["bound"] and "underflow" in diag["bound"]
+
     def test_internal_failure_exit_one(self, tmp_path, capsys, monkeypatch):
         import openmult.cli as cli_mod
 

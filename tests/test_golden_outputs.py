@@ -529,3 +529,184 @@ def test_vertex_inconsistency_refusal():
 
 
 VERTEX_INCONSISTENCY = "edge construction disagrees with the pinned endpoint by 0.0009700807360431933"
+
+
+# ---------------------------------------------------------------------------
+# Graphs across numpy's 256 KiB threshold: 600 edges whose concatenation
+# passes it, and one edge past it on its own next to small edges.  Both have
+# cover pins and an interior cover run.  The digests cover d1/d2, the vertex
+# report and each edge's residual, bounds and meta.
+
+
+def _star(sizes, seed):
+    """Star with centre "c" and edge i from "c" to "v<i>" on sizes[i] nodes.
+
+    Edge kinds by i % 8: 0 = the outer vertex is a joint zero (a cover pin),
+    4 = a joint zero inside the edge (a cover run), 6 = a lone joint zero at
+    the middle node that only the wider cover tier accepts, else regular.
+    """
+    rng = np.random.default_rng(seed)
+
+    def cn(size=None):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    fc, gc = 0.8 * np.exp(2j * np.pi * rng.uniform()), 0.6 * np.exp(2j * np.pi * rng.uniform())
+    dc = cn()
+    edges, fe, ge, de = [], [], [], []
+    for i, n in enumerate(sizes):
+        dom = IntervalDomain(0.0, 1.0, n)
+        t = dom.nodes()
+        edges.append(("c", f"v{i}", dom))
+        kind = i % 8
+        if kind == 0:
+            fo = go = 0.0
+        else:
+            rot = np.exp(1j * rng.uniform(-np.pi / 3, np.pi / 3, 2))
+            fo, go = fc * rng.uniform(0.4, 1.25) * rot[0], gc * rng.uniform(0.5, 1.6) * rot[1]
+        if kind == 4:
+            tau = rng.uniform(0.3, 0.7)
+            near, far = (1 - t) * (tau - t) / tau, t * (t - tau) / (1 - tau)
+            fe.append(fc * near + fo * far)
+            ge.append(gc * near + go * far)
+        else:
+            bump = 0.2 * t * (1 - t)
+            fe.append(fc * (1 - t) + fo * t + bump * cn())
+            ge.append(gc * (1 - t) + go * t + bump * cn())
+        if kind == 6:
+            k = n // 2
+            fe[-1][k - 1:k + 2] = 0.2 * fc / abs(fc) * np.array([1, 0, 1])
+            ge[-1][k - 1:k + 2] = 0.15 * gc / abs(gc) * np.array([1, 0, 1])
+        de.append(dc * (1 - t) + cn() * t + t * (1 - t) * cn(n))
+    graph = GraphDomain(("c",) + tuple(v for _c, v, _dom in edges), tuple(edges))
+    f, g, d = (GraphFunction(graph, tuple(x)) for x in (fe, ge, de))
+    return open_mult_graph(f, g, _scaled(d, delta0(0.7)), 0.7)
+
+
+def _graph_full_digest(res):
+    h = hashlib.sha256(bytes.fromhex(_graph_digest(res)))
+    h.update(repr([(r.residual, r.bound1, r.bound2, sorted(r.meta.items())) for r in res.edge_results]).encode())
+    return h.hexdigest()
+
+
+WIDE_GRAPH_CASES = {
+    "star_600x33": lambda: _star((33,) * 600, 31),
+    "star_big_edges": lambda: _star((33, 16385, 33, 33, 40001, 33, 65, 129), 32),
+}
+
+WIDE_GRAPH_GOLDEN = {
+    "star_600x33": "6db4cb6e3fffaa5302580a69e3da754ead97b14d8a4b3d64485e2b7bc96d1f93",
+    "star_big_edges": "521f9b258d894790ccb0eef0d1256be12bc14a7db69a1a2e4547845d24bda39b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_GRAPH_CASES))
+def test_wide_graph_golden_digest(name):
+    res = WIDE_GRAPH_CASES[name]()
+    kinds = {rep["kind"] for rep in res.vertex_report.values()}
+    assert kinds == {"cover", "nondeg"}
+    assert any(run[0] > 0 and run[1] < r.d1.domain.n - 1 for r in res.edge_results for run in r.meta["cover"])
+    assert {r.meta["eps_cover"] / r.meta["epsilon1"] for r in res.edge_results} == {4.0, 5.0}
+    assert _graph_full_digest(res) == WIDE_GRAPH_GOLDEN[name]
+
+
+# ---------------------------------------------------------------------------
+# Refusal order on a graph: edge 1 fails at solve time (its d sample at the
+# shared vertex sits 1e-9 off the canonical one, past the pin's tolerance)
+# and edge 2 at plan time (a seam jump on a coarse grid).  Edge 1's refusal
+# is the one raised, as when the edges are factored one after the other.
+
+
+def _refusal_order_graph():
+    dom = IntervalDomain(0.0, 1.0, 17)
+    t = dom.nodes()
+    graph = GraphDomain(("c", "a", "b", "e"), (("c", "a", dom), ("c", "b", dom), ("c", "e", dom)))
+    fc, gc, dc = 0.2 + 0.1j, 0.15 - 0.2j, 5e-4 + 1e-3j
+    fe = [fc * (1 - t) + (0.9 + 0.2j) * t, fc * (1 - t) + (0.7 - 0.5j) * t, fc * (1 - t) + (1.1 + 0j) * t]
+    ge = [gc * (1 - t) + (0.3 - 0.8j) * t, gc * (1 - t) + (-0.6 + 0.4j) * t, gc * (1 - t) + (0.2 + 0.9j) * t]
+    fe[2][8], ge[2][8] = 0j, 0j  # a lone joint zero: h jumps past both cover tiers
+    de = [dc * (1 - t) + 1e-3 * t for _ in range(3)]
+    de[1] = de[1].copy()
+    de[1][0] += 0.9e-9
+    f, g, d = (GraphFunction(graph, tuple(x)) for x in (fe, ge, de))
+    return f, g, d
+
+
+GRAPH_REFUSAL = ("VertexInconsistency", "edge construction disagrees with the pinned endpoint by 2.676340683166106e-09")
+
+
+def test_graph_refusal_order():
+    f, g, d = _refusal_order_graph()
+    with pytest.raises(OpenMultError) as exc:
+        open_mult_graph(f, g, d, 0.7)
+    assert (type(exc.value).__name__, str(exc.value)) == GRAPH_REFUSAL
+    # each failure on its own
+    for ei, kind in ((1, "VertexInconsistency"), (2, "CoverInfeasible")):
+        keep = (0, ei)
+        sub = GraphDomain(("c", "a", "b", "e"), tuple(f.domain.edges[i] for i in keep))
+        parts = (GraphFunction(sub, tuple(x.edge_values[i] for i in keep)) for x in (f, g, d))
+        with pytest.raises(OpenMultError) as exc:
+            open_mult_graph(*parts, 0.7)
+        assert type(exc.value).__name__ == kind
+
+
+def test_tie_index_is_segment_local():
+    # Past the radius, ungated: d turns the tracked quadratic's discriminant
+    # into -f_quad^2 at two nodes of the second complement segment (nodes 10
+    # and 13 of it), where the root moduli then tie.
+    f, g, d = _family_case(4097, 7, 2, 0.07)
+    plan = plan_interval(f.values, g.values, 0.07)
+    s, _e, beta2, f_quad = plan.segments[1]
+    dv = d.values.copy()
+    for k in (10, 13):
+        dv[s + k] = -(f_quad[k] ** 2) / (2 * beta2[k])
+    with pytest.raises(OpenMultError) as exc:
+        _solve(plan, dv)
+    assert (type(exc.value).__name__, str(exc.value)) == ("EqualModulusRoots", "root moduli tie at index 10")
+
+
+# ---------------------------------------------------------------------------
+# One interval through the ragged plan: offsets (0, n) give the arrays that
+# plan_interval gave when it planned one interval at a time.
+
+
+def _one_interval(name):
+    if name.startswith("family"):
+        kind, n = (int(x) for x in name[len("family"):].split("_n"))
+        f, g, _d = _family_case(n, 7, kind, 0.07)
+        return f.values, g.values, 0.07, None, None
+    n = 4097
+    t = IntervalDomain(0.0, 1.0, n).nodes()
+    if name == "lone_zeros":
+        return t * (t - 0.37) * (2.0 + 1.0j), 0.9 * np.exp(3j * np.pi * t), 0.7, None, None
+    # a right end in the cover with its pin, a rotated left end pinned
+    fv = (t[-1] - t) * (1.0 + 0.5j) + 0.1j * t * (1 - t)
+    gv = 0.5j * (t[-1] - t)
+    za, wa = 0.01 + 0j, 0j
+    right = EndpointPin(kind="cover", d1=za - fv[-1], d2=wa - gv[-1], za=za, wa=wa)
+    left = EndpointPin(kind="nondeg", d1=0j, d2=0j, beta2=complex(np.exp(0.3j)))
+    return fv, gv, 0.7, left, right
+
+
+def _plan_digest(plan):
+    h = hashlib.sha256(repr([seg[:2] for seg in plan.segments]).encode())
+    h.update(bytes.fromhex(_digest(*(a for seg in plan.segments for a in seg[2:]))))
+    return h.hexdigest()
+
+
+ONE_INTERVAL_PLAN_GOLDEN = {
+    "family0_n65537": "117ade18e2926128f82a174357b2f21ca681c20e08c61167fae1a7f383015680",
+    "family2_n4097": "c20badda22b8d1cbffd74e3ca76aca3a70e95e60d52812d94b9c453c02957950",
+    "family3_n4097": "ad61260100aabffd91a694d45e0897a52d6b31f59b63c492566d4d14a2ae7c6d",
+    "lone_zeros": "9872fa2856b1d17fecb6009cf05a51c9acf731c26225d34fa3187c11b2694847",
+    "pinned_ends": "dce31b21595420845d12aa846f6d4a839360d3c75d90c44ed9bad9fd2085a79f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_INTERVAL_PLAN_GOLDEN))
+def test_one_interval_ragged_plan(name):
+    from openmult.interval import plan_intervals
+
+    fv, gv, eps0, left, right = _one_interval(name)
+    ragged = plan_intervals(fv, gv, eps0, (0, fv.size), ((left, right),))
+    assert _plan_digest(ragged) == ONE_INTERVAL_PLAN_GOLDEN[name]
+    assert _plan_digest(plan_interval(fv, gv, eps0, left, right)) == ONE_INTERVAL_PLAN_GOLDEN[name]

@@ -581,6 +581,14 @@ class TestDelta0:
         with pytest.raises(PreconditionViolated):
             delta0(1.5)
 
+    @pytest.mark.parametrize("eps0", [5e-324, 1.5e-323])
+    def test_underflowing_eps0_refused_by_name(self, eps0):
+        with pytest.raises(PreconditionViolated) as exc:
+            delta0(eps0)
+        assert "eps0" in exc.value.bound and "underflow" in exc.value.bound
+        assert exc.value.value == eps0 and exc.value.limit == 2e-323
+        assert delta0(2e-323) == 0.0  # the smallest eps0 whose eps0/7 is nonzero
+
 
 class TestOpenMultInterval:
     def test_zero_perturbation_returns_zero(self):
