@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -59,13 +58,25 @@ def _load_input(path):
         return json.load(fh)
 
 
+# Most nodes --grid may refine an input to.  factor-interval on 2**20 + 1
+# nodes peaks at 1.45 GiB resident with a JSON report (about 1.4 KiB a node),
+# so a run at the cap stays under about 2 GiB.
+MAX_GRID_NODES = 2**20 + 1
+
+
 def _maybe_refine(fn, grid):
     if grid is None or not isinstance(fn, GridFunction):
         return fn
     n = fn.domain.n
     if grid <= n:
         return fn
-    factor = math.ceil((grid - 1) / (n - 1))
+    factor = -(-(grid - 1) // (n - 1))  # ceil in integers: no float overflow for any --grid
+    nodes = (n - 1) * factor + 1
+    if nodes > MAX_GRID_NODES:
+        raise PreconditionViolated(
+            f"--grid {grid} refines to {nodes} nodes, past the cap of {MAX_GRID_NODES}",
+            bound="grid", value=nodes, limit=MAX_GRID_NODES,
+        )
     return refine(fn, factor)
 
 
@@ -285,7 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="input JSON")
         p.add_argument("--epsilon", type=float, required=True, help="target bound in (0, 1)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--grid", type=int, default=None, help="refine grid inputs to at least this many nodes")
+        p.add_argument(
+            "--grid", type=int, default=None,
+            help=f"refine grid inputs to at least this many nodes (at most {MAX_GRID_NODES} after refinement)",
+        )
         p.add_argument("--output", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--audit", action="store_true", help="embed the per-iteration claim audit")

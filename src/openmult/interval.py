@@ -355,13 +355,8 @@ class _Pieces(NamedTuple):
 
     starts: np.ndarray  # first node of each piece, increasing from 0
     tracked: np.ndarray  # per piece: whether it is a complement segment
-    pins: dict  # node -> beta2 pinned there, at segment ends
-
-    @classmethod
-    def one(cls, n, pin_left=None, pin_right=None) -> "_Pieces":
-        """One segment over n nodes with optional pins at its ends."""
-        pins = {node: pin for node, pin in ((0, pin_left), (n - 1, pin_right)) if pin is not None}
-        return cls(np.zeros(1, dtype=np.intp), np.ones(1, dtype=bool), pins)
+    pin_nodes: np.ndarray = np.zeros(0, dtype=np.intp)  # segment ends with a pinned rotation
+    pin_beta2: np.ndarray = np.zeros(0, dtype=np.complex128)  # the rotation pinned there
 
     def bounds(self, n, tracked=True):
         """(first, last) node arrays of the segments, or with tracked=False
@@ -370,23 +365,16 @@ class _Pieces(NamedTuple):
         return self.starts[pick], np.append(self.starts[1:], n)[pick] - 1
 
 
+_ONE_SEGMENT = _Pieces(np.zeros(1, dtype=np.intp), np.ones(1, dtype=bool))  # a whole grid, unpinned
+
+
 def _nondeg_phase_arrays(h1, h2, eta, pieces, h=None):
     """(beta2, f_quad) on every segment of `pieces`, bit for bit as on that
     segment alone: the rotation phase and the rotated linear coefficient
     f_quad = h1 + h2*beta2, with |f_quad| >= eta certified.  On the ranges
     cover runs own both are 1.  `h` is |h1|^2 + |h2|^2 when the caller has
-    it; it is overwritten.  A refusal is that of the first segment that
-    refuses alone."""
-    try:
-        return _phases(h1, h2, eta, pieces, h)
-    except (OpenMultError, RuntimeError):
-        for s, e in zip(*(x.tolist() for x in pieces.bounds(h1.size))):
-            seg = _Pieces.one(e - s + 1, pieces.pins.get(s), pieces.pins.get(e))
-            _phases(h1[s:e + 1], h2[s:e + 1], eta, seg)
-        raise
-
-
-def _phases(h1, h2, eta, pieces, h=None):
+    it; it is overwritten.  Pins are taken as given (plan_intervals checks
+    them).  A plan never refuses here: its segments have h > eta1 = eta^2."""
     n = h1.size
     a1 = np.abs(h1)
     a2 = np.abs(h2)
@@ -424,13 +412,8 @@ def _phases(h1, h2, eta, pieces, h=None):
     else:
         beta2 = np.ones(n, dtype=np.complex128)
         beta2[defined] = _phase_formula(h1[defined], h2[defined], counts)
-    if pieces.pins:
-        nodes = np.fromiter(pieces.pins, dtype=np.intp, count=len(pieces.pins))
-        pins = np.array(list(pieces.pins.values()), dtype=np.complex128)
-        if np.any(np.abs(np.hypot(pins.real, pins.imag) - 1.0) > 1e-9):  # hypot: Python's abs
-            raise NonUnimodularInput("pinned boundary value must be unimodular")
-        beta2[nodes] = pins
-        defined[nodes] = True
+    beta2[pieces.pin_nodes] = pieces.pin_beta2
+    defined[pieces.pin_nodes] = True
     beta2 = circle_extend(beta2, defined, segments=pieces.bounds(n))
     f_quad = h1 + h2 * beta2
     for s, e in zip(*(x.tolist() for x in pieces.bounds(n, tracked=False))):
@@ -439,32 +422,21 @@ def _phases(h1, h2, eta, pieces, h=None):
     return beta2, f_quad
 
 
-def nondeg_phases(
-    h1: GridFunction, h2: GridFunction, eta: float, *, pin_left=None, pin_right=None
-) -> tuple[GridFunction, GridFunction]:
+def nondeg_phases(h1: GridFunction, h2: GridFunction, eta: float) -> tuple[GridFunction, GridFunction]:
     """Unimodular beta1 (constant one) and beta2 with |h1*beta1 + h2*beta2| >= eta.
 
     Outside the small-value region of either factor, beta2 is the rotation
     that makes the moduli add Pythagorean-style; inside, it is bridged by
-    circle_extend.  Optional unimodular pins fix beta2 at the interval ends,
-    used when gluing edge constructions at shared vertices.
+    circle_extend.
     """
     if h1.domain != h2.domain:
         raise PreconditionViolated("phases need a common domain")
-    pieces = _Pieces.one(h1.domain.n, pin_left, pin_right)
-    beta2, _f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta, pieces)
+    beta2, _f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta, _ONE_SEGMENT)
     return GridFunction(h1.domain, np.ones_like(beta2)), GridFunction(h1.domain, beta2)
 
 
 def perturb_nondegenerate(
-    h1: GridFunction,
-    h2: GridFunction,
-    d: GridFunction,
-    eta: float,
-    eps: float,
-    *,
-    pin_left=None,
-    pin_right=None,
+    h1: GridFunction, h2: GridFunction, d: GridFunction, eta: float, eps: float
 ) -> tuple[GridFunction, GridFunction]:
     """z1, z2 with h1*z1 + h2*z2 + z1*z2 = d node-wise and |z_i| <= eps.
 
@@ -474,8 +446,7 @@ def perturb_nondegenerate(
     """
     if not (h1.domain == h2.domain == d.domain):
         raise PreconditionViolated("inputs need a common domain")
-    pieces = _Pieces.one(h1.domain.n, pin_left, pin_right)
-    beta2, f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta, pieces)
+    beta2, f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta, _ONE_SEGMENT)
     phi = _track_root(d.values, f_quad, beta2, eta, eps)
     return GridFunction(h1.domain, phi), GridFunction(h1.domain, beta2 * phi)
 
@@ -593,7 +564,9 @@ class EndpointPin:
     kind "nondeg": the endpoint sits in a non-degenerate region; beta2 pins
     the rotation phase there and (d1, d2) are the agreed perturbation values.
     kind "cover": the endpoint is jointly degenerate; (za, wa) prescribe the
-    factor values f+d1, g+d2 of the direct factorization.
+    factor values f+d1, g+d2 of the direct factorization.  A pin with another
+    kind, without the fields its kind needs, or with |beta2| != 1 is refused
+    when it is built.
     """
 
     kind: str
@@ -602,6 +575,21 @@ class EndpointPin:
     beta2: complex | None = None
     za: complex | None = None
     wa: complex | None = None
+    _NEEDS = {"cover": ("d1", "d2", "za", "wa"), "nondeg": ("d1", "d2", "beta2")}  # the fields each kind needs
+
+    def __post_init__(self):
+        needs = self._NEEDS.get(self.kind)
+        if needs is None:
+            raise PreconditionViolated(
+                f"unknown endpoint pin kind {self.kind!r}", bound="kind in ('cover', 'nondeg')", value=self.kind,
+            )
+        missing = ", ".join(name for name in needs if getattr(self, name) is None)
+        if missing:
+            raise PreconditionViolated(
+                f"a {self.kind!r} pin needs {missing}", bound=f"{missing} given for kind {self.kind!r}",
+            )
+        if self.kind == "nondeg" and not abs(abs(complex(self.beta2)) - 1.0) <= 1e-9:
+            raise NonUnimodularInput("pinned boundary value must be unimodular")
 
 
 @dataclass(frozen=True)
@@ -707,8 +695,9 @@ def plan_intervals(fv, gv, eps0, offsets, pins) -> IntervalPlan:
     nodes offsets[k] .. offsets[k+1]-1, with pins[k] = (pin_left, pin_right).
 
     Every interval gets the cover tier, cover and phases it gets alone, bit
-    for bit, and one refusing interval refuses the plan (the first one in
-    order that the cover refuses, else the first refusing segment).
+    for bit, and one refusing interval refuses the plan: the first one in
+    order that the cover refuses, else the first end pinned as
+    non-degenerate where |f + beta2*g| < epsilon1.
     """
     cfg = PipelineConfig.for_target(eps0)
     offsets = np.asarray(offsets, dtype=np.intp)
@@ -740,11 +729,21 @@ def plan_intervals(fv, gv, eps0, offsets, pins) -> IntervalPlan:
         rows.append((k, lo, hi, lo if lo == s else lo + 1, hi + 1 if hi == e else hi))
     owned = {r[3] for r in rows}
     starts = sorted(owned.union(ends[::2], (r[4] for r in rows)) - {fv.size})
+    nodes = np.array(ends, dtype=np.intp)[nondeg.ravel()]
+    rotation = np.array([pin.beta2 for pin in flat if _pinned(pin, "nondeg")], dtype=np.complex128)
+    rotated = np.abs(fv[nodes] + gv[nodes] * rotation)  # the phase step's lower bound, in its formula
+    low = np.flatnonzero(~(rotated >= eps1 * (1.0 - 1e-12)))
+    if low.size:
+        raise PreconditionViolated(
+            f"pinned rotation at node {int(nodes[low[0]])} brings |f + beta2*g| below epsilon1",
+            bound="|f + beta2*g| >= epsilon1", value=float(rotated[low[0]]), limit=eps1,
+        )
     pieces = _Pieces(
-        np.array(starts, dtype=np.intp), np.array([s not in owned for s in starts], dtype=bool),
-        {node: pin.beta2 for node, pin in zip(ends, flat) if _pinned(pin, "nondeg")},
+        np.array(starts, dtype=np.intp), np.array([s not in owned for s in starts], dtype=bool), nodes, rotation,
     )
-    beta2, f_quad = _nondeg_phase_arrays(fv, gv, eps1, pieces, h)
+    handed = [h]
+    del h  # the phases overwrite h and free it: keep no reference here
+    beta2, f_quad = _nondeg_phase_arrays(fv, gv, eps1, pieces, handed.pop())
 
     at = [(node, pin) for node, pin in zip(ends, flat) if pin is not None]
     pinned = (

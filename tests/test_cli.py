@@ -33,6 +33,20 @@ def interval_triple(tmp_path, d_scale):
     return write_json(tmp_path / "in.json", {"f": f.to_json(), "g": g.to_json(), "d": d.to_json()})
 
 
+class _RefineCalled(Exception):
+    pass
+
+
+def _refine_stopped(factors):
+    """A stand-in for refine that records its factor and stops before allocating."""
+
+    def refine(fn, factor):
+        factors.append(factor)
+        raise _RefineCalled
+
+    return refine
+
+
 class TestFactorInterval:
     def test_zero_perturbation_exit_zero(self, tmp_path, capsys):
         path = interval_triple(tmp_path, 0)
@@ -78,6 +92,37 @@ class TestFactorInterval:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["result"]["d1"]["domain"]["n"] == 257
+
+    def test_grid_past_the_cap_refused_before_refining(self, tmp_path, capsys, monkeypatch):
+        import openmult.cli as cli
+
+        monkeypatch.setattr(cli, "refine", _refine_stopped([]))
+        path = interval_triple(tmp_path, delta0(0.7))
+        code = main(["factor-interval", "--input", path, "--epsilon", "0.7", "--grid", "100000000"])
+        assert code == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert diag["error"] == "PreconditionViolated"
+        assert diag["bound"] == "grid"
+        assert diag["value"] == 128 * 781250 + 1  # (n-1)*ceil((grid-1)/(n-1)) + 1
+        assert diag["limit"] == cli.MAX_GRID_NODES
+
+    def test_grid_past_float_range_refused(self, tmp_path, capsys, monkeypatch):
+        import openmult.cli as cli
+
+        monkeypatch.setattr(cli, "refine", _refine_stopped([]))
+        path = interval_triple(tmp_path, delta0(0.7))
+        assert main(["factor-interval", "--input", path, "--epsilon", "0.7", "--grid", "1" + "0" * 400]) == 2
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["bound"] == "grid"
+
+    def test_grid_at_the_cap_is_refined(self, tmp_path, monkeypatch):
+        import openmult.cli as cli
+
+        factors = []
+        monkeypatch.setattr(cli, "refine", _refine_stopped(factors))
+        path = interval_triple(tmp_path, delta0(0.7))
+        with pytest.raises(_RefineCalled):
+            main(["factor-interval", "--input", path, "--epsilon", "0.7", "--grid", str(cli.MAX_GRID_NODES)])
+        assert (DOM.n - 1) * factors[0] + 1 == cli.MAX_GRID_NODES
 
     def test_idempotent_reports(self, tmp_path):
         path = interval_triple(tmp_path, delta0(0.7))

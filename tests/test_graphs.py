@@ -288,3 +288,39 @@ class TestOpenMultGraph:
             d = scaled_to(interp_fn(g, {v: 0.1 for v in g.vertices}, rng, bump=0.2), r)
             res = open_mult_graph(f, gg, d, 0.7)
             assert res.residual <= 1e-9 * (1 + sup_norm(f * gg + d))
+
+
+def test_nondeg_vertex_pins_keep_the_rotated_bound():
+    # Each non-degenerate pin has |f|^2 + |g|^2 >= eta2 = 4*eps1^2 at its
+    # vertex, and beta2 makes |f + beta2*g|^2 = |f|^2 + |g|^2 there, so the
+    # plan's check |f + beta2*g| >= eps1 holds at every incident edge end.
+    from openmult.graphs import _vertex_pins
+    from openmult.interval import PipelineConfig
+
+    rng = np.random.default_rng(17)
+    dom = IntervalDomain(0.0, 1.0, 9)
+    checked = 0
+    for _ in range(40):
+        verts = tuple(f"v{i}" for i in range(int(rng.integers(2, 7))))
+        edges = tuple(
+            (verts[int(rng.integers(len(verts)))], verts[int(rng.integers(len(verts)))], dom)
+            for _ in range(int(rng.integers(1, 9)))
+        )
+        graph = GraphDomain(verts, edges)
+        eps0 = float(rng.choice([0.7, 0.35, 0.07]))
+        cfg = PipelineConfig.for_target(eps0)
+
+        def values():
+            return {v: 10.0 ** rng.uniform(-2.0, 0.0) * complex(*rng.standard_normal(2)) for v in verts}
+
+        f = interp_fn(graph, values(), rng, bump=0.1)
+        g = interp_fn(graph, values(), rng, bump=0.1)
+        d = scaled_to(interp_fn(graph, values(), rng, bump=0.1), cfg.delta0)
+        for v, pin in _vertex_pins(f, g, d, cfg).items():
+            if pin.kind != "nondeg":
+                continue
+            for ei, side in graph.incident(v):
+                fq = f.edge_values[ei][side] + pin.beta2 * g.edge_values[ei][side]
+                assert abs(fq) >= cfg.epsilon1 * (1.0 - 1e-12)
+                checked += 1
+    assert checked

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from openmult import (
     BoundaryMismatch,
     CoverInfeasible,
+    EndpointPin,
     GridFunction,
     IntervalDomain,
     NonUnimodularInput,
@@ -27,7 +28,7 @@ from openmult import (
     sublevel_cover,
     sup_norm,
 )
-from openmult.interval import UNDEFINED, root_pair
+from openmult.interval import UNDEFINED, factorize_interval_arrays, plan_interval, root_pair
 
 DOM = IntervalDomain(0.0, 1.0, 257)
 T = DOM.nodes()
@@ -722,3 +723,79 @@ class TestOpenMultInterval:
         f2, g2, d2 = refine(f, 2), refine(g, 2), refine(d, 2)
         res2 = open_mult_interval(f2, g2, d2, eps0)  # must not raise CoverInfeasible
         assert res2.residual <= 1e-9 * (1 + sup_norm(f2 * g2 + d2))
+
+
+# ---------------------------------------------------------------------------
+# Endpoint pins: each malformed or ill-rotated pin ends in a named refusal.
+
+
+def _pinned_pair(n=65):
+    t = IntervalDomain(0.0, 1.0, n).nodes()
+    fv = 0.6 * np.exp(1j * t)
+    gv = np.full(n, 0.6j)
+    return fv, gv, np.full(n, 1e-4 + 0j)
+
+
+class TestEndpointPinRefusals:
+    def test_non_unimodular_beta2(self):
+        fv, gv, dv = _pinned_pair()
+        with pytest.raises(NonUnimodularInput, match="^pinned boundary value must be unimodular$") as exc:
+            pin = EndpointPin(kind="nondeg", d1=0j, d2=0j, beta2=1.5j)
+            factorize_interval_arrays(fv, gv, dv, 0.7, pin_left=pin)
+        assert exc.value.exit_code == 2
+
+    def test_beta2_cancelling_the_pair(self):
+        # f + beta2*g = 0.6 + 1j*0.6j = 0 at the pinned node
+        fv, gv, dv = _pinned_pair()
+        pin = EndpointPin(kind="nondeg", d1=0j, d2=0j, beta2=1j)
+        with pytest.raises(PreconditionViolated) as exc:
+            factorize_interval_arrays(fv, gv, dv, 0.7, pin_left=pin)
+        assert exc.value.bound == "|f + beta2*g| >= epsilon1"
+        assert exc.value.value == 0.0 and exc.value.limit == 0.7 / 7.0
+        assert exc.value.exit_code == 2
+
+    def test_unknown_kind(self):
+        fv, gv, dv = _pinned_pair()
+        with pytest.raises(PreconditionViolated) as exc:
+            pin = EndpointPin(kind="nondegenerate", d1=0j, d2=0j, beta2=1.0)
+            factorize_interval_arrays(fv, gv, dv, 0.7, pin_right=pin)
+        assert exc.value.bound == "kind in ('cover', 'nondeg')"
+        assert exc.value.value == "nondegenerate"
+        assert exc.value.exit_code == 2
+
+    def test_nondeg_pin_without_beta2(self):
+        fv, gv, dv = _pinned_pair()
+        with pytest.raises(PreconditionViolated) as exc:
+            pin = EndpointPin(kind="nondeg", d1=0j, d2=0j)
+            factorize_interval_arrays(fv, gv, dv, 0.7, pin_right=pin)
+        assert exc.value.bound == "beta2 given for kind 'nondeg'"
+        assert exc.value.exit_code == 2
+
+    def test_cover_pin_without_boundary_pair(self):
+        # the left end is jointly degenerate, so a cover run takes the pin
+        t = IntervalDomain(0.0, 1.0, 65).nodes()
+        fv = t * (1.0 + 0.5j)
+        with pytest.raises(PreconditionViolated) as exc:
+            pin = EndpointPin(kind="cover", d1=0j, d2=0j)
+            factorize_interval_arrays(fv, 0.5j * fv, np.full(65, 1e-4 + 0j), 0.7, pin_left=pin)
+        assert exc.value.bound == "za, wa given for kind 'cover'"
+        assert exc.value.exit_code == 2
+
+
+def test_rough_pairs_plan_or_refuse_a_seam():
+    # Without pins, the only refusal a plan meets is the cover's: every node
+    # of a complement segment has h > eta1, so the phase step cannot refuse.
+    rng = np.random.default_rng(2301)
+    seams = plans = 0
+    for _ in range(3000):
+        n = int(rng.integers(2, 201))
+        scale = 10.0 ** rng.uniform(-3.0, 0.0)
+        eps0 = float(rng.choice([0.7, 0.35, 0.07]))
+        fv, gv = (scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(2))
+        try:
+            plan_interval(fv, gv, eps0)
+        except CoverInfeasible:
+            seams += 1
+        else:
+            plans += 1
+    assert seams and plans
