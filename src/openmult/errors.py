@@ -36,6 +36,10 @@ class EqualModulusRoots(OpenMultError):
 
     exit_code = 2
 
+    def __init__(self, message, *, index=None):
+        super().__init__(message)
+        self.index = index  # the first tying node, when the error names one
+
 
 class ZeroArgument(OpenMultError):
     """A nonzero complex argument was required."""

@@ -10,9 +10,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
+from . import pyarith
 from .errors import DomainMismatch
 
 VERTEX_TOL = 1e-9
@@ -225,6 +228,34 @@ class GraphDomain:
         """(edge_index, side) pairs touching `vertex`; side is 0 or -1."""
         return list(self._incidence.get(vertex, ()))
 
+    @cached_property
+    def _layout(self) -> "_EndLayout":
+        """The incidence map as index arrays (see _EndLayout)."""
+        index = {v: k for k, v in enumerate(self.vertices)}
+        offsets = np.cumsum([0] + [dom.n for _u, _v, dom in self.edges])
+        ends = np.column_stack((offsets[:-1], offsets[1:] - 1)).ravel()
+        owner = np.array([index[x] for u, v, _dom in self.edges for x in (u, v)], dtype=np.intp)
+        present, first_end, slot = np.unique(owner, return_index=True, return_inverse=True)
+        return _EndLayout(offsets, ends, slot, present, ends[first_end])
+
+
+class _EndLayout(NamedTuple):
+    """A GraphDomain's edge ends as indices into the edges' samples laid end
+    to end, edge i owning samples offsets[i]:offsets[i+1].
+
+    ends[2i], ends[2i+1] index edge i's first and last node; present lists,
+    in vertex order, the indices in `vertices` of the vertices with edges;
+    end j touches vertex present[slot[j]]; canonical[k] indexes the canonical
+    sample of vertex present[k], its first end in edge order (as in
+    GraphFunction.vertex_value).
+    """
+
+    offsets: np.ndarray
+    ends: np.ndarray
+    slot: np.ndarray
+    present: np.ndarray
+    canonical: np.ndarray
+
 
 @dataclass(frozen=True)
 class GraphFunction(_Samples):
@@ -244,11 +275,12 @@ class GraphFunction(_Samples):
         self._check_vertex_agreement()
 
     def _check_vertex_agreement(self):
-        for vertex in self.domain.vertices:
-            samples = [self.edge_values[ei][side] for ei, side in self.domain.incident(vertex)]
-            for s in samples[1:]:
-                if abs(s - samples[0]) > VERTEX_TOL * (1.0 + abs(samples[0])):
-                    raise ValueError(f"vertex {vertex!r} values disagree beyond tolerance")
+        layout = self.domain._layout
+        first = self._flat[layout.canonical[layout.slot]]
+        bad = pyarith.cabs(self._flat[layout.ends] - first) > VERTEX_TOL * (1.0 + pyarith.cabs(first))
+        if bad.any():
+            vertex = self.domain.vertices[layout.present[layout.slot[bad].min()]]
+            raise ValueError(f"vertex {vertex!r} values disagree beyond tolerance")
 
     def vertex_value(self, vertex):
         """Canonical sample at a vertex (first incident edge in edge order)."""
@@ -257,6 +289,14 @@ class GraphFunction(_Samples):
             raise ValueError(f"vertex {vertex!r} has no incident edges")
         ei, side = inc[0]
         return complex(self.edge_values[ei][side])
+
+    @cached_property
+    def _flat(self) -> np.ndarray:
+        """All samples, the edges laid end to end (see GraphDomain._layout);
+        read-only, like the edge arrays it copies."""
+        flat = np.concatenate(self.edge_values or (np.zeros(0, dtype=np.complex128),))
+        flat.setflags(write=False)
+        return flat
 
     def edge_function(self, i: int) -> GridFunction:
         return GridFunction(self.domain.edges[i][2], self.edge_values[i])
@@ -323,12 +363,11 @@ def refine(f: GridFunction, factor: int) -> GridFunction:
         raise ValueError("refinement factor must be >= 2")
     n = f.domain.n
     new_n = (n - 1) * factor + 1
+    v = f.values
+    s = np.arange(1, factor) / factor
     out = np.empty(new_n, dtype=np.complex128)
-    out[::factor] = f.values
-    left, right = f.values[:-1], f.values[1:]
-    for j in range(1, factor):
-        s = j / factor
-        out[j::factor] = left * (1.0 - s) + right * s
+    np.add(v[:-1, None] * (1.0 - s), v[1:, None] * s, out=out[:-1].reshape(n - 1, factor)[:, 1:])
+    out[::factor] = v
     return GridFunction(IntervalDomain(f.domain.a, f.domain.b, new_n), out)
 
 

@@ -13,16 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OpenMultError, PreconditionViolated
-from .functions import GraphDomain, GraphFunction, IntervalDomain, sup_norm
+from . import pyarith
+from .errors import EqualModulusRoots, OpenMultError, PreconditionViolated
+from .functions import GraphDomain, GraphFunction, IntervalDomain
 from .interval import (
     EndpointPin,
     FactorizationResult,
     PipelineConfig,
     factorize_interval_arrays,
-    phase_offset,
+    phase_offsets,
     plan_intervals,
-    root_pair,
     solve_intervals,
 )
 from .quadratic import smaller_root_vec
@@ -97,12 +97,67 @@ class EdgePlan:
 
 
 def _vertex_pins(f, g, d, cfg):
+    """One EndpointPin per vertex with edges, in vertex order, from the
+    canonical samples f, g, d take there.
+
+    Jointly degenerate vertices (|f|^2 + |g|^2 < eta2) get the square-root
+    pair of f*g + d; the others the rotation beta2 (1j where f or g is 0) and
+    the smaller root phi of beta2*phi^2 + (f + beta2*g)*phi = d.  All vertices
+    run at once with the bits of the per-vertex scalar arithmetic (pyarith).
+    A refusal is that of the first refusing vertex in vertex order: an
+    overflowing |f|^2 + |g|^2, tied root moduli, or a rotation that is not
+    unimodular (the pin's own check).
+    """
     graph = f.domain
-    return {
-        v: _vertex_pin(f.vertex_value(v), g.vertex_value(v), d.vertex_value(v), cfg)
-        for v in graph.vertices
-        if graph.incident(v)
-    }
+    layout = graph._layout
+    at = layout.canonical
+    fv, gv, dv = f._flat[at], g._flat[at], d._flat[at]
+    names = [graph.vertices[k] for k in layout.present.tolist()]
+    stop, refusal = len(names), None
+    with np.errstate(all="ignore"):
+        h = pyarith.sq_abs(fv) + pyarith.sq_abs(gv)
+        overflow = ~np.isfinite(h)
+        if overflow.any():
+            stop = int(np.argmax(overflow))
+            refusal = PreconditionViolated(
+                f"|f|^2 + |g|^2 overflows at vertex {names[stop]!r}", bound="|f|^2 + |g|^2 finite at vertex",
+            )
+        cover = h < cfg.eta2
+        d1, d2, za, wa, beta2 = np.empty((5, len(names)), dtype=np.complex128)
+
+        c = np.flatnonzero(cover)
+        psi = pyarith.mul(fv[c], gv[c]) + dv[c]
+        za[c] = np.sqrt(psi)
+        wa[c] = np.where(za[c] != 0, pyarith.quot(psi, za[c]), 0)
+        d1[c] = za[c] - fv[c]
+        d2[c] = wa[c] - gv[c]
+
+        nd = np.flatnonzero(~cover & ~overflow)
+        fn, gn = fv[nd], gv[nd]
+        beta2[nd] = np.where((fn != 0) & (gn != 0), phase_offsets(fn, gn), 1j)
+        f_quad = fn + pyarith.mul(beta2[nd], gn)
+        try:
+            phi = smaller_root_vec(-dv[nd], f_quad, beta2[nd])
+        except EqualModulusRoots as exc:
+            k = int(nd[exc.index])
+            if k < stop:
+                stop, refusal = k, EqualModulusRoots(f"root moduli tie at vertex {names[k]!r}")
+            nd = nd[:exc.index]  # the vertices before the tie still get their pins
+            phi = smaller_root_vec(-dv[nd], f_quad[:exc.index], beta2[nd])
+        d1[nd] = pyarith.mul(beta2[nd], phi)
+        d2[nd] = phi
+
+    pins = {}
+    for v, is_cover, a, b, z, w, rot in zip(
+        names[:stop], cover.tolist(), d1.tolist(), d2.tolist(), za.tolist(), wa.tolist(), beta2.tolist()
+    ):
+        pins[v] = (
+            EndpointPin(kind="cover", d1=a, d2=b, za=z, wa=w) if is_cover
+            else EndpointPin(kind="nondeg", d1=a, d2=b, beta2=rot)
+        )
+    if refusal is not None:
+        raise refusal
+    return pins
 
 
 def plan_edges(f: GraphFunction, g: GraphFunction, d: GraphFunction, eps0: float) -> tuple:
@@ -143,20 +198,6 @@ class GraphFactorizationResult:
         }
 
 
-def _vertex_pin(fval, gval, dval, cfg: PipelineConfig) -> EndpointPin:
-    h = abs(fval) ** 2 + abs(gval) ** 2
-    if h < cfg.eta2:
-        za, wa = root_pair(fval * gval + dval)
-        return EndpointPin(kind="cover", d1=za - fval, d2=wa - gval, za=za, wa=wa)
-    if fval != 0 and gval != 0:
-        beta2 = phase_offset(fval, gval)
-    else:
-        beta2 = 1j  # one factor vanishes: any rotation keeps |f + beta2*g| = sqrt(h)
-    f_quad = fval + beta2 * gval
-    phi = complex(smaller_root_vec(-dval, f_quad, beta2))
-    return EndpointPin(kind="nondeg", d1=beta2 * phi, d2=phi, beta2=beta2)
-
-
 def open_mult_graph(
     f: GraphFunction, g: GraphFunction, d: GraphFunction, eps0: float
 ) -> GraphFactorizationResult:
@@ -175,7 +216,7 @@ def open_mult_graph(
     if graph.crossings:
         raise PreconditionViolated("run refine_partition first: graph declares unresolved crossings")
     cfg = PipelineConfig.for_target(eps0)
-    supd = sup_norm(d)
+    supd = float(np.max(np.abs(d._flat)))
     cfg.check_radius(supd)
 
     if supd == 0.0:
@@ -188,37 +229,27 @@ def open_mult_graph(
     else:
         pins = _vertex_pins(f, g, d, cfg)
         ends = tuple((pins[u], pins[v]) for u, v, _dom in graph.edges)
-        offsets = np.cumsum([0] + [dom.n for _u, _v, dom in graph.edges])
+        layout = graph._layout
         try:
-            d1, d2, rows = solve_intervals(
-                plan_intervals(np.concatenate(f.edge_values), np.concatenate(g.edge_values), eps0, offsets, ends),
-                np.concatenate(d.edge_values),
-            )
+            d1, d2, rows = solve_intervals(plan_intervals(f._flat, g._flat, eps0, layout.offsets, ends), d._flat)
         except (OpenMultError, RuntimeError):
             # The refusal is that of the first edge that refuses alone.
             for parts, (pin_left, pin_right) in zip(zip(f.edge_values, g.edge_values, d.edge_values), ends):
                 factorize_interval_arrays(*parts, eps0, pin_left=pin_left, pin_right=pin_right)
             raise
-        bounds = offsets.tolist()
+        bounds = layout.offsets.tolist()
         results = tuple(
             FactorizationResult.of(dom, (d1[a:b], d2[a:b], *row))
             for (_u, _v, dom), a, b, row in zip(graph.edges, bounds, bounds[1:], rows)
         )
-        sides = ([r.d1.values for r in results], [r.d2.values for r in results])
-        report = {}
-        for v, pin in pins.items():
-            inc = graph.incident(v)
-            spread = 0.0
-            for edges in sides:
-                samples = [edges[ei][side] for ei, side in inc]
-                for s in samples[1:]:
-                    spread = max(spread, abs(s - samples[0]))
-            report[v] = {
-                "kind": pin.kind,
-                "d1": complex(pin.d1),
-                "d2": complex(pin.d2),
-                "agreement": spread,
-            }
+        # agreement: the largest |value - canonical value| over a vertex's ends, for d1 and d2
+        spread = np.zeros(len(pins))
+        for x in (d1, d2):
+            np.maximum.at(spread, layout.slot, pyarith.cabs(x[layout.ends] - x[layout.canonical[layout.slot]]))
+        report = {
+            v: {"kind": pin.kind, "d1": complex(pin.d1), "d2": complex(pin.d2), "agreement": a}
+            for (v, pin), a in zip(pins.items(), spread.tolist())
+        }
     return GraphFactorizationResult(
         d1=GraphFunction._trusted(graph, tuple(r.d1.values for r in results)),
         d2=GraphFunction._trusted(graph, tuple(r.d2.values for r in results)),

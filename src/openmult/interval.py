@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import pyarith
 from .errors import (
     BoundaryMismatch,
     CoverInfeasible,
@@ -141,12 +142,18 @@ def quadratic_correction(
     return GridFunction(f.domain, phi)
 
 
+def phase_offsets(z, w):
+    """phase_offset per element of nonzero arrays z, w: c = 1j*u/|u| with
+    u = conj(w)*z, rounded as numpy's complex scalars round it."""
+    u = pyarith.mul(np.conj(w), z)
+    return pyarith.quot_real(pyarith.mul(1j, u), pyarith.cabs(u))
+
+
 def phase_offset(z: complex, w: complex) -> complex:
     """Unimodular c with |z + c*w|**2 = |z|**2 + |w|**2."""
     if z == 0 or w == 0:
         raise ZeroArgument("phase offset needs nonzero arguments")
-    u = np.conj(w) * z
-    return complex(1j * u / abs(u))
+    return complex(phase_offsets(np.complex128(z), np.complex128(w)))
 
 
 # ---------------------------------------------------------------------------

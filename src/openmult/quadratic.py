@@ -51,8 +51,25 @@ def roots_vec(alpha, beta, gamma):
     np.divide(q, 2.0, out=q)
     big = np.divide(q, gamma, out=plus)
     small = np.zeros(q.shape, dtype=np.complex128)
-    np.divide(alpha, q, out=small, where=q != 0)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            np.divide(alpha, q, out=small, where=q != 0)
+    except FloatingPointError:
+        _divide_by_tiny(alpha, q, small)
     return big.reshape(shape), small.reshape(shape)
+
+
+def _divide_by_tiny(alpha, q, out):
+    """out = alpha / q where q != 0, as np.divide rounds it, except where
+    numpy's complex division overflows its reciprocal 1/(qr + qi*(qi/qr))
+    (|q| about 1e-308 or less): there alpha is divided by q scaled by 2**600,
+    which is exact, and the quotient is scaled back."""
+    qr, qi = q.real, q.imag
+    with np.errstate(all="ignore"):
+        denom = np.where(np.abs(qr) >= np.abs(qi), qr + qi * (qi / qr), qi + qr * (qr / qi))
+        tiny = (q != 0) & np.isinf(1.0 / denom)
+    np.divide(alpha, q, out=out, where=(q != 0) & ~tiny)
+    out[tiny] = np.broadcast_to(alpha, q.shape)[tiny] / (q[tiny] * 2.0**600) * 2.0**600
 
 
 def smaller_root_vec(alpha, beta, gamma):
@@ -66,7 +83,7 @@ def smaller_root_vec(alpha, beta, gamma):
     bad = abs_big - abs_small <= tol
     if bad.any():
         idx = int(np.argmax(bad))
-        raise EqualModulusRoots(f"root moduli tie at index {idx}")
+        raise EqualModulusRoots(f"root moduli tie at index {idx}", index=idx)
     return small
 
 

@@ -162,6 +162,18 @@ class TestFactorGraph:
         assert len(out["result"]["edges"]) == 2
         assert float(out["result"]["residual"]) < 1e-9 * 10
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    def test_overflowing_vertex_exit_two(self, tmp_path, capsys, scale):
+        # |f|^2 overflows at the vertices: a named refusal, not a traceback
+        payload = json.loads((Path(__file__).resolve().parent.parent / "fixtures" / "theta_graph.json").read_text())
+        payload["f"]["values"] = [[[x * scale, y * scale] for x, y in edge] for edge in payload["f"]["values"]]
+        path = write_json(tmp_path / "graph.json", payload)
+        code = main(["factor-graph", "--input", path, "--epsilon", "0.7"])
+        assert code == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "PreconditionViolated"
+        assert diag["bound"] == "|f|^2 + |g|^2 finite at vertex"
+
 
 class TestFactorFinite:
     def test_basic(self, tmp_path, capsys):

@@ -211,6 +211,22 @@ class TestRefine:
         with pytest.raises(ValueError):
             refine(rand_grid(10), 1)
 
+    @pytest.mark.parametrize("n, factor", [(2, 2), (9, 3), (33, 7), (5, 64), (3, 1000), (2, 2**16)])
+    def test_matches_the_per_factor_formula(self, n, factor):
+        # every new node is left*(1 - j/factor) + right*(j/factor), bit for bit
+        rng = np.random.default_rng(factor)
+        v = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-200, 200, n)
+        v.real[::3] = -0.0
+        f = GridFunction(IntervalDomain(0.0, 1.0, n), v)
+        want = np.empty((n - 1) * factor + 1, dtype=np.complex128)
+        want[::factor] = v
+        for j in range(1, factor):
+            s = j / factor
+            want[j::factor] = v[:-1] * (1.0 - s) + v[1:] * s
+        r = refine(f, factor)
+        assert r.domain.n == (n - 1) * factor + 1
+        assert np.array_equal(r.values.view(np.uint64), want.view(np.uint64))
+
 
 class TestRestrict:
     def test_values_sliced_exactly(self):

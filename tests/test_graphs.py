@@ -18,6 +18,7 @@ from openmult import (
 N = 129
 EDGE_DOM = IntervalDomain(0.0, 1.0, N)
 T = EDGE_DOM.nodes()
+EDGE_DOM_2 = IntervalDomain(0.0, 1.0, 2)
 
 
 def star3():
@@ -324,3 +325,138 @@ def test_nondeg_vertex_pins_keep_the_rotated_bound():
                 assert abs(fq) >= cfg.epsilon1 * (1.0 - 1e-12)
                 checked += 1
     assert checked
+
+
+# ---------------------------------------------------------------------------
+# Vertex pins: the array computation against the per-vertex scalar one
+
+
+def _vertex_pin(fval, gval, dval, cfg):
+    """The pin of one vertex in Python complex arithmetic: the reference that
+    _vertex_pins must equal bit for bit."""
+    from openmult.interval import EndpointPin, root_pair
+    from openmult.quadratic import smaller_root_vec
+
+    h = abs(fval) ** 2 + abs(gval) ** 2
+    if h < cfg.eta2:
+        za, wa = root_pair(fval * gval + dval)
+        return EndpointPin(kind="cover", d1=za - fval, d2=wa - gval, za=za, wa=wa)
+    if fval != 0 and gval != 0:
+        # phase_offset as it was written per vertex: phase_offset itself is
+        # now a view of the array code under test
+        u = np.conj(gval) * fval
+        beta2 = complex(1j * u / abs(u))
+    else:
+        beta2 = 1j  # one factor vanishes: any rotation keeps |f + beta2*g| = sqrt(h)
+    f_quad = fval + beta2 * gval
+    phi = complex(smaller_root_vec(-dval, f_quad, beta2))
+    return EndpointPin(kind="nondeg", d1=beta2 * phi, d2=phi, beta2=beta2)
+
+
+def _pin_bits(pin):
+    def bits(z):
+        return None if z is None else (type(z), np.array([z], dtype=np.complex128).view(np.uint64).tolist())
+
+    return (pin.kind, bits(pin.d1), bits(pin.d2), bits(pin.beta2), bits(pin.za), bits(pin.wa))
+
+
+def _reference_pins(f, g, d, cfg):
+    graph = f.domain
+    return {
+        v: _vertex_pin(f.vertex_value(v), g.vertex_value(v), d.vertex_value(v), cfg)
+        for v in graph.vertices
+        if graph.incident(v)
+    }
+
+
+def _edge_values(graph, values):
+    """Two-node edges carrying the given vertex values at their ends."""
+    return GraphFunction(graph, tuple(np.array([values[u], values[v]]) for u, v, _dom in graph.edges))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vertex_pins_equal_the_scalar_reference(seed):
+    # Random multigraphs with loops and isolated vertices, vertex values at
+    # scales 1e-150..1e150, exact zero factors (beta2 = 1j), jointly small
+    # pairs (cover pins) and d = -f*g at some of them (psi == 0).
+    from openmult.graphs import _vertex_pins
+    from openmult.interval import PipelineConfig
+
+    rng = np.random.default_rng(300 + seed)
+    dom = IntervalDomain(0.0, 1.0, 2)
+    seen = dict.fromkeys(("cover", "nondeg", "zero factor", "psi == 0", "loop", "multi-edge", "isolated"), 0)
+    for _ in range(30):
+        n_vertices = int(rng.integers(1, 40))
+        verts = tuple(f"v{i}" for i in range(n_vertices))
+        a = rng.integers(0, max(1, n_vertices - 1), int(rng.integers(1, 60)))
+        b = np.where(rng.random(a.size) < 0.125, a, rng.integers(0, max(1, n_vertices - 1), a.size))
+        graph = GraphDomain(verts, tuple((verts[i], verts[j], dom) for i, j in zip(a.tolist(), b.tolist())))
+        cfg = PipelineConfig.for_target(float(rng.choice([0.7, 0.35, 0.07])))
+        scale = 10.0 ** rng.uniform(-150, 150)
+
+        def values(s):
+            kind = rng.integers(0, 8, n_vertices)
+            z = s * (rng.standard_normal(n_vertices) + 1j * rng.standard_normal(n_vertices))
+            z[kind == 0] = 0.0
+            z[kind == 1] = cfg.epsilon1 * 0.1 * (rng.standard_normal(n_vertices) + 1j)[kind == 1]
+            return z.tolist()
+
+        fv, gv = values(scale), values(1.0 / scale if rng.random() < 0.5 else scale)
+        dv = (cfg.delta0 * 0.4 * (rng.standard_normal(n_vertices) + 1j * rng.standard_normal(n_vertices))).tolist()
+        for k in range(n_vertices):
+            if rng.random() < 0.3:
+                dv[k] = -(fv[k] * gv[k])
+        f, g, d = (_edge_values(graph, dict(zip(verts, x))) for x in (fv, gv, dv))
+
+        want = _reference_pins(f, g, d, cfg)
+        got = _vertex_pins(f, g, d, cfg)
+        assert list(got) == list(want)
+        assert [_pin_bits(p) for p in got.values()] == [_pin_bits(p) for p in want.values()]
+        for v, pin in want.items():
+            seen[pin.kind] += 1
+            seen["zero factor"] += pin.kind == "nondeg" and (f.vertex_value(v) == 0 or g.vertex_value(v) == 0)
+            seen["psi == 0"] += pin.kind == "cover" and pin.za == 0
+        seen["loop"] += int(np.count_nonzero(a == b))
+        seen["multi-edge"] += a.size - len(set(zip(a.tolist(), b.tolist())))
+        seen["isolated"] += n_vertices - len(want)
+    assert all(seen.values()), seen
+
+
+def test_vertex_pins_refuse_at_the_first_refusing_vertex():
+    # f = 1, g = 0, d = 0.5j gives beta2 = 1j and 1j*phi^2 + phi = 0.5j, whose
+    # two roots have one modulus; |f| = 1e200 overflows |f|^2.
+    from openmult.errors import EqualModulusRoots, PreconditionViolated
+    from openmult.graphs import _vertex_pins
+    from openmult.interval import PipelineConfig
+
+    cfg = PipelineConfig.for_target(0.7)
+    verts = ("a", "b", "c", "e")
+    graph = GraphDomain(verts, (("a", "b", EDGE_DOM_2), ("b", "c", EDGE_DOM_2), ("c", "e", EDGE_DOM_2)))
+
+    def pins(f, g, d):
+        return _vertex_pins(*(_edge_values(graph, dict(zip(verts, x))) for x in (f, g, d)), cfg)
+
+    regular, cover, tie, huge = (1 + 1j, 0.5, 0.001j), (0.0, 0.0, 0.0), (1.0, 0.0, 0.5j), (1e200, 1.0, 0.0)
+    with pytest.raises(EqualModulusRoots, match=r"^root moduli tie at vertex 'c'$"):
+        pins(*zip(regular, cover, tie, tie))
+    with pytest.raises(EqualModulusRoots, match=r"^root moduli tie at vertex 'c'$"):
+        pins(*zip(regular, cover, tie, huge))
+    with pytest.raises(PreconditionViolated, match="vertex 'b'") as exc:
+        pins(*zip(regular, huge, tie, huge))
+    assert exc.value.bound == "|f|^2 + |g|^2 finite at vertex"
+    assert set(pins(*zip(regular, cover, regular, cover))) == set(verts)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_overflowing_vertex_is_refused(scale):
+    # |f|^2 overflows at the vertices: a named refusal, not an OverflowError
+    from openmult.errors import PreconditionViolated
+
+    graph = theta()
+    f = interp_fn(graph, {"u": scale, "v": 2 * scale})
+    g = interp_fn(graph, {"u": 1.0, "v": 1.0j})
+    d = scaled_to(interp_fn(graph, {"u": 1.0, "v": 1.0j}), delta0(0.7))
+    with pytest.raises(PreconditionViolated, match="vertex 'u'") as exc:
+        open_mult_graph(f, g, d, 0.7)
+    assert exc.value.bound == "|f|^2 + |g|^2 finite at vertex"
+    assert exc.value.exit_code == 2

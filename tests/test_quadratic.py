@@ -41,6 +41,16 @@ class TestRoots:
         assert abs(gamma * (z_big + z_small) + beta) <= tol
         assert abs(gamma * z_big * z_small - alpha) <= tol
 
+    @pytest.mark.parametrize("alpha, beta", [(0j, 2.2250738585e-313 + 0j), (0j, -3e-310 + 1e-312j), (0j, 1e-315j)])
+    def test_subnormal_linear_coefficient(self, alpha, beta):
+        # q = -beta/2 is subnormal: numpy's complex division alone overflows
+        # 1/q and gives nan for alpha/q
+        big, small = roots(QuadraticTriple(alpha, beta, 1.0))
+        assert np.isfinite([big, small]).all()
+        tol = 1e-10 * (1.0 + abs(beta) + abs(alpha))
+        assert abs(big + small + beta) <= tol
+        assert abs(big * small - alpha) <= tol
+
     def test_unimodular_leading_coefficient_required(self):
         with pytest.raises(ValueError):
             QuadraticTriple(1.0, 1.0, 2.0)
@@ -131,7 +141,12 @@ def _plain_roots(alpha, beta, gamma):
     w = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
     q = -w / 2.0
     big = q / gamma
-    small = np.divide(alpha, q, out=np.zeros_like(q), where=q != 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = np.divide(alpha, q, out=np.zeros_like(q), where=q != 0)
+    # Where q is so small (about 1e-308) that numpy's complex division
+    # overflows 1/q, alpha over q scaled by 2**600, then scaled back.
+    tiny = ~np.isfinite(small)
+    small[tiny] = alpha[tiny] / (q[tiny] * 2.0**600) * 2.0**600
     return big, small
 
 
