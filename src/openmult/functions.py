@@ -21,14 +21,20 @@ from .errors import DomainMismatch
 VERTEX_TOL = 1e-9
 
 
-def _as_complex_array(values, n=None):
-    arr = np.asarray(values, dtype=np.complex128)
+def _check_shape(arr, n=None):
+    """Refuse an array that is not one-dimensional with n entries (any
+    nonzero number of entries when n is None)."""
     if arr.ndim != 1:
         raise ValueError("values must be one-dimensional")
     if n is not None and arr.size != n:
         raise ValueError(f"expected {n} values, got {arr.size}")
-    if arr.size == 0:
+    if n is None and arr.size == 0:
         raise ValueError("values must be nonempty")
+
+
+def _as_complex_array(values, n=None):
+    arr = np.asarray(values, dtype=np.complex128)
+    _check_shape(arr, n)
     if not np.isfinite(arr).all():
         raise ValueError("values must be finite")
     arr = arr.copy()
@@ -56,26 +62,22 @@ def values_from_json(pairs) -> np.ndarray:
 class _Samples:
     """Pointwise arithmetic shared by the sampled function types.
 
-    A subclass names its value arrays with `_arrays()` (one array, or one per
-    edge) and builds a sample on its own domain from new arrays with
-    `_like(arrays)`.  Two samples combine node by node only when they have
-    the same type and equal `domain`.
+    Every sample type holds its samples as one validated, read-only complex
+    array, `values`, and builds a sample on its own domain from a new array
+    with `_like(values)`.  Two samples combine node by node only when they
+    have the same type and equal `domain`.
     """
 
     @classmethod
     def _trusted(cls, *fields):
-        """An instance around arrays the library made itself, taken as they
-        are: no copy, no finiteness scan, no vertex-agreement check.  The
-        arrays are made read-only.  Public construction keeps every check."""
+        """An instance around an array the library made itself, taken as it
+        is: no copy, no finiteness scan, no vertex-agreement check.  The array
+        is made read-only.  Public construction keeps every check."""
         obj = object.__new__(cls)
         for name, value in zip(cls.__dataclass_fields__, fields):
             object.__setattr__(obj, name, value)
-        for arr in obj._arrays():
-            arr.setflags(write=False)
+        obj.values.setflags(write=False)
         return obj
-
-    def _arrays(self):
-        return (self.values,)
 
     def _check_domain(self, other):
         if type(other) is not type(self) or other.domain != self.domain:
@@ -84,8 +86,8 @@ class _Samples:
     def _binop(self, other, op):
         if isinstance(other, _Samples):
             self._check_domain(other)
-            return self._like(tuple(op(a, b) for a, b in zip(self._arrays(), other._arrays())))
-        return self._like(tuple(op(a, other) for a in self._arrays()))
+            other = other.values
+        return self._like(op(self.values, other))
 
     def __add__(self, other):
         return self._binop(other, np.add)
@@ -104,7 +106,7 @@ class _Samples:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self._like(tuple(-a for a in self._arrays()))
+        return self._like(-self.values)
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,8 @@ class GridFunction(_Samples):
         sub = IntervalDomain(float(nodes[lo]), float(nodes[hi]), hi - lo + 1)
         return GridFunction(sub, self.values[lo:hi + 1])
 
-    def _like(self, arrays):
-        return GridFunction(self.domain, arrays[0])
+    def _like(self, values):
+        return GridFunction(self.domain, values)
 
     def to_json(self) -> dict:
         return {
@@ -172,8 +174,8 @@ class FiniteSpaceFunction(_Samples):
 
     domain = n  # the space {0, ..., n-1}, identified by its number of points
 
-    def _like(self, arrays):
-        return FiniteSpaceFunction(arrays[0])
+    def _like(self, values):
+        return FiniteSpaceFunction(values)
 
     def to_json(self) -> dict:
         return {"domain": {"type": "finite", "n": self.n}, "values": values_to_json(self.values)}
@@ -256,31 +258,45 @@ class _EndLayout(NamedTuple):
     present: np.ndarray
     canonical: np.ndarray
 
+    def split(self, values) -> tuple:
+        """Each edge's stretch of `values`, as views."""
+        bounds = self.offsets.tolist()
+        return tuple(values[a:b] for a, b in zip(bounds, bounds[1:]))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class GraphFunction(_Samples):
-    """Per-edge grid samples with matching values at shared vertices."""
+    """Per-edge grid samples with matching values at shared vertices.
+
+    `values` holds the edges laid end to end (see GraphDomain._layout);
+    `edge_values` are read-only views into it, one per edge.
+    """
 
     domain: GraphDomain
-    edge_values: tuple
+    values: np.ndarray
 
-    def __post_init__(self):
-        if len(self.edge_values) != len(self.domain.edges):
+    def __init__(self, domain: GraphDomain, edge_values):
+        if len(edge_values) != len(domain.edges):
             raise ValueError("need one value array per edge")
-        arrays = tuple(
-            _as_complex_array(vals, dom.n)
-            for (u, v, dom), vals in zip(self.domain.edges, self.edge_values)
-        )
-        object.__setattr__(self, "edge_values", arrays)
+        parts = [np.asarray(vals, dtype=np.complex128) for vals in edge_values]
+        for (_u, _v, dom), part in zip(domain.edges, parts):
+            _check_shape(part, dom.n)
+        values = np.concatenate(parts or [np.zeros(0, dtype=np.complex128)])
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "values", _as_complex_array(values, values.size))
         self._check_vertex_agreement()
 
     def _check_vertex_agreement(self):
         layout = self.domain._layout
-        first = self._flat[layout.canonical[layout.slot]]
-        bad = pyarith.cabs(self._flat[layout.ends] - first) > VERTEX_TOL * (1.0 + pyarith.cabs(first))
+        first = self.values[layout.canonical[layout.slot]]
+        bad = pyarith.cabs(self.values[layout.ends] - first) > VERTEX_TOL * (1.0 + pyarith.cabs(first))
         if bad.any():
             vertex = self.domain.vertices[layout.present[layout.slot[bad].min()]]
             raise ValueError(f"vertex {vertex!r} values disagree beyond tolerance")
+
+    @cached_property
+    def edge_values(self) -> tuple:
+        return self.domain._layout.split(self.values)
 
     def vertex_value(self, vertex):
         """Canonical sample at a vertex (first incident edge in edge order)."""
@@ -290,22 +306,11 @@ class GraphFunction(_Samples):
         ei, side = inc[0]
         return complex(self.edge_values[ei][side])
 
-    @cached_property
-    def _flat(self) -> np.ndarray:
-        """All samples, the edges laid end to end (see GraphDomain._layout);
-        read-only, like the edge arrays it copies."""
-        flat = np.concatenate(self.edge_values or (np.zeros(0, dtype=np.complex128),))
-        flat.setflags(write=False)
-        return flat
-
     def edge_function(self, i: int) -> GridFunction:
         return GridFunction(self.domain.edges[i][2], self.edge_values[i])
 
-    def _arrays(self):
-        return self.edge_values
-
-    def _like(self, arrays):
-        return GraphFunction(self.domain, tuple(arrays))
+    def _like(self, values):
+        return GraphFunction(self.domain, self.domain._layout.split(values))
 
     def to_json(self) -> dict:
         return {
@@ -327,7 +332,7 @@ class GraphFunction(_Samples):
 
 def sup_norm(f) -> float:
     """Max of |value| over all nodes."""
-    return max(float(np.max(np.abs(vals))) for vals in f._arrays())
+    return float(np.max(np.abs(f.values)))
 
 
 def pointwise_product(f, g):
@@ -337,20 +342,14 @@ def pointwise_product(f, g):
 
 def conjugate(f):
     """Node-wise complex conjugation (the involution of the algebra)."""
-    return f._like(tuple(np.conj(vals) for vals in f._arrays()))
+    return f._like(np.conj(f.values))
 
 
 def min_modulus_sum(f, g, squared: bool = False) -> float:
     """Min over nodes of |f| + |g|, or of |f|^2 + |g|^2 with squared=True."""
     f._check_domain(g)
-    return min(_min_modulus_arrays(a, b, squared) for a, b in zip(f._arrays(), g._arrays()))
-
-
-def _min_modulus_arrays(a, b, squared):
-    fa, fb = np.abs(a), np.abs(b)
-    if squared:
-        return float(np.min(fa * fa + fb * fb))
-    return float(np.min(fa + fb))
+    fa, fb = np.abs(f.values), np.abs(g.values)
+    return float(np.min(fa * fa + fb * fb if squared else fa + fb))
 
 
 def refine(f: GridFunction, factor: int) -> GridFunction:

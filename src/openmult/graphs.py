@@ -2,9 +2,10 @@
 
 Vertex values of the perturbations are fixed first from the canonical samples
 (so every incident edge sees the same number), then the interval pipeline
-runs once over all edges laid end to end, each with those values pinned at
-its endpoints and with the bits it gets alone.  The certified radius is the
-same delta0 as on a single interval, for every graph.
+runs once over all edges laid end to end, each edge end holding its vertex's
+canonical samples and pinned values, and each edge with the bits it gets
+alone.  The certified radius is the same delta0 as on a single interval, for
+every graph.
 """
 
 from __future__ import annotations
@@ -14,17 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pyarith
-from .errors import EqualModulusRoots, OpenMultError, PreconditionViolated
+from .errors import EqualModulusRoots, PreconditionViolated
 from .functions import GraphDomain, GraphFunction, IntervalDomain
-from .interval import (
-    EndpointPin,
-    FactorizationResult,
-    PipelineConfig,
-    factorize_interval_arrays,
-    phase_offsets,
-    plan_intervals,
-    solve_intervals,
-)
+from .interval import EndpointPin, FactorizationResult, PipelineConfig, phase_offsets, plan_intervals, solve_intervals
+from .interval import factorize_interval_arrays  # noqa: F401  traced under this name by perfbench/layers.py
 from .quadratic import smaller_root_vec
 
 
@@ -101,63 +95,55 @@ def _vertex_pins(f, g, d, cfg):
     canonical samples f, g, d take there.
 
     Jointly degenerate vertices (|f|^2 + |g|^2 < eta2) get the square-root
-    pair of f*g + d; the others the rotation beta2 (1j where f or g is 0) and
+    pair of f*g + d; the others the rotation beta2 = phase_offsets(f, g) and
     the smaller root phi of beta2*phi^2 + (f + beta2*g)*phi = d.  All vertices
     run at once with the bits of the per-vertex scalar arithmetic (pyarith).
     A refusal is that of the first refusing vertex in vertex order: an
-    overflowing |f|^2 + |g|^2, tied root moduli, or a rotation that is not
-    unimodular (the pin's own check).
+    overflowing |f|^2 + |g|^2 or tied root moduli.
     """
     graph = f.domain
     layout = graph._layout
     at = layout.canonical
-    fv, gv, dv = f._flat[at], g._flat[at], d._flat[at]
+    fv, gv, dv = f.values[at], g.values[at], d.values[at]
     names = [graph.vertices[k] for k in layout.present.tolist()]
-    stop, refusal = len(names), None
     with np.errstate(all="ignore"):
         h = pyarith.sq_abs(fv) + pyarith.sq_abs(gv)
-        overflow = ~np.isfinite(h)
-        if overflow.any():
-            stop = int(np.argmax(overflow))
-            refusal = PreconditionViolated(
-                f"|f|^2 + |g|^2 overflows at vertex {names[stop]!r}", bound="|f|^2 + |g|^2 finite at vertex",
-            )
-        cover = h < cfg.eta2
-        d1, d2, za, wa, beta2 = np.empty((5, len(names)), dtype=np.complex128)
+    overflow = ~np.isfinite(h)
+    stop = int(np.argmax(overflow)) if overflow.any() else len(names)
+    cover = h < cfg.eta2
+    d1, d2, za, wa, beta2 = np.empty((5, len(names)), dtype=np.complex128)
 
-        c = np.flatnonzero(cover)
-        psi = pyarith.mul(fv[c], gv[c]) + dv[c]
-        za[c] = np.sqrt(psi)
-        wa[c] = np.where(za[c] != 0, pyarith.quot(psi, za[c]), 0)
-        d1[c] = za[c] - fv[c]
-        d2[c] = wa[c] - gv[c]
+    c = np.flatnonzero(cover)
+    psi = pyarith.mul(fv[c], gv[c]) + dv[c]
+    za[c] = np.sqrt(psi)
+    wa[c] = np.where(za[c] != 0, pyarith.quot(psi, za[c]), 0)
+    d1[c] = za[c] - fv[c]
+    d2[c] = wa[c] - gv[c]
 
-        nd = np.flatnonzero(~cover & ~overflow)
-        fn, gn = fv[nd], gv[nd]
-        beta2[nd] = np.where((fn != 0) & (gn != 0), phase_offsets(fn, gn), 1j)
-        f_quad = fn + pyarith.mul(beta2[nd], gn)
-        try:
-            phi = smaller_root_vec(-dv[nd], f_quad, beta2[nd])
-        except EqualModulusRoots as exc:
-            k = int(nd[exc.index])
-            if k < stop:
-                stop, refusal = k, EqualModulusRoots(f"root moduli tie at vertex {names[k]!r}")
-            nd = nd[:exc.index]  # the vertices before the tie still get their pins
-            phi = smaller_root_vec(-dv[nd], f_quad[:exc.index], beta2[nd])
-        d1[nd] = pyarith.mul(beta2[nd], phi)
-        d2[nd] = phi
-
-    pins = {}
-    for v, is_cover, a, b, z, w, rot in zip(
-        names[:stop], cover.tolist(), d1.tolist(), d2.tolist(), za.tolist(), wa.tolist(), beta2.tolist()
-    ):
-        pins[v] = (
-            EndpointPin(kind="cover", d1=a, d2=b, za=z, wa=w) if is_cover
-            else EndpointPin(kind="nondeg", d1=a, d2=b, beta2=rot)
+    nd = np.flatnonzero(~cover & ~overflow)
+    beta2[nd] = phase_offsets(fv[nd], gv[nd])
+    f_quad = fv[nd] + pyarith.mul(beta2[nd], gv[nd])
+    try:
+        phi = smaller_root_vec(-dv[nd], f_quad, beta2[nd])
+    except EqualModulusRoots as exc:
+        k = int(nd[exc.index])
+        if k < stop:
+            raise EqualModulusRoots(f"root moduli tie at vertex {names[k]!r}") from None
+        # else the overflow at `stop` comes first
+    if stop < len(names):
+        raise PreconditionViolated(
+            f"|f|^2 + |g|^2 overflows at vertex {names[stop]!r}", bound="|f|^2 + |g|^2 finite at vertex",
         )
-    if refusal is not None:
-        raise refusal
-    return pins
+    d1[nd] = pyarith.mul(beta2[nd], phi)
+    d2[nd] = phi
+
+    return {
+        v: EndpointPin(kind="cover", d1=a, d2=b, za=z, wa=w) if is_cover
+        else EndpointPin(kind="nondeg", d1=a, d2=b, beta2=rot)
+        for v, is_cover, a, b, z, w, rot in zip(
+            names, cover.tolist(), d1.tolist(), d2.tolist(), za.tolist(), wa.tolist(), beta2.tolist()
+        )
+    }
 
 
 def plan_edges(f: GraphFunction, g: GraphFunction, d: GraphFunction, eps0: float) -> tuple:
@@ -206,9 +192,11 @@ def open_mult_graph(
     Vertices are classified against the cover threshold of the interval
     pipeline: jointly degenerate vertices get direct-factorization boundary
     data, the rest get a globally fixed rotation phase, and every edge is
-    solved with those pins so the values at a vertex are assigned once.  One
-    plan and one solve cover all edges; a refusal is that of the first edge,
-    in edge order, that refuses on its own.
+    solved with those pins so the values at a vertex are assigned once.  Every
+    edge end takes its vertex's canonical samples of f, g and d, the numbers
+    its pin was computed from, so the identity at a vertex is certified for
+    those.  One plan and one solve cover all edges; a refusal names the first
+    edge, in edge order, that refuses.
     """
     if not (f.domain == g.domain == d.domain):
         raise PreconditionViolated("f, g, d must live on the same graph")
@@ -216,11 +204,13 @@ def open_mult_graph(
     if graph.crossings:
         raise PreconditionViolated("run refine_partition first: graph declares unresolved crossings")
     cfg = PipelineConfig.for_target(eps0)
-    supd = float(np.max(np.abs(d._flat)))
+    supd = float(np.max(np.abs(d.values), initial=0.0))
     cfg.check_radius(supd)
+    layout = graph._layout
 
     if supd == 0.0:
         # No pipeline runs; every vertex is "trivial", isolated ones included.
+        d1 = d2 = np.zeros(d.values.size, dtype=np.complex128)
         results = tuple(FactorizationResult.zero(dom, cfg) for _u, _v, dom in graph.edges)
         report = {
             v: {"kind": "trivial", "d1": 0j, "d2": 0j, "agreement": 0.0}
@@ -229,33 +219,29 @@ def open_mult_graph(
     else:
         pins = _vertex_pins(f, g, d, cfg)
         ends = tuple((pins[u], pins[v]) for u, v, _dom in graph.edges)
-        layout = graph._layout
-        try:
-            d1, d2, rows = solve_intervals(plan_intervals(f._flat, g._flat, eps0, layout.offsets, ends), d._flat)
-        except (OpenMultError, RuntimeError):
-            # The refusal is that of the first edge that refuses alone.
-            for parts, (pin_left, pin_right) in zip(zip(f.edge_values, g.edge_values, d.edge_values), ends):
-                factorize_interval_arrays(*parts, eps0, pin_left=pin_left, pin_right=pin_right)
-            raise
-        bounds = layout.offsets.tolist()
+        canonical = layout.canonical[layout.slot]  # per edge end: its vertex's canonical sample
+        fv, gv, dv = (x.values.copy() for x in (f, g, d))
+        for x in (fv, gv, dv):
+            x[layout.ends] = x[canonical]
+        d1, d2, rows = solve_intervals(plan_intervals(fv, gv, eps0, layout.offsets, ends), dv)
         results = tuple(
-            FactorizationResult.of(dom, (d1[a:b], d2[a:b], *row))
-            for (_u, _v, dom), a, b, row in zip(graph.edges, bounds, bounds[1:], rows)
+            FactorizationResult.of(dom, (a, b, *row))
+            for (_u, _v, dom), a, b, row in zip(graph.edges, layout.split(d1), layout.split(d2), rows)
         )
         # agreement: the largest |value - canonical value| over a vertex's ends, for d1 and d2
         spread = np.zeros(len(pins))
         for x in (d1, d2):
-            np.maximum.at(spread, layout.slot, pyarith.cabs(x[layout.ends] - x[layout.canonical[layout.slot]]))
+            np.maximum.at(spread, layout.slot, pyarith.cabs(x[layout.ends] - x[canonical]))
         report = {
             v: {"kind": pin.kind, "d1": complex(pin.d1), "d2": complex(pin.d2), "agreement": a}
             for (v, pin), a in zip(pins.items(), spread.tolist())
         }
     return GraphFactorizationResult(
-        d1=GraphFunction._trusted(graph, tuple(r.d1.values for r in results)),
-        d2=GraphFunction._trusted(graph, tuple(r.d2.values for r in results)),
+        d1=GraphFunction._trusted(graph, d1),
+        d2=GraphFunction._trusted(graph, d2),
         edge_results=results,
         vertex_report=report,
-        residual=max(r.residual for r in results),
-        bound1=max(r.bound1 for r in results),
-        bound2=max(r.bound2 for r in results),
+        residual=max((r.residual for r in results), default=0.0),
+        bound1=max((r.bound1 for r in results), default=0.0),
+        bound2=max((r.bound2 for r in results), default=0.0),
     )

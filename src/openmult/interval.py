@@ -143,10 +143,13 @@ def quadratic_correction(
 
 
 def phase_offsets(z, w):
-    """phase_offset per element of nonzero arrays z, w: c = 1j*u/|u| with
-    u = conj(w)*z, rounded as numpy's complex scalars round it."""
+    """phase_offset per element of arrays z, w: c = 1j*u/|u| with
+    u = conj(w)*z, rounded as numpy's complex scalars round it; 1j where
+    1/|u| overflows (u zero or subnormal), where any unit rotation will do."""
     u = pyarith.mul(np.conj(w), z)
-    return pyarith.quot_real(pyarith.mul(1j, u), pyarith.cabs(u))
+    r = pyarith.cabs(u)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(np.isinf(1.0 / r), 1j, pyarith.quot_real(pyarith.mul(1j, u), r))
 
 
 def phase_offset(z: complex, w: complex) -> complex:
@@ -791,10 +794,10 @@ def _solve_ragged(plan: IntervalPlan, dv):
     try:
         # solve_interval's gate, sup|d| <= delta0 = shift_budget(eps1, eps1), is this step's budget
         phi = smaller_root_vec(alpha, plan.f_quad, plan.beta2)
-    except EqualModulusRoots:
-        for s, e, beta2, f_quad in plan.segments:  # the tie as indexed within its segment
-            smaller_root_vec(alpha[s:e + 1], f_quad, beta2)
-        raise
+    except EqualModulusRoots as exc:
+        first, _last = plan.pieces.bounds(fv.size)
+        index = exc.index - int(first[np.searchsorted(first, exc.index, side="right") - 1])
+        raise EqualModulusRoots(f"root moduli tie at index {index}", index=index) from None
     d1 = plan.beta2 * phi
     d2 = phi
     target = fv * gv + dv

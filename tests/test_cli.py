@@ -174,6 +174,32 @@ class TestFactorGraph:
         assert diag["error"] == "PreconditionViolated"
         assert diag["bound"] == "|f|^2 + |g|^2 finite at vertex"
 
+    def test_graph_without_edges(self, tmp_path, capsys):
+        sample = {"domain": {"type": "graph", "vertices": ["lonely"], "edges": []}, "values": []}
+        path = write_json(tmp_path / "graph.json", {"f": sample, "g": sample, "d": sample})
+        code = main(["factor-graph", "--input", path, "--epsilon", "0.7"])
+        assert code == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["edges"] == []
+        assert result["vertices"] == {"lonely": {"kind": "trivial", "d1": [0.0, 0.0], "d2": [0.0, 0.0], "agreement": "0.0"}}
+        assert (result["residual"], result["bound1"], result["bound2"]) == ("0.0", "0.0", "0.0")
+
+    def test_near_agreeing_vertex(self, tmp_path, capsys):
+        # d at the shared vertex differs between edges within the vertex tolerance
+        from test_graphs import near_agreeing_graph
+
+        graph, fe, ge, de = near_agreeing_graph()
+        edges = [{"u": u, "v": v, "a": dom.a, "b": dom.b, "n": dom.n} for u, v, dom in graph.edges]
+        dom_obj = {"type": "graph", "vertices": list(graph.vertices), "edges": edges}
+
+        def sample(arrays):
+            return {"domain": dom_obj, "values": [[[float(z.real), float(z.imag)] for z in a] for a in arrays]}
+
+        path = write_json(tmp_path / "graph.json", {"f": sample(fe), "g": sample(ge), "d": sample(de)})
+        code = main(["factor-graph", "--input", path, "--epsilon", "0.7"])
+        assert code == 0
+        assert float(json.loads(capsys.readouterr().out)["result"]["residual"]) <= 1e-9
+
 
 class TestFactorFinite:
     def test_basic(self, tmp_path, capsys):

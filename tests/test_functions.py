@@ -163,10 +163,10 @@ class TestDomainCheck:
     def test_scalar_operands_on_every_type(self):
         for fn in (rand_grid(4), FiniteSpaceFunction([1.0, 2j]), _graph_fn(9)):
             for arrays, expected in (
-                ((2 - fn)._arrays(), [2 - a for a in fn._arrays()]),
-                ((fn + 1)._arrays(), [a + 1 for a in fn._arrays()]),
-                ((-fn)._arrays(), [-a for a in fn._arrays()]),
-                (conjugate(fn)._arrays(), [np.conj(a) for a in fn._arrays()]),
+                ((2 - fn).values, [2 - a for a in fn.values]),
+                ((fn + 1).values, [a + 1 for a in fn.values]),
+                ((-fn).values, [-a for a in fn.values]),
+                (conjugate(fn).values, [np.conj(a) for a in fn.values]),
             ):
                 assert all(np.array_equal(x, y) for x, y in zip(arrays, expected))
 
@@ -302,6 +302,50 @@ class TestGraphFunctions:
                 assert graph.incident(vertex) == scan(graph, vertex)
         assert loop_multi.incident("a")[:2] == [(0, 0), (0, -1)]
         assert loop_multi.incident("lonely") == []
+
+
+class TestGraphFunctionStorage:
+    """A GraphFunction is one validated array with per-edge views into it."""
+
+    def test_validated_once(self, monkeypatch):
+        from openmult import functions
+
+        calls = []
+        real = functions._as_complex_array
+        monkeypatch.setattr(functions, "_as_complex_array", lambda *a: calls.append(1) or real(*a))
+        dom = IntervalDomain(0.0, 1.0, 33)
+        graph = GraphDomain(("c",) + tuple(f"v{i}" for i in range(400)), tuple(("c", f"v{i}", dom) for i in range(400)))
+        t = dom.nodes()
+        fn = GraphFunction(graph, tuple((1 - t) + k * t for k in range(400)))
+        assert len(calls) == 1
+        assert fn.values.size == 400 * 33
+
+    def test_edge_values_are_read_only_views(self):
+        g = star_graph()
+        fn = GraphFunction(g, (np.arange(33, dtype=complex), np.arange(33, dtype=complex)))
+        assert not fn.values.flags.writeable
+        for edge, (a, b) in zip(fn.edge_values, ((0, 33), (33, 66))):
+            assert np.shares_memory(edge, fn.values)
+            assert np.array_equal(edge, fn.values[a:b])
+            assert not edge.flags.writeable
+
+    def test_single_fault_refusals(self):
+        g = star_graph()
+        ok = np.ones(33, dtype=complex)
+        bad_end = ok.copy()
+        bad_end[0] = 2.0
+        nan_inside = ok.copy()
+        nan_inside[7] = np.nan
+        for edges, message in (
+            ((ok,), "need one value array per edge"),
+            ((ok, ok[:32]), "expected 33 values, got 32"),
+            ((ok, np.ones((33, 1), dtype=complex)), "values must be one-dimensional"),
+            ((ok, nan_inside), "values must be finite"),
+            ((ok, bad_end), "vertex 'c' values disagree beyond tolerance"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                GraphFunction(g, edges)
+            assert type(exc.value) is ValueError and str(exc.value) == message
 
 
 class TestSerialization:

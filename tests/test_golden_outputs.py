@@ -610,10 +610,11 @@ def test_wide_graph_golden_digest(name):
 
 
 # ---------------------------------------------------------------------------
-# Refusal order on a graph: edge 1 fails at solve time (its d sample at the
-# shared vertex sits 1e-9 off the canonical one, past the pin's tolerance)
-# and edge 2 at plan time (a seam jump on a coarse grid).  Edge 1's refusal
-# is the one raised, as when the edges are factored one after the other.
+# Refusal order on a graph: edge 1's d sample at the shared vertex sits
+# 1e-9 off the canonical one, within GraphFunction's vertex tolerance, and
+# edge 2 fails at plan time (a seam jump on a coarse grid).  Every edge end
+# is solved on its vertex's canonical sample, so edge 1 is certified and
+# edge 2's refusal is the one raised.
 
 
 def _refusal_order_graph():
@@ -631,7 +632,7 @@ def _refusal_order_graph():
     return f, g, d
 
 
-GRAPH_REFUSAL = ("VertexInconsistency", "edge construction disagrees with the pinned endpoint by 2.676340683166106e-09")
+GRAPH_REFUSAL = ("CoverInfeasible", "cover seam at node 8 has h <= eta1; refine the grid")
 
 
 def test_graph_refusal_order():
@@ -639,14 +640,17 @@ def test_graph_refusal_order():
     with pytest.raises(OpenMultError) as exc:
         open_mult_graph(f, g, d, 0.7)
     assert (type(exc.value).__name__, str(exc.value)) == GRAPH_REFUSAL
-    # each failure on its own
-    for ei, kind in ((1, "VertexInconsistency"), (2, "CoverInfeasible")):
+    # edge 1 with edge 0 is certified; edge 2 with edge 0 refuses on its own
+    parts = {}
+    for ei in (1, 2):
         keep = (0, ei)
         sub = GraphDomain(("c", "a", "b", "e"), tuple(f.domain.edges[i] for i in keep))
-        parts = (GraphFunction(sub, tuple(x.edge_values[i] for i in keep)) for x in (f, g, d))
-        with pytest.raises(OpenMultError) as exc:
-            open_mult_graph(*parts, 0.7)
-        assert type(exc.value).__name__ == kind
+        parts[ei] = tuple(GraphFunction(sub, tuple(x.edge_values[i] for i in keep)) for x in (f, g, d))
+    res = open_mult_graph(*parts[1], 0.7)
+    assert res.residual <= 1e-9 and max(res.bound1, res.bound2) <= 0.7
+    with pytest.raises(OpenMultError) as exc:
+        open_mult_graph(*parts[2], 0.7)
+    assert (type(exc.value).__name__, str(exc.value)) == GRAPH_REFUSAL
 
 
 def test_tie_index_is_segment_local():

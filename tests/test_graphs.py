@@ -460,3 +460,56 @@ def test_overflowing_vertex_is_refused(scale):
         open_mult_graph(f, g, d, 0.7)
     assert exc.value.bound == "|f|^2 + |g|^2 finite at vertex"
     assert exc.value.exit_code == 2
+
+
+@pytest.mark.parametrize("tiny", [1e-320, 5e-324])
+def test_subnormal_factor_at_a_vertex(tiny):
+    # conj(g)*f is subnormal at u, so 1/|conj(g)*f| overflows: the rotation
+    # there is 1j, as for an exact zero factor, not a refused nan
+    graph = GraphDomain(("u", "v"), (("u", "v", EDGE_DOM),))
+    f = interp_fn(graph, {"u": 1.0, "v": 1.0})
+    g = GraphFunction(graph, ((1.0 - T) * tiny + T * 0.5j,))
+    d = scaled_to(interp_fn(graph, {"u": 1.0, "v": 1.0j}), delta0(0.7))
+    res = open_mult_graph(f, g, d, 0.7)
+    assert res.residual <= 1e-9 and max(res.bound1, res.bound2) <= 0.7
+    assert res.vertex_report["u"]["kind"] == "nondeg"
+    from openmult.graphs import plan_edges
+
+    (plan,) = plan_edges(f, g, d, 0.7)
+    assert plan.left.kind == "nondeg" and plan.left.beta2 == 1j
+
+
+def test_graph_without_edges():
+    graph = GraphDomain(("lonely",), ())
+    f, g, d = (GraphFunction(graph, ()) for _ in range(3))
+    res = open_mult_graph(f, g, d, 0.7)
+    assert res.edge_results == () and res.d1.values.size == 0 and res.d2.edge_values == ()
+    assert res.vertex_report == {"lonely": {"kind": "trivial", "d1": 0j, "d2": 0j, "agreement": 0.0}}
+    assert (res.residual, res.bound1, res.bound2) == (0.0, 0.0, 0.0)
+
+
+def near_agreeing_graph():
+    """A star whose d at the shared vertex differs between its two edges by
+    9.9e-10*(1 + |d|): within GraphFunction's vertex tolerance."""
+    dom = IntervalDomain(0.0, 1.0, 17)
+    t = dom.nodes()
+    graph = GraphDomain(("c", "a", "b"), (("c", "a", dom), ("c", "b", dom)))
+    fc, gc, dc = 0.2 + 0.1j, 0.15 - 0.2j, 5e-4 + 1e-3j
+    fe = [fc * (1 - t) + (0.9 + 0.2j) * t, fc * (1 - t) + (0.7 - 0.5j) * t]
+    ge = [gc * (1 - t) + (0.3 - 0.8j) * t, gc * (1 - t) + (-0.6 + 0.4j) * t]
+    de = [dc * (1 - t) + 1e-3 * t, dc * (1 - t) + 1e-3 * t]
+    de[1][0] += 9.9e-10 * (1 + abs(dc))
+    return graph, fe, ge, de
+
+
+def test_near_agreeing_vertex_is_certified():
+    graph, fe, ge, de = near_agreeing_graph()
+    f, g, d = (GraphFunction(graph, tuple(x)) for x in (fe, ge, de))
+    res = open_mult_graph(f, g, d, 0.7)
+    assert res.residual <= 1e-9 and max(res.bound1, res.bound2) <= 0.7
+    # both edges are solved on the canonical samples at c: the identity holds for those
+    f0, g0, d0 = fe[0][0], ge[0][0], de[0][0]
+    for ei in (0, 1):
+        z = (f0 + res.d1.edge_values[ei][0]) * (g0 + res.d2.edge_values[ei][0])
+        assert abs(z - (f0 * g0 + d0)) <= 1e-9
+    assert res.d1.edge_values[0][0] == res.d1.edge_values[1][0]

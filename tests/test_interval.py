@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,14 @@ class TestPhaseOffset:
     def test_zero_rejected(self):
         with pytest.raises(ZeroArgument):
             phase_offset(0.0, 1.0)
+
+    @pytest.mark.parametrize("tiny", [1e-320, 5e-324])
+    def test_subnormal_product_gives_1j(self, tiny):
+        # 1/|conj(w)*z| overflows: any unit rotation will do, and 1j is the one taken
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phase_offset(1, tiny) == 1j
+            assert phase_offset(tiny, 1) == 1j
 
 
 class TestCircleExtend:
