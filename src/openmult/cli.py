@@ -49,8 +49,8 @@ UNSUPPORTED_MODELS = {
 # What reading the input file or decoding a payload entry raises on malformed
 # input.  Only those steps turn them into PreconditionViolated (exit 2) naming
 # the file or payload key; once the library call has started they propagate
-# unchanged.
-_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
+# unchanged.  int() of a JSON number past the float range raises OverflowError.
+_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 
 def _load_input(path):
@@ -151,7 +151,10 @@ GRID, GRAPH, FINITE = _sample(GridFunction), _sample(GraphFunction), _sample(Fin
 
 
 def _trials(data, key):
-    return int(data.get(key, 8))
+    trials = data.get(key, 8)
+    if type(trials) is not int:  # a JSON integer: not a bool, a float or a string
+        raise TypeError(f"expected a JSON integer, got {trials!r}")
+    return trials
 
 
 def _model_spec(data, key):

@@ -118,8 +118,8 @@ class IntervalDomain:
     n: int
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError("require a < b")
+        if not (self.a < self.b and np.isfinite(self.b - self.a)):
+            raise ValueError("require a < b, with b - a finite")
         if self.n < 2:
             raise ValueError("require n >= 2")
 

@@ -251,15 +251,28 @@ class IntervalCover:
             prev_hi = hi
 
 
+_REFUSALS = (  # CoverInfeasible messages, in check order
+    "left endpoint pinned as degenerate but not in the sublevel set",
+    "right endpoint pinned as degenerate but not in the sublevel set",
+    "cover seam at node {} has h <= eta1; refine the grid",
+    "cover run absorbed a non-degenerate pinned endpoint",
+    "single-node boundary cover run; refine the grid",
+)
+
+
 def _plan_cover(h, eta1, eta2, lefts, rights, cover, nondeg):
     """One cover tier on intervals [lefts[k], rights[k]] laid end to end.
 
     Keeps the maximal runs of {h < eta2} inside each interval that contain a
     node of {h <= eta1} or an interval end pinned as degenerate (cover[k] is
     the (left, right) pair of such flags; nondeg[k] flags ends pinned as
-    non-degenerate).  Returns (runs, refused): the kept runs as (k, lo, hi)
-    in node order, and a map from each interval the tier refuses to its
-    CoverInfeasible (see _cover_refusal).
+    non-degenerate).  Returns (runs, refused): the rows k, lo, hi of the kept
+    runs in node order, and a map from each interval the tier refuses to the
+    CoverInfeasible of its first failed check, in this order: an end pinned
+    as degenerate outside the sublevel set; a seam (a run end that is not an
+    interval end) at h <= eta1, i.e. the grid jumps from the inner to the
+    outer threshold between adjacent nodes; then run by run, a run absorbing
+    an end pinned as non-degenerate, or a single-node run at an interval end.
     """
     low = np.flatnonzero(h < eta2)
     lo, hi, k, first = _runs(low, np.searchsorted(lefts, low, side="right") - 1)
@@ -267,38 +280,18 @@ def _plan_cover(h, eta1, eta2, lefts, rights, cover, nondeg):
     at_left, at_right = lo == lefts[k], hi == rights[k]
     keep = inner | (at_left & cover[k, 0]) | (at_right & cover[k, 1])
     lo, hi, k, at_left, at_right = (x[keep] for x in (lo, hi, k, at_left, at_right))
-    bad = (~at_left & (h[lo] <= eta1)) | (~at_right & (h[hi] <= eta1))
-    bad |= (at_left & nondeg[k, 0]) | (at_right & nondeg[k, 1]) | ((at_left | at_right) & (lo == hi))
-    pin_bad = (cover[:, 0] & (h[lefts] >= eta2)) | (cover[:, 1] & (h[rights] >= eta2))
-    runs = list(zip(k.tolist(), lo.tolist(), hi.tolist()))
-    refused = {}
-    for j in sorted(set(np.flatnonzero(pin_bad).tolist()) | set(k[bad].tolist())):
-        own = [(lo_, hi_) for k_, lo_, hi_ in runs if k_ == j]
-        refused[j] = _cover_refusal(h, eta1, eta2, int(lefts[j]), int(rights[j]), cover[j], nondeg[j], own)
-    return runs, refused
-
-
-def _cover_refusal(h, eta1, eta2, s, e, cover, nondeg, runs):
-    """The first refusal of one cover tier on the interval [s, e] with kept
-    runs `runs`, in check order: an end pinned as degenerate outside the
-    sublevel set; a seam (a run end that is not an interval end) at
-    h <= eta1, i.e. the grid jumps from the inner to the outer threshold
-    between adjacent nodes; a run absorbing an end pinned as non-degenerate,
-    or a single-node run at an interval end."""
-    for pinned, node, side in ((cover[0], s, "left"), (cover[1], e, "right")):
-        if pinned and h[node] >= eta2:
-            return CoverInfeasible(f"{side} endpoint pinned as degenerate but not in the sublevel set")
-    for lo, hi in runs:
-        for node, seam in ((lo, lo > s), (hi, hi < e)):
-            if seam and h[node] <= eta1:
-                return CoverInfeasible(f"cover seam at node {node - s} has h <= eta1; refine the grid")
-    for lo, hi in runs:
-        for absorbs, at_end in ((nondeg[0], lo == s), (nondeg[1], hi == e)):
-            if at_end and absorbs:
-                return CoverInfeasible("cover run absorbed a non-degenerate pinned endpoint")
-            if at_end and lo == hi:
-                return CoverInfeasible("single-node boundary cover run; refine the grid")
-    _verify(False, "cover tier refused without a reason")
+    single = lo == hi
+    seams = np.stack((~at_left & (h[lo] <= eta1), ~at_right & (h[hi] <= eta1)), axis=1)
+    ends = np.stack((at_left & nondeg[k, 0], at_left & single, at_right & nondeg[k, 1], at_right & single), axis=1)
+    pin_bad = cover & (h[np.stack((lefts, rights), axis=1)] >= eta2)
+    (pj, pc), (sr, sc), (er, ec) = (np.nonzero(x) for x in (pin_bad, seams, ends))
+    # each failed check as (interval, reason, node), in check order within an interval
+    j = np.concatenate((pj, k[sr], k[er]))
+    why = np.concatenate((pc, np.full_like(sr, 2), 3 + ec % 2))
+    node = np.concatenate((pj, np.where(sc, hi[sr], lo[sr]) - lefts[k[sr]], er))  # the seam's, interval-local
+    at = np.argsort(j, kind="stable")[::-1]  # an interval's first failed check is written last
+    refused = {a: CoverInfeasible(_REFUSALS[b].format(c)) for a, b, c in zip(*(x[at].tolist() for x in (j, why, node)))}
+    return np.stack((k, lo, hi)), refused
 
 
 def sublevel_cover(h: GridFunction, eta1: float, eta2: float) -> IntervalCover:
@@ -319,7 +312,7 @@ def sublevel_cover(h: GridFunction, eta1: float, eta2: float) -> IntervalCover:
     runs, refused = _plan_cover(hv, eta1, eta2, np.zeros(1, dtype=np.intp), np.array([hv.size - 1]), no_pins, no_pins)
     if refused:
         raise refused[0]
-    return IntervalCover(tuple((lo, hi) for _k, lo, hi in runs))
+    return IntervalCover(tuple(zip(*runs[1:].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +361,9 @@ class _Pieces(NamedTuple):
     pin_nodes: np.ndarray = np.zeros(0, dtype=np.intp)  # segment ends with a pinned rotation
     pin_beta2: np.ndarray = np.zeros(0, dtype=np.complex128)  # the rotation pinned there
 
-    def bounds(self, n, tracked=True):
-        """(first, last) node arrays of the segments, or with tracked=False
-        of the ranges cover runs own."""
-        pick = self.tracked if tracked else ~self.tracked
-        return self.starts[pick], np.append(self.starts[1:], n)[pick] - 1
+    def bounds(self, n):
+        """(first, last) node arrays of the segments."""
+        return self.starts[self.tracked], np.append(self.starts[1:], n)[self.tracked] - 1
 
 
 _ONE_SEGMENT = _Pieces(np.zeros(1, dtype=np.intp), np.ones(1, dtype=bool))  # a whole grid, unpinned
@@ -426,8 +417,8 @@ def _nondeg_phase_arrays(h1, h2, eta, pieces, h=None):
     defined[pieces.pin_nodes] = True
     beta2 = circle_extend(beta2, defined, segments=pieces.bounds(n))
     f_quad = h1 + h2 * beta2
-    for s, e in zip(*(x.tolist() for x in pieces.bounds(n, tracked=False))):
-        f_quad[s:e + 1] = 1.0  # >= eta: cover runs exist only where eta = eps1 < 1
+    if not tracked.all():  # >= eta where cover runs own the nodes: they exist only where eta = eps1 < 1
+        f_quad[np.repeat(~tracked, np.diff(starts, append=n))] = 1.0
     _verify(float(np.min(np.abs(f_quad))) >= eta * (1.0 - 1e-12), "rotated lower bound lost")
     return beta2, f_quad
 
@@ -465,28 +456,53 @@ def perturb_nondegenerate(
 # Direct factorization with prescribed boundary data
 
 
-def _half_arrays(psi, eps, za, wa, zhat, side="left"):
-    """Factor psi on a local grid with the (za, wa) pair pinned at the `side`
-    end and both factors equal to zhat at the other end."""
-    if side == "right":
-        z1, z2 = _half_arrays(psi[::-1].copy(), eps, za, wa, zhat)
-        return z1[::-1], z2[::-1]
-    m = psi.size
-    p, q = (za, wa) if abs(za) >= abs(wa) else (wa, za)
-    radius = np.maximum(np.sqrt(np.abs(psi)), np.linspace(abs(p), abs(zhat), m))
-    ph_p = float(np.angle(p)) if p != 0 else 0.0
-    ph_h = float(np.angle(zhat)) if zhat != 0 else 0.0
-    delta = float(np.angle(np.exp(1j * (ph_h - ph_p))))
-    theta = ph_p + delta * np.linspace(0.0, 1.0, m)
-    big = radius * np.exp(1j * theta)
-    big[0] = p
-    big[-1] = zhat
+def _factor_arrays(psi, counts, k, size, far, pin, za, wa, zhat):
+    """Z1*Z2 = psi on halves laid end to end, half j on counts[j] nodes, each
+    factored as factor_halfboundary factors it alone: a node of half j lies
+    k nodes from its pinned end, where (za[j], wa[j]) is prescribed, and
+    size[j] - 1 - k from its far end, where both factors are zhat[j]; far
+    and pin list the nodes at such ends."""
+    az, aw, ah = (np.hypot(x.real, x.imag) for x in (za, wa, zhat))  # Python's abs
+    swap = az < aw  # the larger-modulus factor p at the pinned end is wa
+    p, start, div = np.where(swap, wa, za), np.where(swap, aw, az), np.maximum(size - 1, 1)
+    span = ah - start
+    step = span / div  # div = 1 for a one-node half: it is its pinned end
+    ramp = k * step.repeat(counts)  # np.linspace(|p|, |zhat|, size) at k
+    if not step.all():  # numpy's branch for a step that underflows to 0
+        at = (step == 0).repeat(counts)
+        ramp[at] = k[at] / div.repeat(counts)[at] * span.repeat(counts)[at]
+    ramp += start.repeat(counts)
+    radius = np.maximum(np.sqrt(np.abs(psi)), ramp)
+    ph_p, ph_h = (np.where(x != 0, np.arctan2(x.imag, x.real), 0.0) for x in (p, zhat))  # np.angle, 0 at 0
+    arc = np.exp(1j * (ph_h - ph_p))
+    theta = np.multiply(k, (1.0 / div).repeat(counts), out=ramp)  # np.linspace(0.0, 1.0, size) at k
+    theta *= np.arctan2(arc.imag, arc.real).repeat(counts)
+    theta += ph_p.repeat(counts)
+    big = np.exp(1j * theta)
+    big *= radius
+    stops = counts.cumsum()  # one past each half's last node
+    big[far] = zhat[stops.searchsorted(far, side="right")]
     other = np.divide(psi, big, out=np.zeros_like(big), where=big != 0)
-    other[0] = q
-    other[-1] = zhat
-    if abs(za) >= abs(wa):
-        return big, other
-    return other, big
+    swap = swap.repeat(counts)
+    z1 = np.where(swap, other, big)
+    np.copyto(other, big, where=swap)
+    z1[far] = other[far] = big[far]
+    half = stops.searchsorted(pin, side="right")
+    z1[pin], other[pin] = za[half], wa[half]
+    return z1, other
+
+
+def _halves(ends):
+    """(nodes, counts, k, size, far, pin) of _factor_arrays for runs ends[r] =
+    (lo, hi) laid end to end, with each run node's grid node; run r's halves
+    2r and 2r+1 are pinned at lo and hi and meet at its middle node (in 2r+1)."""
+    sizes = ends[:, 1] - ends[:, 0] + 1
+    first, mid = np.cumsum(sizes) - sizes, sizes // 2
+    i = np.arange(sizes.sum()) - np.repeat(first, sizes)  # each node's place in its run
+    counts, size = (np.stack((mid + x, sizes - mid), axis=1).ravel() for x in (0, 1))
+    k = np.minimum(i, np.repeat(sizes - 1, sizes) - i)
+    pin = np.stack((first, first + sizes - 1), axis=1).ravel()
+    return i + np.repeat(ends[:, 0], sizes), counts, k, size, first + mid, pin
 
 
 def factor_halfboundary(
@@ -504,12 +520,13 @@ def factor_halfboundary(
         raise ValueError("side must be 'left' or 'right'")
     pv = psi.values
     _check_budget(pv, eps, (za, wa))
-    end = 0 if side == "left" else -1
-    other = -1 if side == "left" else 0
-    _check_pair(za, wa, pv[end])
-    if abs(zhat * zhat - pv[other]) > RESIDUAL_TOL * (1.0 + abs(pv[other])):
+    far, pin = (0, pv.size - 1) if side == "right" else (pv.size - 1, 0)
+    _check_pair(za, wa, pv[pin])
+    if abs(zhat * zhat - pv[far]) > RESIDUAL_TOL * (1.0 + abs(pv[far])):
         raise BoundaryMismatch("zhat^2 does not match psi at the far end")
-    z1, z2 = _half_arrays(pv, eps, za, wa, zhat, side)
+    k = np.arange(pv.size)[::1 if pin == 0 else -1]  # each node's distance from the pinned end
+    ends = (np.array([x], dtype=np.complex128) for x in (za, wa, zhat))
+    z1, z2 = _factor_arrays(pv, np.array([pv.size]), k, np.array([pv.size]), np.array([far]), np.array([pin]), *ends)
     return GridFunction(psi.domain, z1), GridFunction(psi.domain, z2)
 
 
@@ -529,22 +546,6 @@ def _check_pair(z, w, target):
         raise BoundaryMismatch("boundary pair product does not match psi")
 
 
-def _factor_arrays(psi, eps, za, wa, zb, wb):
-    m = psi.size
-    if m == 2:
-        return (
-            np.asarray([za, zb], dtype=np.complex128),
-            np.asarray([wa, wb], dtype=np.complex128),
-        )
-    mid = m // 2
-    zhat = complex(np.sqrt(psi[mid]))
-    l1, l2 = _half_arrays(psi[: mid + 1], eps, za, wa, zhat)
-    r1, r2 = _half_arrays(psi[mid:], eps, zb, wb, zhat, "right")
-    z1 = np.concatenate([l1, r1[1:]])
-    z2 = np.concatenate([l2, r2[1:]])
-    return z1, z2
-
-
 def factor_interval(
     psi: GridFunction, eps: float, za: complex, wa: complex, zb: complex, wb: complex
 ) -> tuple[GridFunction, GridFunction]:
@@ -559,7 +560,8 @@ def factor_interval(
     _check_budget(pv, eps, (za, wa, zb, wb))
     _check_pair(za, wa, pv[0])
     _check_pair(zb, wb, pv[-1])
-    z1, z2 = _factor_arrays(pv, eps, za, wa, zb, wb)
+    zw = (np.array(x, dtype=np.complex128) for x in ((za, zb), (wa, wb)))
+    z1, z2 = _factor_arrays(pv, *_halves(np.array([[0, pv.size - 1]]))[1:], *zw, np.full(2, np.sqrt(pv[pv.size // 2])))
     return GridFunction(psi.domain, z1), GridFunction(psi.domain, z2)
 
 
@@ -641,11 +643,6 @@ class FactorizationResult:
         }
 
 
-def _pinned(pin, kind):
-    """Whether `pin` is an EndpointPin of `kind` ("cover" or "nondeg")."""
-    return pin is not None and pin.kind == kind
-
-
 def root_pair(psi):
     """The square-root boundary pair (z, psi / z), z = sqrt(psi); (z, 0) at psi = 0.
 
@@ -681,10 +678,11 @@ class IntervalPlan:
     gv: np.ndarray
     cfg: PipelineConfig
     offsets: np.ndarray
-    pins: tuple  # (pin_left, pin_right) per interval, EndpointPin or None
     tiers: tuple  # (eta2, eps_cover) per interval
-    runs: tuple  # per interval: its cover runs (lo, hi), interval-local
-    cover: tuple  # (k, lo, hi, own_lo, own_stop) per cover run, global
+    runs: tuple  # per interval: its cover runs [lo, hi], interval-local
+    # the cover runs in node order, (ends, seam, cover_pin, zw, nodes, own, owned, halves): per run end, is
+    # it a seam or pinned as "cover", and the pin's (za, wa); per run node (_halves), does the run own it
+    cover: tuple
     pieces: _Pieces
     beta2: np.ndarray
     f_quad: np.ndarray
@@ -712,9 +710,10 @@ def plan_intervals(fv, gv, eps0, offsets, pins) -> IntervalPlan:
     cfg = PipelineConfig.for_target(eps0)
     offsets = np.asarray(offsets, dtype=np.intp)
     lefts, rights = offsets[:-1], offsets[1:] - 1
-    ends = np.stack((lefts, rights), axis=1).ravel().tolist()
+    bounds = np.stack((lefts, rights), axis=1)
     flat = [pin for pair in pins for pin in pair]
-    cover, nondeg = (np.array([_pinned(pin, kind) for pin in flat]).reshape(-1, 2) for kind in ("cover", "nondeg"))
+    kinds = np.array([getattr(pin, "kind", "") for pin in flat], dtype=str).reshape(-1, 2)
+    cover, nondeg = kinds == "cover", kinds == "nondeg"
 
     h = np.abs(fv) ** 2 + np.abs(gv) ** 2
     eps1 = cfg.epsilon1
@@ -729,18 +728,21 @@ def plan_intervals(fv, gv, eps0, offsets, pins) -> IntervalPlan:
             if k in refused2:
                 raise refused2[k]
             tiers[k] = wide
-        runs = sorted([r for r in runs if r[0] not in refused] + [r for r in runs2 if r[0] in refused])
+        again = np.array([tier == wide for tier in tiers])
+        runs = np.concatenate((runs[:, ~again[runs[0]]], runs2[:, again[runs2[0]]]), axis=1)
+        runs = runs[:, np.argsort(runs[1])]
 
-    local = [[] for _ in pins]
-    rows = []
-    for k, lo, hi in runs:
-        s, e = ends[2 * k], ends[2 * k + 1]
-        local[k].append((lo - s, hi - s))
-        rows.append((k, lo, hi, lo if lo == s else lo + 1, hi + 1 if hi == e else hi))
-    owned = {r[3] for r in rows}
-    starts = sorted(owned.union(ends[::2], (r[4] for r in rows)) - {fv.size})
-    nodes = np.array(ends, dtype=np.intp)[nondeg.ravel()]
-    rotation = np.array([pin.beta2 for pin in flat if _pinned(pin, "nondeg")], dtype=np.complex128)
+    k, run_ends = runs[0], runs[1:].T
+    seam = run_ends != bounds[k]
+    pairs = [(pin.za, pin.wa) if is_cover else (0j, 0j) for pin, is_cover in zip(flat, cover.ravel().tolist())]
+    zw = np.array(pairs, dtype=np.complex128).reshape(-1, 2, 2)[k].transpose(2, 0, 1)
+    local = (run_ends - lefts[k, None]).tolist()
+    cuts = np.searchsorted(k, np.arange(len(pins) + 1)).tolist()
+    owned = run_ends[:, 0] + seam[:, 0]  # the first node of each range a run owns
+    starts = np.sort(np.concatenate((lefts, owned, run_ends[:, 1] + 1 - seam[:, 1])))
+    starts = starts[np.diff(starts, append=fv.size) != 0]  # each once, and none at the end of the grid
+    nodes = bounds[nondeg]
+    rotation = np.array([pin.beta2 for pin, is_nd in zip(flat, nondeg.ravel().tolist()) if is_nd], dtype=np.complex128)
     rotated = np.abs(fv[nodes] + gv[nodes] * rotation)  # the phase step's lower bound, in its formula
     low = np.flatnonzero(~(rotated >= eps1 * (1.0 - 1e-12)))
     if low.size:
@@ -748,23 +750,19 @@ def plan_intervals(fv, gv, eps0, offsets, pins) -> IntervalPlan:
             f"pinned rotation at node {int(nodes[low[0]])} brings |f + beta2*g| below epsilon1",
             bound="|f + beta2*g| >= epsilon1", value=float(rotated[low[0]]), limit=eps1,
         )
-    pieces = _Pieces(
-        np.array(starts, dtype=np.intp), np.array([s not in owned for s in starts], dtype=bool), nodes, rotation,
-    )
+    pieces = _Pieces(starts, ~np.isin(starts, owned, kind="table"), nodes, rotation)
     handed = [h]
     del h  # the phases overwrite h and free it: keep no reference here
     beta2, f_quad = _nondeg_phase_arrays(fv, gv, eps1, pieces, handed.pop())
 
-    at = [(node, pin) for node, pin in zip(ends, flat) if pin is not None]
-    pinned = (
-        np.array([node for node, _pin in at], dtype=np.intp),
-        np.array([pin.d1 for _node, pin in at], dtype=np.complex128),
-        np.array([pin.d2 for _node, pin in at], dtype=np.complex128),
-        np.array([RESIDUAL_TOL * (1.0 + abs(pin.d1) + abs(pin.d2)) for _node, pin in at]),
-    )
+    run_nodes, *halves = _halves(run_ends)  # halves = (counts, k, size, far, pin)
+    own = np.ones(run_nodes.size, dtype=bool)
+    own[halves[4][seam.ravel()]] = False  # the seam ends belong to the neighbouring segments
+    d1, d2 = np.array([(pin.d1, pin.d2) for pin in flat if pin is not None], dtype=np.complex128).reshape(-1, 2).T
+    pinned = (bounds[kinds != ""], d1, d2, RESIDUAL_TOL * (1.0 + pyarith.cabs(d1) + pyarith.cabs(d2)))
     return IntervalPlan(
-        fv, gv, cfg, offsets, tuple(pins), tuple(tiers), tuple(local),
-        tuple(rows), pieces, beta2, f_quad, pinned,
+        fv, gv, cfg, offsets, tuple(tiers), tuple(local[a:b] for a, b in zip(cuts, cuts[1:])),
+        (run_ends, seam, ~seam & cover[k], zw, run_nodes, own, run_nodes[own], halves), pieces, beta2, f_quad, pinned,
     )
 
 
@@ -788,9 +786,10 @@ def _solve_ragged(plan: IntervalPlan, dv):
     None when the interval's result is certified."""
     cfg = plan.cfg
     fv, gv = plan.fv, plan.gv
+    ends, seam, cover_pin, zw, nodes, own, owned, halves = plan.cover
     alpha = np.negative(dv)
-    for _k, _lo, _hi, a, b in plan.cover:
-        alpha[a:b] = 0.0  # nodes the cover runs own: a root of no use, never a tie
+    if nodes.size:  # nodes the cover runs own: a root of no use, never a tie
+        alpha[owned] = 0.0
     try:
         # solve_interval's gate, sup|d| <= delta0 = shift_budget(eps1, eps1), is this step's budget
         phi = smaller_root_vec(alpha, plan.f_quad, plan.beta2)
@@ -798,28 +797,24 @@ def _solve_ragged(plan: IntervalPlan, dv):
         first, _last = plan.pieces.bounds(fv.size)
         index = exc.index - int(first[np.searchsorted(first, exc.index, side="right") - 1])
         raise EqualModulusRoots(f"root moduli tie at index {index}", index=index) from None
+    del alpha  # freed before the arrays below are allocated
     d1 = plan.beta2 * phi
     d2 = phi
     target = fv * gv + dv
 
-    def end_pair(k, seam, pin):
-        # Boundary pair of a cover run at node k: a seam takes the tracked
-        # values, an interval end its cover pin, or else the square-root pair.
-        if seam:
-            return complex(fv[k] + d1[k]), complex(gv[k] + d2[k])
-        if _pinned(pin, "cover"):
-            return pin.za, pin.wa
-        return root_pair(target[k])
-
-    offsets = plan.offsets
-    for k, lo, hi, a, b in plan.cover:
-        pin_left, pin_right = plan.pins[k]
-        za, wa = end_pair(lo, lo > offsets[k], pin_left)
-        zb, wb = end_pair(hi, hi < offsets[k + 1] - 1, pin_right)
-        z1, z2 = _factor_arrays(target[lo:hi + 1], plan.tiers[k][1], za, wa, zb, wb)
-        # seam nodes belong to the neighbouring segments
-        d1[a:b] = z1[a - lo:b - lo] - fv[a:b]
-        d2[a:b] = z2[a - lo:b - lo] - gv[a:b]
+    if nodes.size:
+        # a run end's pair: a seam's tracked values, a cover pin, or the square-root pair
+        t = target[ends]
+        root = np.sqrt(t)
+        tracked = np.array((fv[ends] + d1[ends], gv[ends] + d2[ends]))
+        roots = np.array((root, np.divide(t, root, out=np.zeros_like(root), where=root != 0)))
+        za, wa = np.where(seam, tracked, np.where(cover_pin, zw, roots))
+        psi = target[nodes]
+        zhat = np.sqrt(psi[halves[3]]).repeat(2)  # at each run's middle node, the far end of its halves
+        z1, z2 = _factor_arrays(psi, *halves, za.ravel(), wa.ravel(), zhat)
+        d1[owned] = z1[own] - fv[owned]
+        d2[owned] = z2[own] - gv[owned]
+        del z1, z2  # freed before verification allocates its arrays
 
     nodes, pin_d1, pin_d2, tol = plan.pinned
     if nodes.size:
@@ -834,7 +829,7 @@ def _solve_ragged(plan: IntervalPlan, dv):
                 f"edge construction disagrees with the pinned endpoint by {float(err[bad[0]])}"
             )
 
-    starts = offsets[:-1]
+    starts = plan.offsets[:-1]
     residual = np.maximum.reduceat(np.abs((fv + d1) * (gv + d2) - target), starts).tolist()
     scale = np.maximum.reduceat(np.abs(target), starts).tolist()
     bound1 = np.maximum.reduceat(np.abs(d1), starts).tolist()

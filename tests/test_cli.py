@@ -402,6 +402,53 @@ def test_malformed_input_exit_two(tmp_path, capsys, case):
     assert diag["message"].startswith(path if bound == "input" else f"payload key {bound!r}: ")
 
 
+def _out_of_range_payload(tmp_path, case):
+    """(command, input path, payload key) for one payload with a number that
+    no float or int holds as given: 1e400 reads as inf, and a trial count
+    must be a JSON integer."""
+    f = GridFunction.constant(IntervalDomain(0.0, 1.0, 17), 0.5)
+    probe = {"f": f.to_json(), "g": f.to_json(), "trials": 2}
+    finite = {k: FiniteSpaceFunction(np.full(4, 0.5 + 0j)).to_json() for k in ("a", "b", "d")}
+    interval = json.loads(Path(interval_triple(tmp_path, 0)).read_text())
+    graph = json.loads((Path(__file__).resolve().parent.parent / "fixtures" / "theta_graph.json").read_text())
+    command, data, key = {
+        "interval n": ("factor-interval", interval, "d"),
+        "interval b": ("factor-interval", interval, "f"),
+        "graph edge n": ("factor-graph", graph, "g"),
+        "finite n": ("factor-finite", finite, "b"),
+        "probe n": ("probe", probe, "g"),
+        "probe trials inf": ("probe", probe, "trials"),
+        "probe trials true": ("probe", probe, "trials"),
+        "probe trials 2.7": ("probe", probe, "trials"),
+    }[case]
+    if key == "trials":
+        data["trials"] = {"probe trials inf": "BIG", "probe trials true": True, "probe trials 2.7": 2.7}[case]
+    elif case == "graph edge n":
+        data[key]["domain"]["edges"][1]["n"] = "BIG"
+    else:
+        data[key]["domain"]["b" if case == "interval b" else "n"] = "BIG"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data).replace('"BIG"', "1e400"))
+    return command, str(path), key
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["interval n", "interval b", "graph edge n", "finite n", "probe n",
+     "probe trials inf", "probe trials true", "probe trials 2.7"],
+)
+def test_out_of_range_number_exit_two(tmp_path, capsys, case):
+    command, path, key = _out_of_range_payload(tmp_path, case)
+    code = main([command, "--input", path, "--epsilon", "0.5"])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "PreconditionViolated"
+    assert diag["bound"] == key
+    assert diag["message"].startswith(f"payload key {key!r}: ")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_output_in_missing_directory_exit_two(tmp_path, capsys, fmt):
     path = interval_triple(tmp_path, delta0(0.7))

@@ -44,6 +44,11 @@ class TestDomains:
         with pytest.raises(ValueError):
             IntervalDomain(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan), (-1e308, 1e308)])
+    def test_interval_ends_and_width_finite(self, a, b):
+        with pytest.raises(ValueError, match="b - a finite"):
+            IntervalDomain(a, b, 5)
+
     def test_nodes_endpoints_exact(self):
         d = IntervalDomain(-2.0, 3.0, 7)
         nodes = d.nodes()

@@ -714,3 +714,132 @@ def test_one_interval_ragged_plan(name):
     ragged = plan_intervals(fv, gv, eps0, (0, fv.size), ((left, right),))
     assert _plan_digest(ragged) == ONE_INTERVAL_PLAN_GOLDEN[name]
     assert _plan_digest(plan_interval(fv, gv, eps0, left, right)) == ONE_INTERVAL_PLAN_GOLDEN[name]
+
+
+# ---------------------------------------------------------------------------
+# Direct factorization with prescribed boundary data, on its edge cases:
+# 2- and 3-node runs, the larger/smaller-modulus swap, zhat = 0, a pinned
+# complex(-0.0, 0.0) (np.angle gives pi there, the construction takes 0), a
+# flat modulus ramp (|p| == |zhat|), and ramps of 3 subnormal ulps over 7 and
+# 50 nodes, where np.linspace's step underflows to 0 and it takes its other
+# branch.  A "half" case is a factor_halfboundary half pinned at its left
+# end, run as given (side left) and mirrored (side right); a "run" case is a
+# factor_interval run.  A run's zhat is 0 or at least 1.4e-162, so only a
+# half has a subnormal ramp; its moduli sit near 2e-308, where the quotient
+# psi / big stays finite.
+
+TINY = 5e-324  # one subnormal ulp
+
+
+def _rotated_pair(psi, phase):
+    z = complex(np.sqrt(psi)) * np.exp(1j * phase)
+    return z, (complex(psi) / z if z != 0 else 0j)
+
+
+def _direct_case(name):
+    """(psi, pairs): pairs is (za, wa, zb, wb) for a run, or (za, wa, zhat)
+    for a half pinned at its left end."""
+    half, kind = name.startswith("half"), name.split("_", 1)[1]
+    if kind.startswith("subnormal"):
+        return np.zeros(int(kind.split("_")[1]), dtype=complex), (2e-308, 0j, 2e-308 + 3 * TINY)
+    t = np.linspace(0.0, 1.0, 9)
+    psi = {
+        "2": np.array([0.04j, 0.01 - 0.005j]),
+        "3": np.array([0.04j, 0.01 - 0.005j, 0.03 + 0.02j]),
+        "swap": 0.04 * np.exp(2j * t) * (1.0 + t),
+        "zhat0": 0.2 * (t - 0.5) * (1.0 + 1.0j),
+        "negzero": 0.1 * t * np.exp(2j * t),
+        "flat": np.full(9, 0.09 * np.exp(0.3j)),
+    }[kind]
+    if half and kind == "zhat0":
+        psi = psi[:5]  # psi = 0 at the far end
+    zhat = complex(np.sqrt(psi[psi.size // 2]))
+    if kind == "swap":  # |za| < |wa| at both ends
+        za, zb = 0.1j * np.exp(0.2j), 0.2 * np.exp(-0.7j)
+        pairs = (za, complex(psi[0]) / za, zb, complex(psi[-1]) / zb)
+    elif kind == "negzero":
+        pairs = (complex(-0.0, 0.0), 0j, *_rotated_pair(psi[-1], -0.4))
+    elif kind == "flat":  # |p| == |zhat| exactly: hypot ignores the rotation by 1j
+        pairs = (1j * zhat, complex(psi[0]) / (1j * zhat), -zhat, complex(psi[-1]) / -zhat)
+    else:
+        pairs = (*_rotated_pair(psi[0], 0.9), *_rotated_pair(psi[-1], -1.3))
+    return psi, (pairs[:2] + (complex(np.sqrt(psi[-1])),) if half else pairs)
+
+
+def _direct_factor(name, side):
+    from openmult import factor_halfboundary, factor_interval
+
+    psi, pairs = _direct_case(name)
+    eps = 0.5
+    if side is None:
+        z1, z2 = factor_interval(GridFunction(IntervalDomain(0.0, 1.0, psi.size), psi), eps, *pairs)
+    else:
+        psi = psi if side == "left" else psi[::-1].copy()
+        z1, z2 = factor_halfboundary(GridFunction(IntervalDomain(0.0, 1.0, psi.size), psi), eps, *pairs, side=side)
+    return z1.values, z2.values
+
+
+DIRECT_RUNS = ("run_2", "run_3", "run_swap", "run_zhat0", "run_negzero", "run_flat")
+DIRECT_HALVES = ("half_2", "half_3", "half_swap", "half_zhat0", "half_negzero", "half_flat",
+                 "half_subnormal_7", "half_subnormal_50")
+DIRECT_CASES = {
+    **{name: (name, None) for name in DIRECT_RUNS},
+    **{f"{name}_{side}": (name, side) for name in DIRECT_HALVES for side in ("left", "right")},
+}
+
+DIRECT_GOLDEN = {
+    "half_2_left": "749d3ec71d8d76c2022ead4a6a12ceb8922720f18de975bf70e4d1afcf55a082",
+    "half_2_right": "24292103a7317eee00c25bf295005b22ed4b5532cf3db785a26c04085c20c857",
+    "half_3_left": "274b1db518b081f0750268b0a6ba3e8cdc091b78f4c61c734791a9d81f41ac0c",
+    "half_3_right": "760085a4eca919f71158c645281ee3fd1f2ec378d314af252c9e7dd10f0a10da",
+    "half_flat_left": "bdf7bd70ebcdcec09a917d4c0a053c288c0e7f225351352d83676781d9c4e1b8",
+    "half_flat_right": "40870318be8572d112b7c653a8fc1be7f86eb34f162d8f79fccac5b74a669b15",
+    "half_negzero_left": "42f529d7ccd44bf7213fb556ff5211c5b60c7bc5a321d9cf731856e0689b15f1",
+    "half_negzero_right": "fd924b3e31738cf6229cb77b8fd1b7a9b281f085abb77da1c1c2c3c4efe1296b",
+    "half_subnormal_50_left": "7fbb6606068b1476e736bd8c21292417d76e56a48b1dd937f837e2dc89579370",
+    "half_subnormal_50_right": "b83d1d326e35f6055bec362659a018dc181715d9bc2f29a52440653d4f12c8bb",
+    "half_subnormal_7_left": "2ea2b3c03e0b072d7907494e6eeb06a4504230048461f5720dd12e019b0ede92",
+    "half_subnormal_7_right": "497ad0976cd415678371b585736a06b0a46aa34820a8062ec0723c49dfe54882",
+    "half_swap_left": "683076e6a3c24f0000f6c893616df4afa986cbb41f5b51f62d557d2e79fc9a64",
+    "half_swap_right": "57fee3cd4913bd7c947881e3f6e20929986ed69a3765b9f18d9276e098f5c62e",
+    "half_zhat0_left": "16e797247f769e53661ac487ac87280b92c2769690e388114124c90ed0c8e1d6",
+    "half_zhat0_right": "0f6ce6a79093c2918a6a0d9c1c0b69a976d21821f52d16eaf67cbfe798c02ddd",
+    "run_2": "9197f8bc4968a701e3748d8965f7df1bf0790ce539b0de362ab8fac2ea722095",
+    "run_3": "1679a4b6462e360dd5032d9795f4b279d3323fbec68c620c9eec6b3fb30ec476",
+    "run_flat": "65a33e5e72fb5c770c4b8607d5f6f766919d59c69b765d86441ab50bf0e1e775",
+    "run_negzero": "50693eeee2c5dbc4ee22e744a0821767897ad0dbe39e99e853c26c5304e614e2",
+    "run_swap": "49095779a52b9313ff66ab832238761328795e5dec439268ea8dba2e3d5266f5",
+    "run_zhat0": "0f98dd3ba0217cd3d62e62747841927af39246fcf5711d4d5e768e2537d62894",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_CASES))
+def test_direct_factor_golden_digest(name):
+    assert _digest(*_direct_factor(*DIRECT_CASES[name])) == DIRECT_GOLDEN[name]
+
+
+def test_direct_factor_one_ragged_call():
+    # Every case above in one _factor_arrays call, runs and halves laid end to
+    # end, keeps each case's bits.
+    from openmult.interval import _factor_arrays, _halves
+
+    psi, counts, k, size, za, wa, zhat = ([] for _ in range(7))
+    for name, side in DIRECT_CASES.values():
+        p, pairs = _direct_case(name)
+        if side is None:
+            _nodes, c, kk, s, _far, _pin = _halves(np.array([[0, p.size - 1]]))
+            ends = (pairs[0], pairs[2]), (pairs[1], pairs[3]), (np.sqrt(p[p.size // 2]),) * 2
+        else:
+            p = p if side == "left" else p[::-1].copy()
+            kk = np.arange(p.size)[:: 1 if side == "left" else -1]
+            c, s, ends = [p.size], [p.size], tuple([x] for x in pairs)
+        for acc, x in zip((psi, counts, k, size, za, wa, zhat), (p, c, kk, s, *ends)):
+            acc.extend(x)
+    counts, k, size = np.array(counts), np.array(k), np.array(size)
+    z1, z2 = _factor_arrays(
+        np.array(psi), counts, k, size, np.flatnonzero(k == np.repeat(size, counts) - 1), np.flatnonzero(k == 0),
+        *(np.array(x, dtype=np.complex128) for x in (za, wa, zhat)),
+    )
+    cuts = np.cumsum([_direct_case(name)[0].size for name, _side in DIRECT_CASES.values()])[:-1]
+    for name, a, b in zip(DIRECT_CASES, np.split(z1, cuts), np.split(z2, cuts)):
+        assert _digest(a, b) == DIRECT_GOLDEN[name], name
