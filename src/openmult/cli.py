@@ -15,17 +15,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import importlib
 import json
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from . import finite as finite_mod
-from . import graphs as graphs_mod
-from . import probe as probe_mod
-from . import scheme as scheme_mod
+from . import _MODULE_OF
 from .errors import OpenMultError, PreconditionViolated
 from .functions import (
     FiniteSpaceFunction,
@@ -34,7 +33,6 @@ from .functions import (
     function_from_json,
     refine,
 )
-from .interval import PipelineConfig, open_mult_interval
 
 # Content that is not desk-verifiable is refused explicitly.
 UNSUPPORTED_MODELS = {
@@ -53,14 +51,28 @@ UNSUPPORTED_MODELS = {
 _INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 
+def __getattr__(name):
+    # PEP 562: a command reads each public library name through this module
+    # object, `_cli`, when it runs, and the name is bound here on first use, as
+    # an import at the top would bind it.  So only the modules a command runs
+    # are imported, and a test or tracer may patch a name here.
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__package__}.{_MODULE_OF[name]}"), name)
+    return value
+
+
+_cli = sys.modules[__name__]
+
+
 def _load_input(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
 # Most nodes --grid may refine an input to.  factor-interval on 2**20 + 1
-# nodes peaks at 1.45 GiB resident with a JSON report (about 1.4 KiB a node),
-# so a run at the cap stays under about 2 GiB.
+# nodes peaks at about 500 MiB resident with a JSON or a CSV report, which is
+# written in pieces, so the solve's own arrays set the peak.
 MAX_GRID_NODES = 2**20 + 1
 
 
@@ -97,13 +109,53 @@ def _open_output(args):
     return open(args.output or "/dev/stdout", "w", encoding="utf-8", newline=newline)
 
 
+# A list of [re, im] float pairs is written this many pairs at a time, each
+# chunk filled into one template: the float reprs are all it computes.
+_PAIR_CHUNK = 4096
+_PAIR = "[\n{0}  %s,\n{0}  %s\n{0}]"
+
+
+def _write_json(write, obj, indent=""):
+    """Write the bytes of json.dumps(obj, sort_keys=True, indent=2) in pieces;
+    `indent` is the indentation of the line obj starts on."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict) and obj:
+        write("{\n" + inner)
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            key = key if isinstance(key, str) else json.dumps(key)  # as json turns 1.5 or None into a key
+            write(f"{sep if i else ''}{json.dumps(key)}: ")
+            _write_json(write, value, inner)
+        write("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        write("[\n" + inner)
+        pairs = set(map(type, obj)) <= {list, tuple} and set(map(len, obj)) == {2}
+        if pairs and set(map(type, chain.from_iterable(obj))) == {float}:
+            pair = _PAIR.format(inner)
+            for start in range(0, len(obj), _PAIR_CHUNK):
+                part = obj[start:start + _PAIR_CHUNK]
+                text = sep.join([pair] * len(part)) % tuple(map(float.__repr__, chain.from_iterable(part)))
+                if "n" in text:  # nan or inf: no finite repr and no template character is an "n"
+                    text = text.replace("nan", "NaN").replace("inf", "Infinity")
+                write(f"{sep if start else ''}{text}")
+        else:
+            for i, item in enumerate(obj):
+                if i:
+                    write(sep)
+                _write_json(write, item, inner)
+        write("\n" + indent + "]")
+    else:  # a scalar, {} or []
+        write(json.dumps(obj))
+
+
 def _emit(fh, report, args, csv_rows, csv_header):
     if args.format == "csv":
         writer = csv.writer(fh)
         writer.writerow(csv_header)
         writer.writerows(csv_rows)
     else:
-        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _write_json(fh.write, report)
+        fh.write("\n")
     fh.flush()
 
 
@@ -114,7 +166,7 @@ class Command:
     --grid, open the output, run, fill the report and emit it."""
 
     inputs: tuple   # (payload key, decode(data, key)) pairs, in `run` argument order
-    run: object     # run(args, *inputs) -> (report fields, CSV rows)
+    run: object     # run(args, *inputs) -> (report fields, CSV rows: an iterator, read only under --format csv)
     header: tuple   # CSV header
 
     def __call__(self, args):
@@ -164,7 +216,7 @@ def _model_spec(data, key):
 def _scheme_element(data, key):
     spec = _model_spec(data, "model")
     if spec.get("type") == "diagonal":
-        return finite_mod.DiagonalAlgebraElement.from_json(data[key], spec["weights"])
+        return _cli.DiagonalAlgebraElement.from_json(data[key], spec["weights"])
     return FINITE(data, key)
 
 
@@ -173,16 +225,16 @@ def _build_model(spec_obj, sample):
     if kind in UNSUPPORTED_MODELS:
         raise PreconditionViolated(UNSUPPORTED_MODELS[kind], bound="model")
     if kind == "sup":
-        return scheme_mod.sup_algebra_model(sample.n)
+        return _cli.sup_algebra_model(sample.n)
     if kind == "diagonal":
         if not spec_obj.get("unital", True):
             raise PreconditionViolated("only the unitisation of the diagonal algebra is supported", bound="model")
-        return scheme_mod.diagonal_algebra_model(np.asarray(spec_obj["weights"], dtype=float))
+        return _cli.diagonal_algebra_model(np.asarray(spec_obj["weights"], dtype=float))
     raise PreconditionViolated(f"unknown model type {kind!r}", bound="model")
 
 
 def _pipeline_constants(eps0):
-    cfg = PipelineConfig.for_target(eps0)
+    cfg = _cli.PipelineConfig.for_target(eps0)
     return {"epsilon0": repr(cfg.epsilon0), "epsilon1": repr(cfg.epsilon1), "delta0": repr(cfg.delta0)}
 
 
@@ -191,27 +243,29 @@ def _sup_distance(x, y):
 
 
 def _index_rows(x, y):
-    return [[i, vx.real, vx.imag, vy.real, vy.imag] for i, (vx, vy) in enumerate(zip(x.values, y.values))]
+    for i, (vx, vy) in enumerate(zip(x.values, y.values)):
+        yield [i, vx.real, vx.imag, vy.real, vy.imag]
 
 
 def _node_rows(result):
     d1, d2 = result.d1, result.d2
-    return [[t, v1.real, v1.imag, v2.real, v2.imag] for t, v1, v2 in zip(d1.domain.nodes(), d1.values, d2.values)]
+    for t, v1, v2 in zip(d1.domain.nodes(), d1.values, d2.values):
+        yield [t, v1.real, v1.imag, v2.real, v2.imag]
 
 
 def _factor_interval(args, f, g, d):
-    result = open_mult_interval(f, g, d, args.epsilon)
+    result = _cli.open_mult_interval(f, g, d, args.epsilon)
     return {"constants": _pipeline_constants(args.epsilon), "result": result.to_json()}, _node_rows(result)
 
 
 def _factor_graph(args, f, g, d):
-    result = graphs_mod.open_mult_graph(f, g, d, args.epsilon)
-    rows = [[ei, *row] for ei, er in enumerate(result.edge_results) for row in _node_rows(er)]
+    result = _cli.open_mult_graph(f, g, d, args.epsilon)
+    rows = ([ei, *row] for ei, er in enumerate(result.edge_results) for row in _node_rows(er))
     return {"constants": _pipeline_constants(args.epsilon), "result": result.to_json()}, rows
 
 
 def _factor_finite(args, a, b, d):
-    a2, b2 = finite_mod.open_mult_finite(a, b, d, args.epsilon)
+    a2, b2 = _cli.open_mult_finite(a, b, d, args.epsilon)
     fields = {
         "constants": {"epsilon": repr(args.epsilon), "delta": repr(args.epsilon**2 / 4.0)},
         "a_prime": a2.to_json(),
@@ -224,9 +278,9 @@ def _factor_finite(args, a, b, d):
 
 def _scheme(args, spec, F, G, H):
     model = _build_model(spec, F)
-    params = scheme_mod.scheme_params(F, G, args.epsilon, model)
-    f, g, trace = scheme_mod.run_scheme(F, G, H, params, model)
-    audit = scheme_mod.audit_claims(trace, params)
+    params = _cli.scheme_params(F, G, args.epsilon, model)
+    f, g, trace = _cli.run_scheme(F, G, H, params, model)
+    audit = _cli.audit_claims(trace, params)
     fields = {
         "constants": params.to_json(),
         "iterations": len(trace),
@@ -238,24 +292,21 @@ def _scheme(args, spec, F, G, H):
     }
     if args.audit:
         fields["audit"] = audit
-    rows = [
-        [rec.n, rec.norm_f, rec.norm_g, rec.norm_h, rec.inf_embed, rec.identity_residual]
-        for rec in trace
-    ]
+    rows = ([rec.n, rec.norm_f, rec.norm_g, rec.norm_h, rec.inf_embed, rec.identity_residual] for rec in trace)
     return fields, rows
 
 
 def _probe(args, f, g, trials):
-    rep = probe_mod.probe_pipeline(f, g, args.epsilon, trials, args.seed)
+    rep = _cli.probe_pipeline(f, g, args.epsilon, trials, args.seed)
     fields = {
         "constants": {"epsilon0": repr(args.epsilon), "delta0": repr(rep.delta_constructive)},
         "result": rep.to_json(),
     }
-    return fields, [[repr(r), rate] for r, rate in rep.curve]
+    return fields, ([repr(r), rate] for r, rate in rep.curve)
 
 
 def _nondeg_approx(args, f, g):
-    f2, g2 = finite_mod.nondeg_approx(f, g, args.epsilon)
+    f2, g2 = _cli.nondeg_approx(f, g, args.epsilon)
     fields = {
         "constants": {"epsilon": repr(args.epsilon)},
         "f_prime": f2.to_json(),

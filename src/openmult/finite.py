@@ -13,8 +13,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pyarith
 from .errors import PerturbationTooLarge, PreconditionViolated
 from .functions import FiniteSpaceFunction, values_from_json, values_to_json
+
+
+def _factor_points(x, y, w, eps):
+    """scalar_factor over arrays, with its bits: CPython's complex `abs`,
+    product and quotient come from pyarith.  The first point that scalar
+    code would refuse (or divide by zero at) raises as it would."""
+    if eps <= 0:
+        raise PreconditionViolated("eps must be positive")
+    with np.errstate(all="ignore"):  # as Python floats: an overflow is inf, without a warning
+        ax, ay, aw = pyarith.cabs(x), pyarith.cabs(y), pyarith.cabs(w)
+        too_large = aw > 0.25 * eps * eps * (1.0 + 1e-12)
+        moved = w != 0
+        larger = np.maximum(ax, ay)
+        divide = moved & (larger >= aw / eps)
+        bad = too_large | (divide & (larger == 0))  # w / 0 where aw / eps underflows to 0
+        if bad.any():
+            i = int(np.argmax(bad))
+            if too_large[i]:
+                raise PerturbationTooLarge(
+                    "perturbation exceeds eps^2/4",
+                    bound="|w| <= eps^2/4", value=float(aw[i]), limit=0.25 * eps * eps,
+                )
+            raise ZeroDivisionError("complex division by zero")
+        into_y = divide & (ax >= ay)  # w is divided by x, the larger factor, and added to y
+        into_x = divide & ~(ax >= ay)
+        root = moved & ~divide  # both factors tiny: x*y + w split into equal square roots
+        out_x, out_y = np.array(x), np.array(y)
+        out_y[into_y] += pyarith.quot(w[into_y], x[into_y])
+        out_x[into_x] += pyarith.quot(w[into_x], y[into_x])
+        out_x[root] = out_y[root] = np.sqrt(pyarith.mul(x[root], y[root]) + w[root])
+    return out_x, out_y
 
 
 def scalar_factor(x: complex, y: complex, w: complex, eps: float) -> tuple[complex, complex]:
@@ -22,29 +54,17 @@ def scalar_factor(x: complex, y: complex, w: complex, eps: float) -> tuple[compl
 
     If either factor has modulus at least |w|/eps, the perturbation is divided
     into the partner of the larger factor; otherwise both factors are tiny and
-    the whole product x*y + w is split between two equal square roots.
+    the whole product x*y + w is split between two equal square roots.  This
+    is the one-point view of the array kernel that open_mult_finite runs.
     """
-    if eps <= 0:
-        raise PreconditionViolated("eps must be positive")
-    if abs(w) > 0.25 * eps * eps * (1.0 + 1e-12):
-        raise PerturbationTooLarge(
-            "perturbation exceeds eps^2/4",
-            bound="|w| <= eps^2/4", value=abs(w), limit=0.25 * eps * eps,
-        )
-    if w == 0:
-        return x, y
-    if max(abs(x), abs(y)) >= abs(w) / eps:
-        if abs(x) >= abs(y):
-            return x, y + w / x
-        return x + w / y, y
-    root = complex(np.sqrt(complex(x * y + w)))
-    return root, root
+    xs, ys = _factor_points(*(np.array([v], dtype=np.complex128) for v in (x, y, w)), eps)
+    return complex(xs[0]), complex(ys[0])
 
 
 def open_mult_finite(
     a: FiniteSpaceFunction, b: FiniteSpaceFunction, d: FiniteSpaceFunction, eps: float
 ) -> tuple[FiniteSpaceFunction, FiniteSpaceFunction]:
-    """Pointwise application of scalar_factor: a'*b' = a*b + d node-wise."""
+    """scalar_factor at every point: a'*b' = a*b + d node-wise."""
     if a.n != b.n or a.n != d.n:
         raise PreconditionViolated("a, b, d must have the same number of points")
     supd = float(np.max(np.abs(d.values)))
@@ -53,12 +73,7 @@ def open_mult_finite(
             "perturbation exceeds eps^2/4",
             bound="sup|d| <= eps^2/4", value=supd, limit=0.25 * eps * eps,
         )
-    out_a = np.empty(a.n, dtype=np.complex128)
-    out_b = np.empty(a.n, dtype=np.complex128)
-    for i in range(a.n):
-        out_a[i], out_b[i] = scalar_factor(
-            complex(a.values[i]), complex(b.values[i]), complex(d.values[i]), eps
-        )
+    out_a, out_b = _factor_points(a.values, b.values, d.values, eps)
     return FiniteSpaceFunction(out_a), FiniteSpaceFunction(out_b)
 
 
@@ -79,19 +94,11 @@ def nondeg_approx(
         raise PreconditionViolated("f and g must have the same number of points")
     cut = eps / 3.0
     pow2 = math.ldexp(1.0, math.frexp(eps / 2.0)[1] - 1)  # largest power of two <= eps/2
-    fp = np.array(f.values)
-    gp = np.array(g.values)
     prods = f.values * g.values  # the same vectorized product the verifier sees
-    for i in range(f.n):
-        if abs(fp[i]) >= cut or abs(gp[i]) >= cut:
-            continue
-        prod = complex(prods[i])
-        if prod == 0:
-            fp[i] = eps / 2.0
-            gp[i] = 0j
-        else:
-            fp[i] = pow2
-            gp[i] = prod / pow2
+    moved = ~((pyarith.cabs(f.values) >= cut) | (pyarith.cabs(g.values) >= cut))
+    zero = prods == 0
+    fp = np.where(moved, np.where(zero, eps / 2.0, pow2), f.values)
+    gp = np.where(moved & ~zero, pyarith.quot(prods, np.complex128(pow2)), np.where(moved, 0j, g.values))
     return FiniteSpaceFunction(fp), FiniteSpaceFunction(gp)
 
 

@@ -374,22 +374,34 @@ def refine(f: GridFunction, factor: int) -> GridFunction:
 # JSON / CSV interchange
 
 
+def _json_number(value, key, kinds=(int, float)):
+    """A domain entry read as a JSON number (a JSON integer with kinds=int);
+    a bool, a string or any other value is refused."""
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        kind = "integer" if kinds is int else "number"
+        raise TypeError(f"domain {key!r} must be a JSON {kind}, got {value!r}")
+    return value
+
+
+def _interval_from_json(a, b, n):
+    return IntervalDomain(float(_json_number(a, "a")), float(_json_number(b, "b")), _json_number(n, "n", int))
+
+
 def function_from_json(obj) -> GridFunction | FiniteSpaceFunction | GraphFunction:
     """Parse the wire format {"domain": {...}, "values": [...]}."""
     dom = obj["domain"]
     kind = dom["type"]
     if kind == "interval":
-        domain = IntervalDomain(float(dom["a"]), float(dom["b"]), int(dom["n"]))
+        domain = _interval_from_json(dom["a"], dom["b"], dom["n"])
         return GridFunction(domain, values_from_json(obj["values"]))
     if kind == "finite":
         values = values_from_json(obj["values"])
-        if "n" in dom and int(dom["n"]) != values.size:
+        if "n" in dom and _json_number(dom["n"], "n", int) != values.size:
             raise ValueError("declared size disagrees with values")
         return FiniteSpaceFunction(values)
     if kind == "graph":
         edges = tuple(
-            (e["u"], e["v"], IntervalDomain(float(e.get("a", 0.0)), float(e.get("b", 1.0)), int(e["n"])))
-            for e in dom["edges"]
+            (e["u"], e["v"], _interval_from_json(e.get("a", 0.0), e.get("b", 1.0), e["n"])) for e in dom["edges"]
         )
         graph = GraphDomain(tuple(dom["vertices"]), edges)
         return GraphFunction(graph, tuple(values_from_json(v) for v in obj["values"]))

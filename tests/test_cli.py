@@ -1,11 +1,20 @@
+import argparse
 import hashlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import openmult
+import openmult.cli as cli_mod
 from openmult.cli import main
 from openmult.functions import FiniteSpaceFunction, GridFunction, IntervalDomain
 from openmult.interval import delta0
@@ -449,6 +458,45 @@ def test_out_of_range_number_exit_two(tmp_path, capsys, case):
     assert diag["message"].startswith(f"payload key {key!r}: ")
 
 
+def _loose_number_payload(tmp_path, case):
+    """(command, input path, payload key) for one payload whose domain `n` is
+    not a JSON integer or whose end `a`/`b` is not a JSON number, although
+    int() or float() would read it.  Read that way, each payload runs with exit 0."""
+    finite = {k: FiniteSpaceFunction(np.full(4, v)).to_json() for k, v in (("a", 0.5), ("b", 0.5), ("d", 0.0))}
+    interval = json.loads(Path(interval_triple(tmp_path, 0)).read_text())
+    graph = json.loads((Path(__file__).resolve().parent.parent / "fixtures" / "theta_graph.json").read_text())
+    command, data, key, entry, value = {
+        "interval n 129.7": ("factor-interval", interval, "d", "n", 129.7),
+        "interval n 129.0": ("factor-interval", interval, "f", "n", 129.0),
+        "interval a string": ("factor-interval", interval, "g", "a", "0"),
+        "interval b true": ("factor-interval", interval, "d", "b", True),
+        "finite n 4.0": ("factor-finite", finite, "b", "n", 4.0),
+        "graph edge n 129.5": ("factor-graph", graph, "g", "n", 129.5),
+        "graph edge a string": ("factor-graph", graph, "d", "a", "0.0"),
+        "graph edge b true": ("factor-graph", graph, "f", "b", True),
+    }[case]
+    domain = data[key]["domain"]
+    (domain["edges"][1] if command == "factor-graph" else domain)[entry] = value
+    return command, write_json(tmp_path / "loose.json", data), key
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["interval n 129.7", "interval n 129.0", "interval a string", "interval b true", "finite n 4.0",
+     "graph edge n 129.5", "graph edge a string", "graph edge b true"],
+)
+def test_loose_domain_number_exit_two(tmp_path, capsys, case):
+    command, path, key = _loose_number_payload(tmp_path, case)
+    code = main([command, "--input", path, "--epsilon", "0.7"])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "PreconditionViolated"
+    assert diag["bound"] == key
+    assert diag["message"].startswith(f"payload key {key!r}: ")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_output_in_missing_directory_exit_two(tmp_path, capsys, fmt):
     path = interval_triple(tmp_path, delta0(0.7))
@@ -606,3 +654,120 @@ def test_golden_report(tmp_path, command, fmt):
         data, removed = re.subn(rb'\n  "timestamp": [^\n]*', b"", data)
         assert removed == 1
     assert hashlib.sha256(data).hexdigest() == GOLDEN_REPORTS[(command, fmt)]
+
+
+# ---------------------------------------------------------------------------
+# The report writer: the bytes of json.dumps(report, sort_keys=True, indent=2)
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+                   float("nan"), float("inf"), float("-inf")]
+_floats = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_pair = st.tuples(_floats, _floats).map(list)
+_pair_lists = st.lists(_pair | st.tuples(_floats, _floats), min_size=1, max_size=8)
+# one item that makes the list not a list of float pairs: a length-3 item, an
+# int, a bool, or a pair holding an int, a bool or None
+_odd_items = st.sampled_from([[1.5, 2.5, 3.5], 7, True, [1.5, 2], [True, 1.5], [None, 0.5], [1.5], []])
+_almost_pair_lists = st.tuples(_pair_lists, _odd_items, st.integers(0, 8)).map(
+    lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+_pairs_of_pairs = st.lists(st.tuples(_pair, _pair).map(list), min_size=1, max_size=4)
+_leaves = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=-(10**400), max_value=10**400)
+    | _floats | st.text()
+)
+_report_trees = st.recursive(
+    _leaves | _pair_lists | _almost_pair_lists | _pairs_of_pairs,
+    lambda children: (
+        st.lists(children, max_size=4) | st.tuples(children, children)
+        | st.dictionaries(st.text(), children, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+def _emitted(report):
+    buf = io.StringIO()
+    cli_mod._emit(buf, report, argparse.Namespace(format="json"), None, None)
+    return buf.getvalue()
+
+
+@given(_report_trees)
+@settings(max_examples=400, deadline=None)
+def test_report_writer_matches_json_dumps(report):
+    assert _emitted(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_report_writer_pair_chunks():
+    # more pairs than one template fill holds, with nan and inf on both sides of a chunk edge
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal((2 * cli_mod._PAIR_CHUNK + 3, 2)) * 10.0 ** rng.integers(-320, 300, (1, 2))
+    pairs = vals.tolist()
+    edge = cli_mod._PAIR_CHUNK
+    pairs[edge - 1][1], pairs[edge][0], pairs[-1][1] = float("nan"), float("-inf"), float("inf")
+    report = {"result": {"d1": {"values": pairs}, "edges": [{"values": pairs[:5]}, {"values": []}]}, "n": 3}
+    assert _emitted(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Imports: a command loads only the library modules it runs
+
+OLD_PUBLIC_NAMES = """
+BoundaryMismatch ClaimViolation CoverInfeasible DegeneratePair DomainMismatch EqualModulusRoots NonConvergence
+NonUnimodularInput NormBudgetExceeded OpenMultError PerturbationTooLarge PreconditionViolated VertexInconsistency
+ZeroArgument DiagonalAlgebraElement diagonal_open_mult nondeg_approx open_mult_finite scalar_factor
+FiniteSpaceFunction GraphDomain GraphFunction GridFunction IntervalDomain conjugate function_from_json
+grid_function_from_csv load_function min_modulus_sum pointwise_product refine sup_norm EdgePlan
+GraphFactorizationResult open_mult_graph plan_edges refine_partition slice_graph_function EndpointPin
+FactorizationResult IntervalCover PipelineConfig circle_extend delta0 factor_halfboundary factor_interval
+nondeg_phases open_mult_interval perturb_nondegenerate phase_offset plan_interval plan_intervals
+quadratic_correction shift_budget solve_interval solve_intervals sublevel_cover ProbeReport brute_scalar_delta
+probe_pipeline QuadraticTriple has_distinct_moduli roots smaller_root AlgebraModel SchemeParams SchemeTrace
+audit_claims diagonal_algebra_model inverse_norm_bound run_scheme scheme_params sup_algebra_model
+""".split()
+
+_IMPORT_PROBE = """
+import json, sys
+import openmult
+light = "numpy" not in sys.modules
+from openmult.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps({"numpy_after_import_openmult": not light,
+                  "loaded": sorted(m for m in sys.modules if m.startswith("openmult."))}))
+"""
+
+
+def _run_python(code, *args):
+    src = str(Path(openmult.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_light_commands_do_not_import_interval_graphs_or_probe(tmp_path):
+    runs = [
+        ["factor-finite", "--input", _finite_payload(tmp_path), "--epsilon", "0.5"],
+        ["nondeg-approx", "--input", _nondeg_payload(tmp_path), "--epsilon", "0.6"],
+        ["scheme", "--input", str(FIXTURE_DIR / "scheme_64.json"), "--epsilon", "0.5", "--audit"],
+    ]
+    for i, argv in enumerate(runs):
+        argv += ["--output", str(tmp_path / f"out{i}.json")]
+    seen = _run_python(_IMPORT_PROBE, json.dumps(runs))
+    assert not seen["numpy_after_import_openmult"]
+    assert {"openmult.finite", "openmult.scheme"} <= set(seen["loaded"])
+    assert not {"openmult.interval", "openmult.graphs", "openmult.probe"} & set(seen["loaded"])
+
+
+def test_public_names_resolve():
+    assert len(OLD_PUBLIC_NAMES) == 73
+    assert sorted(openmult.__all__) == sorted(OLD_PUBLIC_NAMES)
+    assert set(OLD_PUBLIC_NAMES) <= set(dir(openmult))
+    star = _run_python(
+        "import json, openmult\nfrom openmult import *\n"
+        "print(json.dumps(sorted(n for n in openmult.__all__ if globals()[n] is getattr(openmult, n))))"
+    )
+    assert star == sorted(OLD_PUBLIC_NAMES)
+    for name in OLD_PUBLIC_NAMES:
+        assert getattr(openmult, name).__name__ == name
+    with pytest.raises(AttributeError):
+        openmult.no_such_name  # noqa: B018

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,9 @@ from hypothesis import strategies as st
 from openmult import (
     DiagonalAlgebraElement,
     FiniteSpaceFunction,
+    OpenMultError,
     PerturbationTooLarge,
+    PreconditionViolated,
     diagonal_open_mult,
     nondeg_approx,
     open_mult_finite,
@@ -245,3 +249,179 @@ class TestDiagonalOpenMult:
         d = elem(0.5, [0.0, 0.0])
         with pytest.raises(PerturbationTooLarge):
             diagonal_open_mult(a, b, d, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The array kernel against the per-point construction it replaced.  The
+# reference below is the scalar code as it stood before vectorisation, kept
+# verbatim; every output must keep its bits and every refusal its class,
+# bound and value.
+
+
+def _ref_scalar_factor(x, y, w, eps):
+    if eps <= 0:
+        raise PreconditionViolated("eps must be positive")
+    if abs(w) > 0.25 * eps * eps * (1.0 + 1e-12):
+        raise PerturbationTooLarge(
+            "perturbation exceeds eps^2/4",
+            bound="|w| <= eps^2/4", value=abs(w), limit=0.25 * eps * eps,
+        )
+    if w == 0:
+        return x, y
+    if max(abs(x), abs(y)) >= abs(w) / eps:
+        if abs(x) >= abs(y):
+            return x, y + w / x
+        return x + w / y, y
+    root = complex(np.sqrt(complex(x * y + w)))
+    return root, root
+
+
+def _ref_open_mult_finite(a, b, d, eps):
+    supd = float(np.max(np.abs(d.values)))
+    if supd > 0.25 * eps * eps * (1.0 + 1e-12):
+        raise PerturbationTooLarge(
+            "perturbation exceeds eps^2/4",
+            bound="sup|d| <= eps^2/4", value=supd, limit=0.25 * eps * eps,
+        )
+    out_a = np.empty(a.n, dtype=np.complex128)
+    out_b = np.empty(a.n, dtype=np.complex128)
+    for i in range(a.n):
+        out_a[i], out_b[i] = _ref_scalar_factor(
+            complex(a.values[i]), complex(b.values[i]), complex(d.values[i]), eps
+        )
+    return FiniteSpaceFunction(out_a), FiniteSpaceFunction(out_b)
+
+
+def _ref_nondeg_approx(f, g, eps):
+    cut = eps / 3.0
+    pow2 = math.ldexp(1.0, math.frexp(eps / 2.0)[1] - 1)
+    fp = np.array(f.values)
+    gp = np.array(g.values)
+    prods = f.values * g.values
+    for i in range(f.n):
+        if abs(fp[i]) >= cut or abs(gp[i]) >= cut:
+            continue
+        prod = complex(prods[i])
+        if prod == 0:
+            fp[i] = eps / 2.0
+            gp[i] = 0j
+        else:
+            fp[i] = pow2
+            gp[i] = prod / pow2
+    return FiniteSpaceFunction(fp), FiniteSpaceFunction(gp)
+
+
+def _outcome(fn, *args):
+    """The output bits of fn(*args), or the class, bound, value and limit of what it raised."""
+    try:
+        out = fn(*args)
+    except (OpenMultError, ZeroDivisionError) as exc:
+        return type(exc), str(exc), getattr(exc, "bound", None), getattr(exc, "value", None), \
+            getattr(exc, "limit", None)
+    return tuple(np.asarray(getattr(v, "values", v), dtype=np.complex128).tobytes() for v in out)
+
+
+def _edge_case_points(rng, n, scale):
+    """n complex points at moduli spread over scale * [1e-8, 10], with exact and
+    negative zeros and subnormal values mixed in."""
+    vals = scale * 10.0 ** rng.uniform(-8, 1, n) * np.exp(2j * np.pi * rng.random(n))
+    for special in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+        vals[rng.integers(0, n, max(1, n // 16))] = special
+    sub = rng.integers(0, n, max(1, n // 16))
+    vals[sub] = vals[sub] * 1e-310
+    return vals
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_finite_kernel_matches_per_point_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    eps = float(rng.choice([1e-8, 1e-3, 0.05, 0.5, 0.9, 1.0, 3.0, 10.0]))
+    a = _edge_case_points(rng, n, 1.0)
+    b = _edge_case_points(rng, n, float(rng.choice([1e-8, 1e-3, 1.0, 10.0])))
+    ties = rng.random(n) < 0.25
+    b[ties] = a[ties] * rng.choice([1j, -1, -1j], ties.sum())  # |x| == |y| exactly
+    d = _edge_case_points(rng, n, 1.0)
+    top = np.max(np.abs(d))
+    if top > 0:
+        d = d / top * (rng.uniform(0.1, 1.0) * 0.25 * eps * eps)
+    A, B, D = (FiniteSpaceFunction(v) for v in (a, b, d))
+    assert _outcome(open_mult_finite, A, B, D, eps) == _outcome(_ref_open_mult_finite, A, B, D, eps)
+    assert _outcome(nondeg_approx, A, B, eps) == _outcome(_ref_nondeg_approx, A, B, eps)
+    for i in range(min(n, 8)):
+        x, y, w = complex(a[i]), complex(b[i]), complex(d[i])
+        assert _outcome(scalar_factor, x, y, w, eps) == _outcome(_ref_scalar_factor, x, y, w, eps)
+
+
+@pytest.mark.parametrize(
+    "x,y,w,eps",
+    [
+        (1 + 2j, -3j, 0.0, 0.5),  # w == 0
+        (1 + 2j, -3j, complex(-0.0, 0.0), 0.5),
+        (0j, 0j, complex(0.0, -0.0), 0.5),
+        (3 + 4j, 4 - 3j, 0.01, 0.5),  # |x| == |y|: w goes into y
+        (5e-324, 5e-324j, 1e-320, 0.5),  # subnormal factors
+        (0j, 0j, 0.25, 1.0),  # square-root branch
+        (0j, 0j, 0.5, 1.0),  # refused: |w| > eps^2/4
+        (1.0, 1.0, 0.1, 0.0),  # refused: eps <= 0
+        (1.0, 1.0, 0.1, -1.0),
+        (0j, 0j, 5e-324, 10.0),  # |w| / eps underflows to 0: Python divides by zero
+    ],
+)
+def test_scalar_factor_edge_cases_match_reference(x, y, w, eps):
+    assert _outcome(scalar_factor, x, y, w, eps) == _outcome(_ref_scalar_factor, x, y, w, eps)
+
+
+# np.abs(W) <= EPS**2/4 * (1 + 1e-12) < hypot(W): the sup|d| gate passes and the
+# per-point gate, which measures |w| as Python does, refuses.
+W, EPS = 0.0317473776112571 + 0.05870930966296277j, 0.5166948108555934
+
+
+@pytest.mark.parametrize(
+    "d,eps,bound",
+    [
+        ([0.01, 0.2, 0.3], 0.5, "sup|d| <= eps^2/4"),
+        ([0.0, 0.0, 0.0], 0.0, None),  # eps <= 0 with d == 0: the per-point gate names it
+        ([0.0, 0.0, 0.0], -1.0, None),
+        ([0.01, W, 0.02, W * 1j], EPS, "|w| <= eps^2/4"),
+    ],
+)
+def test_finite_refusal_order_matches_reference(d, eps, bound):
+    n = len(d)
+    a = FiniteSpaceFunction(np.linspace(0.0, 1.0, n) + 0.5j)
+    b = FiniteSpaceFunction(np.full(n, 0.1 + 0j))
+    D = FiniteSpaceFunction(d)
+    got = _outcome(open_mult_finite, a, b, D, eps)
+    assert got == _outcome(_ref_open_mult_finite, a, b, D, eps)
+    assert isinstance(got[0], type) and got[2] == bound
+
+
+def _abs_ulp_apart(rng, radius, n):
+    """Points of modulus ~radius on which numpy's array abs and hypot disagree."""
+    z = radius * np.exp(2j * np.pi * rng.random(8 * n))
+    return z[np.abs(z) != np.hypot(z.real, z.imag)][:n]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_finite_kernel_matches_reference_at_branch_boundaries(seed):
+    # Each family puts points where one rounding step decides the branch or
+    # the last bit: a product that is a quarter of x*y + w in the square-root
+    # branch, |x| == |y| in hypot but not in numpy's array abs, |f| at the
+    # eps/3 cut, and products with a signed-zero part.
+    rng = np.random.default_rng(1000 + seed)
+    eps = float(rng.uniform(0.1, 1.0))
+    n = 512
+    w = 0.25 * eps * eps * np.exp(2j * np.pi * rng.random(n))
+    near = np.abs(w) / eps * 0.999
+    x, y = near * np.exp(2j * np.pi * rng.random(n)), near * np.exp(2j * np.pi * rng.random(n))
+    x2 = _abs_ulp_apart(rng, 0.3, n)
+    y2 = np.hypot(x2.real, x2.imag) + 0j
+    wx = w[:x2.size]
+    A, B, D = (FiniteSpaceFunction(np.concatenate(v)) for v in ((x, x2, y2), (y, y2, x2), (w, wx, wx)))
+    assert _outcome(open_mult_finite, A, B, D, eps) == _outcome(_ref_open_mult_finite, A, B, D, eps)
+    f = np.concatenate([_abs_ulp_apart(rng, eps / 3.0, n), [0.01j, -0.01j, 0.01, -0.01, complex(-0.0, 0.01)] * 2])
+    g = np.concatenate([0.01 * rng.random(f.size - 10), [-0.02, 0.02, 0.02j, -0.02j, 0.02]
+                        + [-0.02j, 0.02j, -0.02, 0.02, complex(0.02, -0.0)]])
+    F, G = FiniteSpaceFunction(f), FiniteSpaceFunction(g)
+    assert _outcome(nondeg_approx, F, G, eps) == _outcome(_ref_nondeg_approx, F, G, eps)
+    assert _outcome(nondeg_approx, G, F, eps) == _outcome(_ref_nondeg_approx, G, F, eps)
