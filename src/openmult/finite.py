@@ -21,7 +21,7 @@ from .functions import FiniteSpaceFunction, values_from_json, values_to_json
 def _factor_points(x, y, w, eps):
     """scalar_factor over arrays, with its bits: CPython's complex `abs`,
     product and quotient come from pyarith.  The first point that scalar
-    code would refuse (or divide by zero at) raises as it would."""
+    code would refuse raises as it would."""
     if eps <= 0:
         raise PreconditionViolated("eps must be positive")
     with np.errstate(all="ignore"):  # as Python floats: an overflow is inf, without a warning
@@ -29,16 +29,13 @@ def _factor_points(x, y, w, eps):
         too_large = aw > 0.25 * eps * eps * (1.0 + 1e-12)
         moved = w != 0
         larger = np.maximum(ax, ay)
-        divide = moved & (larger >= aw / eps)
-        bad = too_large | (divide & (larger == 0))  # w / 0 where aw / eps underflows to 0
-        if bad.any():
-            i = int(np.argmax(bad))
-            if too_large[i]:
-                raise PerturbationTooLarge(
-                    "perturbation exceeds eps^2/4",
-                    bound="|w| <= eps^2/4", value=float(aw[i]), limit=0.25 * eps * eps,
-                )
-            raise ZeroDivisionError("complex division by zero")
+        divide = moved & (larger >= aw / eps) & (larger > 0)  # aw / eps may underflow to 0
+        if too_large.any():
+            i = int(np.argmax(too_large))
+            raise PerturbationTooLarge(
+                "perturbation exceeds eps^2/4",
+                bound="|w| <= eps^2/4", value=float(aw[i]), limit=0.25 * eps * eps,
+            )
         into_y = divide & (ax >= ay)  # w is divided by x, the larger factor, and added to y
         into_x = divide & ~(ax >= ay)
         root = moved & ~divide  # both factors tiny: x*y + w split into equal square roots
@@ -52,8 +49,8 @@ def _factor_points(x, y, w, eps):
 def scalar_factor(x: complex, y: complex, w: complex, eps: float) -> tuple[complex, complex]:
     """x', y' with x'*y' = x*y + w and |x'-x|, |y'-y| <= eps, for |w| <= eps**2/4.
 
-    If either factor has modulus at least |w|/eps, the perturbation is divided
-    into the partner of the larger factor; otherwise both factors are tiny and
+    If either factor is nonzero with modulus at least |w|/eps, the perturbation
+    is divided into the partner of the larger factor; otherwise both are tiny and
     the whole product x*y + w is split between two equal square roots.  This
     is the one-point view of the array kernel that open_mult_finite runs.
     """
@@ -98,7 +95,7 @@ def nondeg_approx(
     moved = ~((pyarith.cabs(f.values) >= cut) | (pyarith.cabs(g.values) >= cut))
     zero = prods == 0
     fp = np.where(moved, np.where(zero, eps / 2.0, pow2), f.values)
-    gp = np.where(moved & ~zero, pyarith.quot(prods, np.complex128(pow2)), np.where(moved, 0j, g.values))
+    gp = np.where(moved & ~zero, pyarith.quot(prods, pow2), np.where(moved, 0j, g.values))
     return FiniteSpaceFunction(fp), FiniteSpaceFunction(gp)
 
 

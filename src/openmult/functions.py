@@ -198,23 +198,20 @@ class GraphDomain:
     edges: tuple
     crossings: tuple = ()
     parent_slices: tuple | None = field(default=None, compare=False)
-    _incidence: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        incidence = {v: [] for v in self.vertices}
+        names = set(self.vertices)
+        if len(names) < len(self.vertices):
+            raise ValueError("vertex names must be distinct")
         edges = []
-        for i, e in enumerate(self.edges):
-            u, v, dom = e
-            if u not in incidence or v not in incidence:
+        for u, v, dom in self.edges:
+            if u not in names or v not in names:
                 raise ValueError(f"edge endpoint {u!r} or {v!r} is not a vertex")
             if not isinstance(dom, IntervalDomain):
                 raise ValueError("edge grid must be an IntervalDomain")
             edges.append((u, v, dom))
-            incidence[u].append((i, 0))
-            incidence[v].append((i, -1))
         object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "_incidence", incidence)
         groups = []
         for group in self.crossings:
             cleaned = []
@@ -227,8 +224,12 @@ class GraphDomain:
         object.__setattr__(self, "crossings", tuple(groups))
 
     def incident(self, vertex):
-        """(edge_index, side) pairs touching `vertex`; side is 0 or -1."""
-        return list(self._incidence.get(vertex, ()))
+        """(edge_index, side) pairs touching `vertex`, in edge order; side is 0 or -1."""
+        if vertex not in self.vertices:
+            return []
+        layout = self._layout
+        ends = np.flatnonzero(layout.present[layout.slot] == self.vertices.index(vertex)).tolist()
+        return [(j // 2, -(j % 2)) for j in ends]
 
     @cached_property
     def _layout(self) -> "_EndLayout":

@@ -11,13 +11,15 @@ every graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import pyarith
 from .errors import EqualModulusRoots, PreconditionViolated
 from .functions import GraphDomain, GraphFunction, IntervalDomain
-from .interval import EndpointPin, FactorizationResult, PipelineConfig, phase_offsets, plan_intervals, solve_intervals
+from .interval import EndpointPin, FactorizationResult, PipelineConfig, phase_offsets, zero_row
+from .interval import plan_intervals, solve_intervals
 from .interval import factorize_interval_arrays  # noqa: F401  traced under this name by perfbench/layers.py
 from .quadratic import smaller_root_vec
 
@@ -158,13 +160,21 @@ def plan_edges(f: GraphFunction, g: GraphFunction, d: GraphFunction, eps0: float
 
 @dataclass(frozen=True)
 class GraphFactorizationResult:
+    """d1, d2 and the ragged solve's rows (meta, residual, bound1, bound2),
+    one per edge; edge_results wraps each edge's views on first read."""
+
     d1: GraphFunction
     d2: GraphFunction
-    edge_results: tuple
+    rows: tuple
     vertex_report: dict = field(compare=False)
     residual: float = 0.0
     bound1: float = 0.0
     bound2: float = 0.0
+
+    @cached_property
+    def edge_results(self) -> tuple:
+        edges, d1, d2 = self.d1.domain.edges, self.d1.edge_values, self.d2.edge_values
+        return tuple(FactorizationResult.of(e[2], (a, b, *row)) for e, a, b, row in zip(edges, d1, d2, self.rows))
 
     def to_json(self) -> dict:
         return {
@@ -206,42 +216,31 @@ def open_mult_graph(
     cfg = PipelineConfig.for_target(eps0)
     supd = float(np.max(np.abs(d.values), initial=0.0))
     cfg.check_radius(supd)
-    layout = graph._layout
 
     if supd == 0.0:
         # No pipeline runs; every vertex is "trivial", isolated ones included.
         d1 = d2 = np.zeros(d.values.size, dtype=np.complex128)
-        results = tuple(FactorizationResult.zero(dom, cfg) for _u, _v, dom in graph.edges)
-        report = {
-            v: {"kind": "trivial", "d1": 0j, "d2": 0j, "agreement": 0.0}
-            for v in graph.vertices
-        }
+        rows = tuple(zero_row(cfg) for _edge in graph.edges)
+        report = {v: {"kind": "trivial", "d1": 0j, "d2": 0j, "agreement": 0.0} for v in graph.vertices}
     else:
         pins = _vertex_pins(f, g, d, cfg)
         ends = tuple((pins[u], pins[v]) for u, v, _dom in graph.edges)
+        layout = graph._layout
         canonical = layout.canonical[layout.slot]  # per edge end: its vertex's canonical sample
         fv, gv, dv = (x.values.copy() for x in (f, g, d))
         for x in (fv, gv, dv):
             x[layout.ends] = x[canonical]
         d1, d2, rows = solve_intervals(plan_intervals(fv, gv, eps0, layout.offsets, ends), dv)
-        results = tuple(
-            FactorizationResult.of(dom, (a, b, *row))
-            for (_u, _v, dom), a, b, row in zip(graph.edges, layout.split(d1), layout.split(d2), rows)
-        )
-        # agreement: the largest |value - canonical value| over a vertex's ends, for d1 and d2
-        spread = np.zeros(len(pins))
-        for x in (d1, d2):
-            np.maximum.at(spread, layout.slot, pyarith.cabs(x[layout.ends] - x[canonical]))
+        # agreement is 0.0: each end of a vertex is solved to its one pin, or VertexInconsistency is raised
         report = {
-            v: {"kind": pin.kind, "d1": complex(pin.d1), "d2": complex(pin.d2), "agreement": a}
-            for (v, pin), a in zip(pins.items(), spread.tolist())
+            v: {"kind": p.kind, "d1": complex(p.d1), "d2": complex(p.d2), "agreement": 0.0} for v, p in pins.items()
         }
     return GraphFactorizationResult(
         d1=GraphFunction._trusted(graph, d1),
         d2=GraphFunction._trusted(graph, d2),
-        edge_results=results,
+        rows=rows,
         vertex_report=report,
-        residual=max((r.residual for r in results), default=0.0),
-        bound1=max((r.bound1 for r in results), default=0.0),
-        bound2=max((r.bound2 for r in results), default=0.0),
+        residual=max((row[1] for row in rows), default=0.0),
+        bound1=max((row[2] for row in rows), default=0.0),
+        bound2=max((row[3] for row in rows), default=0.0),
     )

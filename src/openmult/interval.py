@@ -30,7 +30,7 @@ from .errors import (
     ZeroArgument,
 )
 from .functions import GridFunction
-from .quadratic import smaller_root_vec
+from .quadratic import quotient, smaller_root_vec
 
 RESIDUAL_TOL = 1e-9
 UNDEFINED = complex(float("nan"), float("nan"))
@@ -482,7 +482,7 @@ def _factor_arrays(psi, counts, k, size, far, pin, za, wa, zhat):
     big *= radius
     stops = counts.cumsum()  # one past each half's last node
     big[far] = zhat[stops.searchsorted(far, side="right")]
-    other = np.divide(psi, big, out=np.zeros_like(big), where=big != 0)
+    other = quotient(psi, big)
     swap = swap.repeat(counts)
     z1 = np.where(swap, other, big)
     np.copyto(other, big, where=swap)
@@ -625,13 +625,6 @@ class FactorizationResult:
             residual=residual, bound1=bound1, bound2=bound2, meta=meta,
         )
 
-    @classmethod
-    def zero(cls, domain, cfg: PipelineConfig) -> "FactorizationResult":
-        """The result for d = 0, where no pipeline runs."""
-        zero = GridFunction._trusted(domain, np.zeros(domain.n, dtype=np.complex128))
-        meta = _meta(cfg, cfg.eta2, 5.0 * cfg.epsilon1, ())
-        return cls(d1=zero, d2=zero, residual=0.0, bound1=0.0, bound2=0.0, meta=meta)
-
     def to_json(self) -> dict:
         return {
             "d1": self.d1.to_json(),
@@ -651,6 +644,12 @@ def root_pair(psi):
     """
     z = complex(np.sqrt(psi))
     return z, (psi / z if z != 0 else 0j)
+
+
+def zero_row(cfg: PipelineConfig) -> tuple:
+    """The row (meta, residual, bound1, bound2) of an interval where d = 0
+    and no pipeline runs; each call makes a fresh meta."""
+    return _meta(cfg, cfg.eta2, 5.0 * cfg.epsilon1, ()), 0.0, 0.0, 0.0
 
 
 def _meta(cfg, eta2, eps_cover, runs):
@@ -892,6 +891,7 @@ def open_mult_interval(
         raise PreconditionViolated("f, g, d need a common domain")
     cfg = PipelineConfig.for_target(eps0)
     if not np.any(d.values):
-        return FactorizationResult.zero(f.domain, cfg)
+        zero = np.zeros(f.domain.n, dtype=np.complex128)
+        return FactorizationResult.of(f.domain, (zero, zero, *zero_row(cfg)))
     solved = factorize_interval_arrays(f.values, g.values, d.values, eps0)
     return FactorizationResult.of(f.domain, solved)

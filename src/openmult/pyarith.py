@@ -43,7 +43,8 @@ def quot(a, b):
     """a/b as CPython's `_Py_c_quot` rounds it (Smith's algorithm, scaled by
     the larger part of b).  nan where b == 0 (Python raises there) or b has a
     nan part."""
-    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    b = np.asarray(b, dtype=np.complex128)  # a Python divisor's parts then divide under errstate too
+    ar, ai, br, bi = np.real(a), np.imag(a), b.real, b.imag
     with np.errstate(all="ignore"):  # the branch not taken may divide by zero
         by_real = np.abs(br) >= np.abs(bi)
         ratio = bi / br

@@ -50,26 +50,27 @@ def roots_vec(alpha, beta, gamma):
     q = np.negative(w, out=w)
     np.divide(q, 2.0, out=q)
     big = np.divide(q, gamma, out=plus)
-    small = np.zeros(q.shape, dtype=np.complex128)
+    return big.reshape(shape), quotient(alpha, q).reshape(shape)
+
+
+def quotient(num, den):
+    """num / den as np.divide rounds it, 0 where den == 0, except where
+    numpy's complex division overflows its reciprocal 1/(dr + di*(di/dr))
+    (|den| about 1e-308 or less): there num is divided by den scaled by
+    2**600, which is exact, and the quotient is scaled back."""
+    out = np.zeros(den.shape, dtype=np.complex128)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            np.divide(alpha, q, out=small, where=q != 0)
+            return np.divide(num, den, out=out, where=den != 0)
     except FloatingPointError:
-        _divide_by_tiny(alpha, q, small)
-    return big.reshape(shape), small.reshape(shape)
-
-
-def _divide_by_tiny(alpha, q, out):
-    """out = alpha / q where q != 0, as np.divide rounds it, except where
-    numpy's complex division overflows its reciprocal 1/(qr + qi*(qi/qr))
-    (|q| about 1e-308 or less): there alpha is divided by q scaled by 2**600,
-    which is exact, and the quotient is scaled back."""
-    qr, qi = q.real, q.imag
+        pass
+    dr, di = den.real, den.imag
     with np.errstate(all="ignore"):
-        denom = np.where(np.abs(qr) >= np.abs(qi), qr + qi * (qi / qr), qi + qr * (qr / qi))
-        tiny = (q != 0) & np.isinf(1.0 / denom)
-    np.divide(alpha, q, out=out, where=(q != 0) & ~tiny)
-    out[tiny] = np.broadcast_to(alpha, q.shape)[tiny] / (q[tiny] * 2.0**600) * 2.0**600
+        denom = np.where(np.abs(dr) >= np.abs(di), dr + di * (di / dr), di + dr * (dr / di))
+        tiny = (den != 0) & np.isinf(1.0 / denom)
+    np.divide(num, den, out=out, where=(den != 0) & ~tiny)
+    out[tiny] = np.broadcast_to(num, den.shape)[tiny] / (den[tiny] * 2.0**600) * 2.0**600
+    return out
 
 
 def smaller_root_vec(alpha, beta, gamma):

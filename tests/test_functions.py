@@ -277,6 +277,11 @@ class TestGraphFunctions:
         with pytest.raises(ValueError):
             GraphDomain(("a",), (("a", "zz", dom),))
 
+    def test_vertex_names_must_be_distinct(self):
+        # a repeated name would be one vertex in the incidence and the report, two in `vertices`
+        with pytest.raises(ValueError, match="distinct"):
+            GraphDomain(("u", "v", "u"), (("u", "v", IntervalDomain(0.0, 1.0, 5)),))
+
     def test_incidence_matches_edge_scan(self):
         from openmult import refine_partition
 

@@ -513,3 +513,47 @@ def test_near_agreeing_vertex_is_certified():
         z = (f0 + res.d1.edge_values[ei][0]) * (g0 + res.d2.edge_values[ei][0])
         assert abs(z - (f0 * g0 + d0)) <= 1e-9
     assert res.d1.edge_values[0][0] == res.d1.edge_values[1][0]
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of the classmethod owner.name, which keeps working."""
+    calls = []
+    inner = getattr(owner, name).__func__
+    monkeypatch.setattr(owner, name, classmethod(lambda cls, *args: calls.append(1) or inner(cls, *args)))
+    return calls
+
+
+def test_edge_results_are_built_on_first_read(monkeypatch):
+    from openmult.interval import FactorizationResult
+
+    dom = IntervalDomain(0.0, 1.0, 33)
+    leaves = tuple(f"v{i}" for i in range(400))
+    graph = GraphDomain(("c",) + leaves, tuple(("c", v, dom) for v in leaves))
+    rng = np.random.default_rng(13)
+    at = {v: complex(*rng.uniform(-1, 1, 2)) for v in leaves}
+    f = interp_fn(graph, {"c": 0.8, **at}, rng, bump=0.05)
+    g = interp_fn(graph, {"c": 0.6j, **{v: 0.7j * z for v, z in at.items()}}, rng, bump=0.05)
+    d = scaled_to(interp_fn(graph, {"c": 0.1, **at}, rng, bump=1.0), delta0(0.5))
+    results = _count_calls(monkeypatch, FactorizationResult, "of")
+    grids = _count_calls(monkeypatch, GridFunction, "_trusted")
+    res = open_mult_graph(f, g, d, 0.5)
+    assert (len(results), len(grids)) == (0, 0)
+    first = res.edge_results
+    assert (len(results), len(grids)) == (400, 800)
+    assert res.edge_results is first and (len(results), len(grids)) == (400, 800)
+    for er, a, b, row in zip(first, res.d1.edge_values, res.d2.edge_values, res.rows):
+        assert er.d1.values is a and er.d2.values is b
+        assert (er.meta, er.residual, er.bound1, er.bound2) == row
+    assert res.residual == max(er.residual for er in first)
+
+
+def test_zero_perturbation_gives_each_edge_its_own_meta():
+    graph = theta()
+    f = interp_fn(graph, {"u": 1.0, "v": 0.5j})
+    zero = GraphFunction(graph, tuple(np.zeros(N) for _ in graph.edges))
+    res = open_mult_graph(f, f, zero, 0.5)
+    metas = [er.meta for er in res.edge_results]
+    assert len({id(m) for m in metas}) == len(graph.edges)
+    assert all(m == metas[0] for m in metas) and metas[0]["cover"] == []
+    metas[0]["cover"].append("scratch")  # a caller's edit stays on its own edge
+    assert res.edge_results[1].meta["cover"] == []

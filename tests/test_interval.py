@@ -522,6 +522,14 @@ class TestFactorHalfboundary:
                 assert sup_norm(z1) <= eps * (1 + 1e-9)
                 assert sup_norm(z2) <= eps * (1 + 1e-9)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_subnormal_modulus_ramp(self, side):
+        # the larger factor's modulus ramps from |za| = 1.5e-323, so psi is
+        # divided by a subnormal, where numpy's complex division overflows
+        psi = GridFunction.constant(IntervalDomain(0.0, 1.0, 13), 0.0)
+        z1, z2 = factor_halfboundary(psi, 0.5, 1.5e-323, 0j, 0j, side=side)
+        assert np.array_equal(z1.values * z2.values, psi.values)
+
 
 class TestFactorInterval:
     def test_zero_everything(self):
@@ -560,6 +568,12 @@ class TestFactorInterval:
         z1, z2 = factor_interval(psi, 0.3, 0.2, 0.2, 0.1, 0.1)
         assert np.array_equal(z1.values, np.array([0.2, 0.1], dtype=complex))
         assert np.array_equal(z2.values, np.array([0.2, 0.1], dtype=complex))
+
+    def test_subnormal_modulus_ramp(self):
+        # as TestFactorHalfboundary.test_subnormal_modulus_ramp, on both halves
+        psi = GridFunction.constant(IntervalDomain(0.0, 1.0, 13), 0.0)
+        z1, z2 = factor_interval(psi, 0.5, 1.5e-323, 0j, 0j, 0j)
+        assert np.array_equal(z1.values * z2.values, psi.values)
 
 
 class TestRootPair:

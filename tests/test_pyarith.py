@@ -52,6 +52,11 @@ def test_quotient_matches_cpython_bit_for_bit():
 
 def test_quotient_by_zero_is_nan():
     assert np.isnan(pyarith.quot(np.array([1 + 1j, 0j]), np.array([0j, -0.0 + 0j]))).all()
+    # Python divisors: a zero part divides under errstate as a numpy one does
+    for divisor in (0j, 0.0, -0.0, complex(0.0, -0.0)):
+        assert np.isnan(pyarith.quot(np.array([1 + 1j, 0j]), divisor)).all()
+    assert pyarith.quot(np.array([1 + 1j]), 2.0).tolist() == [(1 + 1j) / 2.0]
+    assert pyarith.quot(np.array([1 + 1j]), 2j).tolist() == [(1 + 1j) / 2j]
 
 
 def test_abs_and_squared_abs_match_python():
