@@ -301,11 +301,11 @@ class GraphFunction(_Samples):
 
     def vertex_value(self, vertex):
         """Canonical sample at a vertex (first incident edge in edge order)."""
-        inc = self.domain.incident(vertex)
-        if not inc:
+        layout, names = self.domain._layout, self.domain.vertices
+        slot = np.flatnonzero(layout.present == (names.index(vertex) if vertex in names else -1))
+        if not slot.size:
             raise ValueError(f"vertex {vertex!r} has no incident edges")
-        ei, side = inc[0]
-        return complex(self.edge_values[ei][side])
+        return complex(self.values[layout.canonical[slot[0]]])
 
     def edge_function(self, i: int) -> GridFunction:
         return GridFunction(self.domain.edges[i][2], self.edge_values[i])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -352,37 +351,22 @@ def _phase_formula(h1, h2, counts):
     return u
 
 
-class _Pieces(NamedTuple):
-    """Consecutive node ranges that partition a grid: complement segments,
-    where the rotation phase is tracked, and the ranges cover runs own."""
-
-    starts: np.ndarray  # first node of each piece, increasing from 0
-    tracked: np.ndarray  # per piece: whether it is a complement segment
-    pin_nodes: np.ndarray = np.zeros(0, dtype=np.intp)  # segment ends with a pinned rotation
-    pin_beta2: np.ndarray = np.zeros(0, dtype=np.complex128)  # the rotation pinned there
-
-    def bounds(self, n):
-        """(first, last) node arrays of the segments."""
-        return self.starts[self.tracked], np.append(self.starts[1:], n)[self.tracked] - 1
-
-
-_ONE_SEGMENT = _Pieces(np.zeros(1, dtype=np.intp), np.ones(1, dtype=bool))  # a whole grid, unpinned
-
-
-def _nondeg_phase_arrays(h1, h2, eta, pieces, h=None):
-    """(beta2, f_quad) on every segment of `pieces`, bit for bit as on that
-    segment alone: the rotation phase and the rotated linear coefficient
-    f_quad = h1 + h2*beta2, with |f_quad| >= eta certified.  On the ranges
-    cover runs own both are 1.  `h` is |h1|^2 + |h2|^2 when the caller has
-    it; it is overwritten.  Pins are taken as given (plan_intervals checks
-    them).  A plan never refuses here: its segments have h > eta1 = eta^2."""
+def _nondeg_phase_arrays(h1, h2, eta, starts=(0,), pins=None, h=None):
+    """(beta2, f_quad) on segments laid end to end in h1/h2, segment i from
+    index starts[i], each bit for bit as on that segment alone: the rotation
+    phase and the rotated linear coefficient f_quad = h1 + h2*beta2, with
+    |f_quad| >= eta certified.  `pins`, when given, is (index, beta2) arrays
+    of the segment ends with a pinned rotation; pins are taken as given
+    (plan_intervals checks them).  `h` is |h1|^2 + |h2|^2 when the caller
+    has it; it is overwritten.  A plan never refuses here: its segments have
+    h > eta1 = eta^2."""
     n = h1.size
+    starts = np.asarray(starts, dtype=np.intp)
     a1 = np.abs(h1)
     a2 = np.abs(h2)
     if h is None:
         h = a1 * a1 + a2 * a2
-    starts, tracked = pieces.starts, pieces.tracked
-    hmin = np.minimum.reduceat(h, starts)[tracked]
+    hmin = np.minimum.reduceat(h, starts)
     low = hmin < eta * eta * (1.0 - 1e-12)
     if low.any():
         raise PreconditionViolated(
@@ -392,7 +376,7 @@ def _nondeg_phase_arrays(h1, h2, eta, pieces, h=None):
     eta0_sq = np.minimum(hmin - eta * eta, 0.4999 * eta * eta)
     margin = eta0_sq > 0.0
     if not margin.all():
-        factor_min = np.minimum.reduceat(np.minimum(a1, a2), starts)[tracked]
+        factor_min = np.minimum.reduceat(np.minimum(a1, a2), starts)
         if np.any(~margin & (factor_min <= 0.0)):
             raise PreconditionViolated("zero non-degeneracy margin at a node where a factor vanishes")
     eta0 = np.sqrt(eta0_sq, out=np.ones_like(eta0_sq), where=margin)
@@ -400,26 +384,25 @@ def _nondeg_phase_arrays(h1, h2, eta, pieces, h=None):
     # with no margin every node is defined
     with np.errstate(invalid="ignore"):
         tau = np.minimum(1.0, (np.sqrt(eta * eta + 2.0 * eta0_sq) - eta) / (2.0 * eta0)) * 0.999
-    theta = np.full(starts.size, np.inf)  # cover-owned nodes are never defined
-    theta[tracked] = np.where(margin, tau * eta0, -np.inf)
-    for s, e, t in zip(starts.tolist(), starts[1:].tolist() + [n], theta.tolist()):
+    theta = np.where(margin, tau * eta0, -np.inf)
+    stops = np.append(starts[1:], n)
+    for s, e, t in zip(starts.tolist(), stops.tolist(), theta.tolist()):
         h[s:e] = t  # h is spent: it holds each node's theta from here on
     defined = a1 > h
     defined &= a2 > h
     del a1, a2, h  # freed before the phases allocate their arrays
-    counts = np.add.reduceat(defined, starts, dtype=np.intp)[tracked]
+    counts = np.add.reduceat(defined, starts, dtype=np.intp)
     if counts.sum() == n:
         beta2 = _phase_formula(h1, h2, counts)
     else:
         beta2 = np.ones(n, dtype=np.complex128)
         beta2[defined] = _phase_formula(h1[defined], h2[defined], counts)
-    beta2[pieces.pin_nodes] = pieces.pin_beta2
-    defined[pieces.pin_nodes] = True
-    beta2 = circle_extend(beta2, defined, segments=pieces.bounds(n))
+    if pins is not None:
+        beta2[pins[0]] = pins[1]
+        defined[pins[0]] = True
+    beta2 = circle_extend(beta2, defined, segments=(starts, stops - 1))
     f_quad = h1 + h2 * beta2
-    if not tracked.all():  # >= eta where cover runs own the nodes: they exist only where eta = eps1 < 1
-        f_quad[np.repeat(~tracked, np.diff(starts, append=n))] = 1.0
-    _verify(float(np.min(np.abs(f_quad))) >= eta * (1.0 - 1e-12), "rotated lower bound lost")
+    _verify(float(np.min(np.abs(f_quad), initial=np.inf)) >= eta * (1.0 - 1e-12), "rotated lower bound lost")
     return beta2, f_quad
 
 
@@ -432,7 +415,7 @@ def nondeg_phases(h1: GridFunction, h2: GridFunction, eta: float) -> tuple[GridF
     """
     if h1.domain != h2.domain:
         raise PreconditionViolated("phases need a common domain")
-    beta2, _f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta, _ONE_SEGMENT)
+    beta2, _f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta)
     return GridFunction(h1.domain, np.ones_like(beta2)), GridFunction(h1.domain, beta2)
 
 
@@ -447,7 +430,7 @@ def perturb_nondegenerate(
     """
     if not (h1.domain == h2.domain == d.domain):
         raise PreconditionViolated("inputs need a common domain")
-    beta2, f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta, _ONE_SEGMENT)
+    beta2, f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta)
     phi = _track_root(d.values, f_quad, beta2, eta, eps)
     return GridFunction(h1.domain, phi), GridFunction(h1.domain, beta2 * phi)
 
@@ -670,8 +653,7 @@ class IntervalPlan:
     end in fv/gv (interval k on nodes offsets[k] .. offsets[k+1]-1): each
     interval's cover tier and sublevel cover and, on the complement
     segments, the rotation phase beta2 and rotated coefficient f_quad.
-    beta2 and f_quad span the whole grid and are 1 where cover runs own the
-    nodes."""
+    beta2 and f_quad hold the segments laid end to end: the nodes fv[keep]."""
 
     fv: np.ndarray
     gv: np.ndarray
@@ -682,7 +664,9 @@ class IntervalPlan:
     # the cover runs in node order, (ends, seam, cover_pin, zw, nodes, own, owned, halves): per run end, is
     # it a seam or pinned as "cover", and the pin's (za, wa); per run node (_halves), does the run own it
     cover: tuple
-    pieces: _Pieces
+    # (keep, first, last, start): keep selects the segment nodes (slice(None) when no cover run owns a node);
+    # per segment, its first and last node and the index where it starts in beta2/f_quad
+    pieces: tuple
     beta2: np.ndarray
     f_quad: np.ndarray
     pinned: tuple  # (nodes, d1, d2, tol) arrays of the pinned interval ends
@@ -692,8 +676,8 @@ class IntervalPlan:
         """(s, e, beta2, f_quad) per complement segment: its first and last
         node and its stretch of the phase arrays."""
         return tuple(
-            (s, e, self.beta2[s:e + 1], self.f_quad[s:e + 1])
-            for s, e in zip(*(x.tolist() for x in self.pieces.bounds(self.fv.size)))
+            (s, e, self.beta2[c:c + e - s + 1], self.f_quad[c:c + e - s + 1])
+            for s, e, c in zip(*(x.tolist() for x in self.pieces[1:]))
         )
 
 
@@ -718,9 +702,9 @@ def plan_intervals(fv, gv, eps0, offsets, pins) -> IntervalPlan:
     eps1 = cfg.epsilon1
     # Wider fallback tier keeps every bound: seam moduli < 3*eps1 and
     # eps_cover + 3*eps1 <= 7*eps1 = eps0.
-    first, wide = (cfg.eta2, 5.0 * eps1), (9.0 * eps1 * eps1, 4.0 * eps1)
-    tiers = [first] * len(pins)
-    runs, refused = _plan_cover(h, cfg.eta1, first[0], lefts, rights, cover, nondeg)
+    narrow, wide = (cfg.eta2, 5.0 * eps1), (9.0 * eps1 * eps1, 4.0 * eps1)
+    tiers = [narrow] * len(pins)
+    runs, refused = _plan_cover(h, cfg.eta1, narrow[0], lefts, rights, cover, nondeg)
     if refused:
         runs2, refused2 = _plan_cover(h, cfg.eta1, wide[0], lefts, rights, cover, nondeg)
         for k in sorted(refused):
@@ -737,9 +721,17 @@ def plan_intervals(fv, gv, eps0, offsets, pins) -> IntervalPlan:
     zw = np.array(pairs, dtype=np.complex128).reshape(-1, 2, 2)[k].transpose(2, 0, 1)
     local = (run_ends - lefts[k, None]).tolist()
     cuts = np.searchsorted(k, np.arange(len(pins) + 1)).tolist()
-    owned = run_ends[:, 0] + seam[:, 0]  # the first node of each range a run owns
-    starts = np.sort(np.concatenate((lefts, owned, run_ends[:, 1] + 1 - seam[:, 1])))
+    run_nodes, *halves = _halves(run_ends)  # halves = (counts, k, size, far, pin)
+    own = np.ones(run_nodes.size, dtype=bool)
+    own[halves[4][seam.ravel()]] = False  # the seam ends belong to the neighbouring segments
+    owned = run_nodes[own]
+    own_lo = run_ends[:, 0] + seam[:, 0]  # the first node of each range a run owns
+    starts = np.sort(np.concatenate((lefts, own_lo, run_ends[:, 1] + 1 - seam[:, 1])))
     starts = starts[np.diff(starts, append=fv.size) != 0]  # each once, and none at the end of the grid
+    segment = ~np.isin(starts, own_lo, kind="table")
+    first, last = starts[segment], np.append(starts[1:], fv.size)[segment] - 1
+    start = first - np.searchsorted(owned, first)  # each segment's place in fv[keep]
+    keep = np.repeat(segment, np.diff(starts, append=fv.size)) if owned.size else slice(None)
     nodes = bounds[nondeg]
     rotation = np.array([pin.beta2 for pin, is_nd in zip(flat, nondeg.ravel().tolist()) if is_nd], dtype=np.complex128)
     rotated = np.abs(fv[nodes] + gv[nodes] * rotation)  # the phase step's lower bound, in its formula
@@ -749,19 +741,16 @@ def plan_intervals(fv, gv, eps0, offsets, pins) -> IntervalPlan:
             f"pinned rotation at node {int(nodes[low[0]])} brings |f + beta2*g| below epsilon1",
             bound="|f + beta2*g| >= epsilon1", value=float(rotated[low[0]]), limit=eps1,
         )
-    pieces = _Pieces(starts, ~np.isin(starts, owned, kind="table"), nodes, rotation)
-    handed = [h]
+    handed = [h[keep]]
     del h  # the phases overwrite h and free it: keep no reference here
-    beta2, f_quad = _nondeg_phase_arrays(fv, gv, eps1, pieces, handed.pop())
-
-    run_nodes, *halves = _halves(run_ends)  # halves = (counts, k, size, far, pin)
-    own = np.ones(run_nodes.size, dtype=bool)
-    own[halves[4][seam.ravel()]] = False  # the seam ends belong to the neighbouring segments
+    at = nodes - np.searchsorted(owned, nodes)  # the pinned nodes' places in fv[keep]
+    beta2, f_quad = _nondeg_phase_arrays(fv[keep], gv[keep], eps1, start, (at, rotation), handed.pop())
     d1, d2 = np.array([(pin.d1, pin.d2) for pin in flat if pin is not None], dtype=np.complex128).reshape(-1, 2).T
     pinned = (bounds[kinds != ""], d1, d2, RESIDUAL_TOL * (1.0 + pyarith.cabs(d1) + pyarith.cabs(d2)))
     return IntervalPlan(
         fv, gv, cfg, offsets, tuple(tiers), tuple(local[a:b] for a, b in zip(cuts, cuts[1:])),
-        (run_ends, seam, ~seam & cover[k], zw, run_nodes, own, run_nodes[own], halves), pieces, beta2, f_quad, pinned,
+        (run_ends, seam, ~seam & cover[k], zw, run_nodes, own, owned, halves), (keep, first, last, start),
+        beta2, f_quad, pinned,
     )
 
 
@@ -786,19 +775,22 @@ def _solve_ragged(plan: IntervalPlan, dv):
     cfg = plan.cfg
     fv, gv = plan.fv, plan.gv
     ends, seam, cover_pin, zw, nodes, own, owned, halves = plan.cover
-    alpha = np.negative(dv)
-    if nodes.size:  # nodes the cover runs own: a root of no use, never a tie
-        alpha[owned] = 0.0
+    keep, _first, _last, start = plan.pieces
     try:
         # solve_interval's gate, sup|d| <= delta0 = shift_budget(eps1, eps1), is this step's budget
-        phi = smaller_root_vec(alpha, plan.f_quad, plan.beta2)
+        phi = smaller_root_vec(-dv[keep], plan.f_quad, plan.beta2)
     except EqualModulusRoots as exc:
-        first, _last = plan.pieces.bounds(fv.size)
-        index = exc.index - int(first[np.searchsorted(first, exc.index, side="right") - 1])
+        index = exc.index - int(start[np.searchsorted(start, exc.index, side="right") - 1])
         raise EqualModulusRoots(f"root moduli tie at index {index}", index=index) from None
-    del alpha  # freed before the arrays below are allocated
-    d1 = plan.beta2 * phi
-    d2 = phi
+    if nodes.size:  # spread onto the grid before target is allocated
+        d1 = np.zeros(fv.size, dtype=np.complex128)
+        d2 = np.zeros(fv.size, dtype=np.complex128)
+        d1[keep] = plan.beta2 * phi
+        d2[keep] = phi
+        del phi
+    else:
+        d1 = plan.beta2 * phi
+        d2 = phi
     target = fv * gv + dv
 
     if nodes.size:

@@ -119,6 +119,8 @@ def probe_pipeline(
     """
     if trials < 1:
         raise PreconditionViolated("trials must be at least 1")
+    if seed < 0:
+        raise PreconditionViolated("seed must be non-negative", bound="seed", value=seed)
     rng = np.random.default_rng(seed)
     base = delta0(eps0)
     n = f.domain.n

@@ -322,6 +322,13 @@ class TestProbeCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "r,success_rate"
 
+    def test_negative_seed_exit_two(self, tmp_path, capsys):
+        f = GridFunction.constant(IntervalDomain(0.0, 1.0, 65), 1.0)
+        path = write_json(tmp_path / "probe.json", {"f": f.to_json(), "g": f.to_json(), "trials": 2})
+        assert main(["probe", "--input", path, "--epsilon", "0.5", "--seed", "-1"]) == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (diag["error"], diag["bound"], diag["value"]) == ("PreconditionViolated", "seed", -1)
+
 
 class TestNondegApproxCommand:
     def test_basic(self, tmp_path, capsys):

@@ -263,6 +263,22 @@ class TestGraphFunctions:
         with pytest.raises(ValueError):
             GraphFunction(g, (np.full(n, 1 + 0j), bad_edge))
 
+    def test_vertex_value_is_the_first_end_in_edge_order(self):
+        from openmult.functions import VERTEX_TOL
+
+        dom = IntervalDomain(0.0, 1.0, 5)
+        g = GraphDomain(("a", "c", "b", "lone"), (("a", "c", dom), ("c", "b", dom), ("b", "c", dom)))
+        first, near = 1.0 + 0.5j, 1.0 + 0.5j + 0.5 * VERTEX_TOL  # within tolerance, not equal
+        e0, e1, e2 = (np.linspace(0.0, 1.0, 5).astype(complex) for _ in range(3))
+        e0[-1], e1[0], e2[-1] = first, near, near  # c: the last node of edge 0 comes first
+        e1[-1] = e2[0] = 2j
+        fn = GraphFunction(g, (e0, e1, e2))
+        assert fn.vertex_value("c") == first and near != first
+        assert (fn.vertex_value("a"), fn.vertex_value("b")) == (0j, 2j)
+        for name in ("lone", "nowhere"):
+            with pytest.raises(ValueError, match="has no incident edges"):
+                fn.vertex_value(name)
+
     def test_sup_norm_over_edges(self):
         g = star_graph()
         n = g.edges[0][2].n

@@ -668,6 +668,14 @@ def test_tie_index_is_segment_local():
     assert (type(exc.value).__name__, str(exc.value)) == ("EqualModulusRoots", "root moduli tie at index 10")
 
 
+def test_plan_holds_phases_on_segment_nodes_only():
+    f, g, _d = _family_case(4097, 7, 3, 0.07)
+    plan = plan_interval(f.values, g.values, 0.07)
+    owned = f.domain.n - sum(e - s + 1 for s, e, _b, _q in plan.segments)
+    assert owned > 0 and plan.runs[0]
+    assert plan.beta2.size == plan.f_quad.size == f.domain.n - owned
+
+
 # ---------------------------------------------------------------------------
 # One interval through the ragged plan: offsets (0, n) give the arrays that
 # plan_interval gave when it planned one interval at a time.

@@ -218,6 +218,23 @@ class TestOpenMultGraph:
         for rep in res.vertex_report.values():
             assert rep["agreement"] == 0.0
 
+    def test_plan_holds_phases_on_segment_nodes_only(self, monkeypatch):
+        import openmult.graphs as graphs
+
+        plans = []
+        inner = graphs.plan_intervals
+        monkeypatch.setattr(graphs, "plan_intervals", lambda *args: plans.append(inner(*args)) or plans[-1])
+        g = GraphDomain(("u", "v"), (("u", "v", EDGE_DOM),))
+        f = GraphFunction(g, ((1 - 2 * T).astype(complex),))
+        gg = GraphFunction(g, (0.8j * (1 - 2 * T),))
+        d = scaled_to(interp_fn(g, {"u": 0.3 + 0.1j, "v": -0.2j}, np.random.default_rng(3), bump=0.5), delta0(0.7))
+        res = open_mult_graph(f, gg, d, 0.7)
+        (plan,) = plans
+        owned = N - sum(e - s + 1 for s, e, _b, _q in plan.segments)
+        assert owned > 0 and res.edge_results[0].meta["cover"]
+        assert [rep["kind"] for rep in res.vertex_report.values()] == ["nondeg", "nondeg"]
+        assert plan.beta2.size == plan.f_quad.size == N - owned
+
     def test_degenerate_vertex(self):
         # joint zero exactly at a vertex: boundary data comes from the
         # direct-factorization pin shared by the incident edges

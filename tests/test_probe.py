@@ -57,6 +57,12 @@ class TestProbePipeline:
         rep = probe_pipeline(f, g, 0.7, trials=4, seed=1)
         assert rep.delta_empirical >= rep.delta_constructive
 
+    def test_negative_seed_refused(self):
+        f = GridFunction.constant(DOM, 1.0)
+        with pytest.raises(PreconditionViolated) as exc:
+            probe_pipeline(f, f, 0.7, trials=1, seed=-1)
+        assert (exc.value.bound, exc.value.value) == ("seed", -1)
+
     def test_deterministic(self):
         f = GridFunction.constant(DOM, 1.0)
         g = GridFunction.constant(DOM, 1.0)
