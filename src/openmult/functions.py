@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -118,7 +119,11 @@ class IntervalDomain:
     n: int
 
     def __post_init__(self):
-        if not (self.a < self.b and np.isfinite(self.b - self.a)):
+        try:
+            ok = self.a < self.b and math.isfinite(self.b - self.a)
+        except OverflowError:  # a span of Python ints past the float range
+            ok = False
+        if not ok:
             raise ValueError("require a < b, with b - a finite")
         if self.n < 2:
             raise ValueError("require n >= 2")
@@ -225,10 +230,8 @@ class GraphDomain:
 
     def incident(self, vertex):
         """(edge_index, side) pairs touching `vertex`, in edge order; side is 0 or -1."""
-        if vertex not in self.vertices:
-            return []
         layout = self._layout
-        ends = np.flatnonzero(layout.present[layout.slot] == self.vertices.index(vertex)).tolist()
+        ends = np.flatnonzero(layout.slot == layout.index.get(vertex, -1)).tolist()
         return [(j // 2, -(j % 2)) for j in ends]
 
     @cached_property
@@ -239,25 +242,26 @@ class GraphDomain:
         ends = np.column_stack((offsets[:-1], offsets[1:] - 1)).ravel()
         owner = np.array([index[x] for u, v, _dom in self.edges for x in (u, v)], dtype=np.intp)
         present, first_end, slot = np.unique(owner, return_index=True, return_inverse=True)
-        return _EndLayout(offsets, ends, slot, present, ends[first_end])
+        names = [self.vertices[k] for k in present.tolist()]
+        return _EndLayout(offsets, ends, slot, ends[first_end], dict(zip(names, range(len(names)))))
 
 
 class _EndLayout(NamedTuple):
     """A GraphDomain's edge ends as indices into the edges' samples laid end
     to end, edge i owning samples offsets[i]:offsets[i+1].
 
-    ends[2i], ends[2i+1] index edge i's first and last node; present lists,
-    in vertex order, the indices in `vertices` of the vertices with edges;
-    end j touches vertex present[slot[j]]; canonical[k] indexes the canonical
-    sample of vertex present[k], its first end in edge order (as in
+    ends[2i], ends[2i+1] index edge i's first and last node; `index` maps
+    the name of each vertex with edges, in vertex order, to its row k; end j
+    touches the vertex of row slot[j]; canonical[k] indexes the canonical
+    sample of the vertex of row k, its first end in edge order (as in
     GraphFunction.vertex_value).
     """
 
     offsets: np.ndarray
     ends: np.ndarray
     slot: np.ndarray
-    present: np.ndarray
     canonical: np.ndarray
+    index: dict
 
     def split(self, values) -> tuple:
         """Each edge's stretch of `values`, as views."""
@@ -292,7 +296,7 @@ class GraphFunction(_Samples):
         first = self.values[layout.canonical[layout.slot]]
         bad = pyarith.cabs(self.values[layout.ends] - first) > VERTEX_TOL * (1.0 + pyarith.cabs(first))
         if bad.any():
-            vertex = self.domain.vertices[layout.present[layout.slot[bad].min()]]
+            vertex = list(layout.index)[layout.slot[bad].min()]
             raise ValueError(f"vertex {vertex!r} values disagree beyond tolerance")
 
     @cached_property
@@ -301,11 +305,11 @@ class GraphFunction(_Samples):
 
     def vertex_value(self, vertex):
         """Canonical sample at a vertex (first incident edge in edge order)."""
-        layout, names = self.domain._layout, self.domain.vertices
-        slot = np.flatnonzero(layout.present == (names.index(vertex) if vertex in names else -1))
-        if not slot.size:
+        layout = self.domain._layout
+        k = layout.index.get(vertex)
+        if k is None:
             raise ValueError(f"vertex {vertex!r} has no incident edges")
-        return complex(self.values[layout.canonical[slot[0]]])
+        return complex(self.values[layout.canonical[k]])
 
     def edge_function(self, i: int) -> GridFunction:
         return GridFunction(self.domain.edges[i][2], self.edge_values[i])

@@ -10,6 +10,7 @@ every graph.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -18,8 +19,8 @@ import numpy as np
 from . import pyarith
 from .errors import EqualModulusRoots, PreconditionViolated
 from .functions import GraphDomain, GraphFunction, IntervalDomain
-from .interval import EndpointPin, FactorizationResult, PipelineConfig, phase_offsets, zero_row
-from .interval import plan_intervals, solve_intervals
+from .interval import PIN_KINDS, Certificate, EndpointPin, FactorizationResult, PinTable, PipelineConfig
+from .interval import _solve_ragged, _verify, phase_offsets, plan_intervals
 from .interval import factorize_interval_arrays  # noqa: F401  traced under this name by perfbench/layers.py
 from .quadratic import smaller_root_vec
 
@@ -92,9 +93,27 @@ class EdgePlan:
     right: EndpointPin
 
 
-def _vertex_pins(f, g, d, cfg):
-    """One EndpointPin per vertex with edges, in vertex order, from the
-    canonical samples f, g, d take there.
+class VertexPins(Mapping):
+    """A PinTable of a graph's vertices with edges, in vertex order, read as a
+    Mapping from vertex name to EndpointPin, each built on read; `index` maps
+    each name to its row (GraphDomain._layout.index)."""
+
+    def __init__(self, index: dict, table: PinTable):
+        self.index, self.table = index, table
+
+    def __getitem__(self, vertex) -> EndpointPin:
+        return self.table.pin(self.index[vertex])
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
+def _vertex_pins(f, g, d, cfg) -> VertexPins:
+    """The pin of each vertex with edges, in vertex order, from the canonical
+    samples f, g, d take there.
 
     Jointly degenerate vertices (|f|^2 + |g|^2 < eta2) get the square-root
     pair of f*g + d; the others the rotation beta2 = phase_offsets(f, g) and
@@ -107,13 +126,13 @@ def _vertex_pins(f, g, d, cfg):
     layout = graph._layout
     at = layout.canonical
     fv, gv, dv = f.values[at], g.values[at], d.values[at]
-    names = [graph.vertices[k] for k in layout.present.tolist()]
+    names = list(layout.index)
     with np.errstate(all="ignore"):
         h = pyarith.sq_abs(fv) + pyarith.sq_abs(gv)
     overflow = ~np.isfinite(h)
     stop = int(np.argmax(overflow)) if overflow.any() else len(names)
     cover = h < cfg.eta2
-    d1, d2, za, wa, beta2 = np.empty((5, len(names)), dtype=np.complex128)
+    d1, d2, za, wa, beta2 = np.zeros((5, len(names)), dtype=np.complex128)
 
     c = np.flatnonzero(cover)
     psi = pyarith.mul(fv[c], gv[c]) + dv[c]
@@ -138,14 +157,7 @@ def _vertex_pins(f, g, d, cfg):
         )
     d1[nd] = pyarith.mul(beta2[nd], phi)
     d2[nd] = phi
-
-    return {
-        v: EndpointPin(kind="cover", d1=a, d2=b, za=z, wa=w) if is_cover
-        else EndpointPin(kind="nondeg", d1=a, d2=b, beta2=rot)
-        for v, is_cover, a, b, z, w, rot in zip(
-            names, cover.tolist(), d1.tolist(), d2.tolist(), za.tolist(), wa.tolist(), beta2.tolist()
-        )
-    }
+    return VertexPins(layout.index, PinTable(np.where(cover, 1, 2), d1, d2, za, wa, beta2))  # PIN_KINDS codes
 
 
 def plan_edges(f: GraphFunction, g: GraphFunction, d: GraphFunction, eps0: float) -> tuple:
@@ -160,21 +172,35 @@ def plan_edges(f: GraphFunction, g: GraphFunction, d: GraphFunction, eps0: float
 
 @dataclass(frozen=True)
 class GraphFactorizationResult:
-    """d1, d2 and the ragged solve's rows (meta, residual, bound1, bound2),
-    one per edge; edge_results wraps each edge's views on first read."""
+    """d1, d2, the ragged solve's Certificate (one entry per edge) and the
+    vertex pins (None where d = 0 and no pipeline ran); the rows (meta,
+    residual, bound1, bound2), edge_results and vertex_report are built on
+    first read."""
 
     d1: GraphFunction
     d2: GraphFunction
-    rows: tuple
-    vertex_report: dict = field(compare=False)
+    certificate: Certificate
+    pins: VertexPins | None = field(compare=False)
     residual: float = 0.0
     bound1: float = 0.0
     bound2: float = 0.0
 
     @cached_property
+    def rows(self) -> tuple:
+        return self.certificate.rows()
+
+    @cached_property
     def edge_results(self) -> tuple:
         edges, d1, d2 = self.d1.domain.edges, self.d1.edge_values, self.d2.edge_values
         return tuple(FactorizationResult.of(e[2], (a, b, *row)) for e, a, b, row in zip(edges, d1, d2, self.rows))
+
+    @cached_property
+    def vertex_report(self) -> dict:
+        # agreement is 0.0: each end of a vertex is solved to its one pin, or VertexInconsistency is raised
+        if self.pins is None:  # every vertex is "trivial", isolated ones included
+            return {v: {"kind": "trivial", "d1": 0j, "d2": 0j, "agreement": 0.0} for v in self.d1.domain.vertices}
+        entries = zip(self.pins, *(x.tolist() for x in self.pins.table[:3]))
+        return {v: {"kind": PIN_KINDS[k], "d1": a, "d2": b, "agreement": 0.0} for v, k, a, b in entries}
 
     def to_json(self) -> dict:
         return {
@@ -217,30 +243,25 @@ def open_mult_graph(
     supd = float(np.max(np.abs(d.values), initial=0.0))
     cfg.check_radius(supd)
 
-    if supd == 0.0:
-        # No pipeline runs; every vertex is "trivial", isolated ones included.
+    if supd == 0.0:  # no pipeline runs
         d1 = d2 = np.zeros(d.values.size, dtype=np.complex128)
-        rows = tuple(zero_row(cfg) for _edge in graph.edges)
-        report = {v: {"kind": "trivial", "d1": 0j, "d2": 0j, "agreement": 0.0} for v in graph.vertices}
+        cert, pins = Certificate.zero(cfg, len(graph.edges)), None
     else:
         pins = _vertex_pins(f, g, d, cfg)
-        ends = tuple((pins[u], pins[v]) for u, v, _dom in graph.edges)
         layout = graph._layout
         canonical = layout.canonical[layout.slot]  # per edge end: its vertex's canonical sample
         fv, gv, dv = (x.values.copy() for x in (f, g, d))
         for x in (fv, gv, dv):
             x[layout.ends] = x[canonical]
-        d1, d2, rows = solve_intervals(plan_intervals(fv, gv, eps0, layout.offsets, ends), dv)
-        # agreement is 0.0: each end of a vertex is solved to its one pin, or VertexInconsistency is raised
-        report = {
-            v: {"kind": p.kind, "d1": complex(p.d1), "d2": complex(p.d2), "agreement": 0.0} for v, p in pins.items()
-        }
+        ends = PinTable(*(x[layout.slot.reshape(-1, 2)] for x in pins.table))  # per edge end: its vertex's pin
+        d1, d2, cert, failed = _solve_ragged(plan_intervals(fv, gv, eps0, layout.offsets, ends), dv)
+        _verify(failed is None, failed)  # sup|d| is gated above
     return GraphFactorizationResult(
         d1=GraphFunction._trusted(graph, d1),
         d2=GraphFunction._trusted(graph, d2),
-        rows=rows,
-        vertex_report=report,
-        residual=max((row[1] for row in rows), default=0.0),
-        bound1=max((row[2] for row in rows), default=0.0),
-        bound2=max((row[3] for row in rows), default=0.0),
+        certificate=cert,
+        pins=pins,
+        residual=max(cert.residual, default=0.0),
+        bound1=max(cert.bound1, default=0.0),
+        bound2=max(cert.bound2, default=0.0),
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -587,6 +588,38 @@ class EndpointPin:
             raise NonUnimodularInput("pinned boundary value must be unimodular")
 
 
+PIN_KINDS = (None, "cover", "nondeg")  # a PinTable's kind code is the index of the pin's kind
+
+
+class PinTable(NamedTuple):
+    """Endpoint pins as arrays of one shape: `kind`, a PIN_KINDS code (0 for
+    an unpinned end), and the EndpointPin fields, 0 where a pin has none.
+    plan_intervals reads a table of shape (K, 2), row k for interval k and
+    column 0 for its left end, and takes each pin as checked where it was made."""
+
+    kind: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    za: np.ndarray
+    wa: np.ndarray
+    beta2: np.ndarray
+
+    @classmethod
+    def of(cls, pairs) -> "PinTable":
+        """The (K, 2) table of K pairs (pin_left, pin_right), each an EndpointPin or None."""
+        flat = [pin for pair in pairs for pin in pair]
+        kind = np.array([PIN_KINDS.index(getattr(pin, "kind", None)) for pin in flat], dtype=np.int8)
+        columns = ([getattr(pin, name, None) for pin in flat] for name in cls._fields[1:])
+        fields = (np.array([0j if x is None else x for x in col], dtype=np.complex128) for col in columns)
+        return cls(kind.reshape(-1, 2), *(x.reshape(-1, 2) for x in fields))
+
+    def pin(self, at):
+        """The EndpointPin at index `at`, with Python complex fields, or None."""
+        kind = PIN_KINDS[self.kind[at]]
+        if kind is not None:
+            return EndpointPin(kind, **{name: complex(getattr(self, name)[at]) for name in EndpointPin._NEEDS[kind]})
+
+
 @dataclass(frozen=True)
 class FactorizationResult:
     """Certified perturbations with their residual and sup-norm bounds."""
@@ -629,10 +662,30 @@ def root_pair(psi):
     return z, (psi / z if z != 0 else 0j)
 
 
-def zero_row(cfg: PipelineConfig) -> tuple:
-    """The row (meta, residual, bound1, bound2) of an interval where d = 0
-    and no pipeline runs; each call makes a fresh meta."""
-    return _meta(cfg, cfg.eta2, 5.0 * cfg.epsilon1, ()), 0.0, 0.0, 0.0
+class Certificate(NamedTuple):
+    """What a solve certifies for intervals laid end to end, one entry per
+    interval in each column: its cover tier (eta2, eps_cover) and cover runs,
+    from the plan, and its residual, bound1 and bound2, Python floats."""
+
+    cfg: PipelineConfig
+    tiers: tuple
+    runs: tuple
+    residual: list
+    bound1: list
+    bound2: list
+
+    @classmethod
+    def zero(cls, cfg: PipelineConfig, count: int) -> "Certificate":
+        """That of `count` intervals where d = 0 and no pipeline runs."""
+        zeros = [0.0] * count
+        return cls(cfg, ((cfg.eta2, 5.0 * cfg.epsilon1),) * count, ((),) * count, zeros, zeros, zeros)
+
+    def rows(self) -> tuple:
+        """One row (meta, residual, bound1, bound2) per interval, each with a fresh meta."""
+        return tuple(
+            (_meta(self.cfg, *tier, runs), r, b1, b2)
+            for tier, runs, r, b1, b2 in zip(self.tiers, self.runs, self.residual, self.bound1, self.bound2)
+        )
 
 
 def _meta(cfg, eta2, eps_cover, runs):
@@ -681,9 +734,9 @@ class IntervalPlan:
         )
 
 
-def plan_intervals(fv, gv, eps0, offsets, pins) -> IntervalPlan:
+def plan_intervals(fv, gv, eps0, offsets, pins: PinTable) -> IntervalPlan:
     """plan_interval for intervals laid end to end in fv/gv: interval k on
-    nodes offsets[k] .. offsets[k+1]-1, with pins[k] = (pin_left, pin_right).
+    nodes offsets[k] .. offsets[k+1]-1, with its end pins in row k of `pins`.
 
     Every interval gets the cover tier, cover and phases it gets alone, bit
     for bit, and one refusing interval refuses the plan: the first one in
@@ -694,16 +747,14 @@ def plan_intervals(fv, gv, eps0, offsets, pins) -> IntervalPlan:
     offsets = np.asarray(offsets, dtype=np.intp)
     lefts, rights = offsets[:-1], offsets[1:] - 1
     bounds = np.stack((lefts, rights), axis=1)
-    flat = [pin for pair in pins for pin in pair]
-    kinds = np.array([getattr(pin, "kind", "") for pin in flat], dtype=str).reshape(-1, 2)
-    cover, nondeg = kinds == "cover", kinds == "nondeg"
+    cover, nondeg = (pins.kind == PIN_KINDS.index(kind) for kind in ("cover", "nondeg"))
 
     h = np.abs(fv) ** 2 + np.abs(gv) ** 2
     eps1 = cfg.epsilon1
     # Wider fallback tier keeps every bound: seam moduli < 3*eps1 and
     # eps_cover + 3*eps1 <= 7*eps1 = eps0.
     narrow, wide = (cfg.eta2, 5.0 * eps1), (9.0 * eps1 * eps1, 4.0 * eps1)
-    tiers = [narrow] * len(pins)
+    tiers = [narrow] * lefts.size
     runs, refused = _plan_cover(h, cfg.eta1, narrow[0], lefts, rights, cover, nondeg)
     if refused:
         runs2, refused2 = _plan_cover(h, cfg.eta1, wide[0], lefts, rights, cover, nondeg)
@@ -717,10 +768,9 @@ def plan_intervals(fv, gv, eps0, offsets, pins) -> IntervalPlan:
 
     k, run_ends = runs[0], runs[1:].T
     seam = run_ends != bounds[k]
-    pairs = [(pin.za, pin.wa) if is_cover else (0j, 0j) for pin, is_cover in zip(flat, cover.ravel().tolist())]
-    zw = np.array(pairs, dtype=np.complex128).reshape(-1, 2, 2)[k].transpose(2, 0, 1)
+    zw = np.stack((pins.za, pins.wa))[:, k]
     local = (run_ends - lefts[k, None]).tolist()
-    cuts = np.searchsorted(k, np.arange(len(pins) + 1)).tolist()
+    cuts = np.searchsorted(k, np.arange(lefts.size + 1)).tolist()
     run_nodes, *halves = _halves(run_ends)  # halves = (counts, k, size, far, pin)
     own = np.ones(run_nodes.size, dtype=bool)
     own[halves[4][seam.ravel()]] = False  # the seam ends belong to the neighbouring segments
@@ -733,7 +783,7 @@ def plan_intervals(fv, gv, eps0, offsets, pins) -> IntervalPlan:
     start = first - np.searchsorted(owned, first)  # each segment's place in fv[keep]
     keep = np.repeat(segment, np.diff(starts, append=fv.size)) if owned.size else slice(None)
     nodes = bounds[nondeg]
-    rotation = np.array([pin.beta2 for pin, is_nd in zip(flat, nondeg.ravel().tolist()) if is_nd], dtype=np.complex128)
+    rotation = pins.beta2[nondeg]
     rotated = np.abs(fv[nodes] + gv[nodes] * rotation)  # the phase step's lower bound, in its formula
     low = np.flatnonzero(~(rotated >= eps1 * (1.0 - 1e-12)))
     if low.size:
@@ -745,8 +795,9 @@ def plan_intervals(fv, gv, eps0, offsets, pins) -> IntervalPlan:
     del h  # the phases overwrite h and free it: keep no reference here
     at = nodes - np.searchsorted(owned, nodes)  # the pinned nodes' places in fv[keep]
     beta2, f_quad = _nondeg_phase_arrays(fv[keep], gv[keep], eps1, start, (at, rotation), handed.pop())
-    d1, d2 = np.array([(pin.d1, pin.d2) for pin in flat if pin is not None], dtype=np.complex128).reshape(-1, 2).T
-    pinned = (bounds[kinds != ""], d1, d2, RESIDUAL_TOL * (1.0 + pyarith.cabs(d1) + pyarith.cabs(d2)))
+    pinned_at = pins.kind != 0
+    d1, d2 = pins.d1[pinned_at], pins.d2[pinned_at]
+    pinned = (bounds[pinned_at], d1, d2, RESIDUAL_TOL * (1.0 + pyarith.cabs(d1) + pyarith.cabs(d2)))
     return IntervalPlan(
         fv, gv, cfg, offsets, tuple(tiers), tuple(local[a:b] for a, b in zip(cuts, cuts[1:])),
         (run_ends, seam, ~seam & cover[k], zw, run_nodes, own, owned, halves), (keep, first, last, start),
@@ -759,7 +810,7 @@ def plan_interval(fv, gv, eps0, pin_left=None, pin_right=None) -> IntervalPlan:
     infeasible cover or phase here.  One plan serves solve_interval for any
     number of d.  The plan holds fv and gv by reference: they must not
     change while it is in use."""
-    return plan_intervals(fv, gv, eps0, (0, fv.size), ((pin_left, pin_right),))
+    return plan_intervals(fv, gv, eps0, (0, fv.size), PinTable.of(((pin_left, pin_right),)))
 
 
 _CLAIMS = ("factorization residual out of tolerance", "d1 exceeds eps0", "d2 exceeds eps0")
@@ -767,11 +818,11 @@ _CLAIMS = ("factorization residual out of tolerance", "d1 exceeds eps0", "d2 exc
 
 def _solve_ragged(plan: IntervalPlan, dv):
     """The d-dependent part, ungated, for dv of the plan's shape: (d1, d2,
-    rows) with d1, d2 over the whole grid and one row (meta, residual,
-    bound1, bound2, failed) per interval, where residual =
-    max|(f+d1)(g+d2) - (f*g+d)|, bound_i = max|d_i| and `failed` names the
-    first certificate claim that fails (residual, then d1, then d2), or is
-    None when the interval's result is certified."""
+    certificate, failed) with d1, d2 over the whole grid and the Certificate
+    of the intervals, where residual = max|(f+d1)(g+d2) - (f*g+d)| and
+    bound_i = max|d_i| per interval; `failed` names the first certificate
+    claim that fails (residual, then d1, then d2) in the first interval where
+    one does, or is None when every interval's result is certified."""
     cfg = plan.cfg
     fv, gv = plan.fv, plan.gv
     ends, seam, cover_pin, zw, nodes, own, owned, halves = plan.cover
@@ -825,19 +876,21 @@ def _solve_ragged(plan: IntervalPlan, dv):
     scale = np.maximum.reduceat(np.abs(target), starts).tolist()
     bound1 = np.maximum.reduceat(np.abs(d1), starts).tolist()
     bound2 = np.maximum.reduceat(np.abs(d2), starts).tolist()
-    rows = []
-    for k, (r, sc, b1, b2) in enumerate(zip(residual, scale, bound1, bound2)):
-        holds = (r <= RESIDUAL_TOL * (1.0 + sc), b1 <= cfg.epsilon0 * (1.0 + 1e-9), b2 <= cfg.epsilon0 * (1.0 + 1e-9))
-        failed = next((claim for ok, claim in zip(holds, _CLAIMS) if not ok), None)
-        rows.append((_meta(cfg, *plan.tiers[k], plan.runs[k]), r, b1, b2, failed))
-    return d1, d2, tuple(rows)
+    limit, failed = cfg.epsilon0 * (1.0 + 1e-9), None
+    for r, sc, b1, b2 in zip(residual, scale, bound1, bound2):
+        holds = (r <= RESIDUAL_TOL * (1.0 + sc), b1 <= limit, b2 <= limit)
+        if not all(holds):
+            failed = _CLAIMS[holds.index(False)]
+            break
+    return d1, d2, Certificate(cfg, plan.tiers, plan.runs, residual, bound1, bound2), failed
 
 
 def _solve(plan: IntervalPlan, dv):
     """_solve_ragged on a one-interval plan: (d1, d2, meta, residual, bound1,
     bound2, failed)."""
-    d1, d2, (row,) = _solve_ragged(plan, dv)
-    return (d1, d2, *row)
+    d1, d2, cert, failed = _solve_ragged(plan, dv)
+    (row,) = cert.rows()
+    return (d1, d2, *row, failed)
 
 
 def solve_intervals(plan: IntervalPlan, dv):
@@ -847,10 +900,9 @@ def solve_intervals(plan: IntervalPlan, dv):
     if dv.shape != plan.fv.shape:
         raise PreconditionViolated("perturbation must live on the plan's grid")
     plan.cfg.check_radius(float(np.max(np.abs(dv))))
-    d1, d2, rows = _solve_ragged(plan, dv)
-    failed = next((row[4] for row in rows if row[4] is not None), None)
+    d1, d2, cert, failed = _solve_ragged(plan, dv)
     _verify(failed is None, failed)
-    return d1, d2, tuple(row[:4] for row in rows)
+    return d1, d2, cert.rows()
 
 
 def solve_interval(plan: IntervalPlan, dv):
@@ -884,6 +936,6 @@ def open_mult_interval(
     cfg = PipelineConfig.for_target(eps0)
     if not np.any(d.values):
         zero = np.zeros(f.domain.n, dtype=np.complex128)
-        return FactorizationResult.of(f.domain, (zero, zero, *zero_row(cfg)))
+        return FactorizationResult.of(f.domain, (zero, zero, *Certificate.zero(cfg, 1).rows()[0]))
     solved = factorize_interval_arrays(f.values, g.values, d.values, eps0)
     return FactorizationResult.of(f.domain, solved)

@@ -49,6 +49,12 @@ class TestDomains:
         with pytest.raises(ValueError, match="b - a finite"):
             IntervalDomain(a, b, 5)
 
+    @pytest.mark.parametrize("a, b", [(0, 10**400), (0.0, 10**400), (-(10**400), 0)], ids=("int", "float", "negative"))
+    def test_interval_span_past_float_range(self, a, b):
+        # Python ints whose span no float holds: a ValueError, not numpy's or math's TypeError/OverflowError
+        with pytest.raises(ValueError, match=r"^require a < b, with b - a finite$"):
+            IntervalDomain(a, b, 5)
+
     def test_nodes_endpoints_exact(self):
         d = IntervalDomain(-2.0, 3.0, 7)
         nodes = d.nodes()
@@ -278,6 +284,21 @@ class TestGraphFunctions:
         for name in ("lone", "nowhere"):
             with pytest.raises(ValueError, match="has no incident edges"):
                 fn.vertex_value(name)
+
+    def test_vertex_lookup_on_a_large_star(self):
+        # every vertex of a 1001-vertex star by name, against the layout's canonical samples
+        dom = IntervalDomain(0.0, 1.0, 3)
+        leaves = tuple(f"v{i}" for i in range(1000))
+        g = GraphDomain(("c",) + leaves + ("lone",), tuple(("c", v, dom) for v in leaves))
+        fn = GraphFunction(g, tuple(np.array([1.0, 0.5 + k, k * 1j]) for k in range(1000)))
+        layout = g._layout
+        want = [complex(z) for z in fn.values[layout.canonical]]
+        assert [fn.vertex_value(v) for v in ("c",) + leaves] == want == [1.0] + [k * 1j for k in range(1000)]
+        assert g.incident("c") == [(k, 0) for k in range(1000)] and g.incident("v7") == [(7, -1)]
+        for name in ("lone", "nowhere"):  # an isolated vertex and a name that is not a vertex
+            with pytest.raises(ValueError, match=r"^vertex '\w+' has no incident edges$"):
+                fn.vertex_value(name)
+            assert g.incident(name) == []
 
     def test_sup_norm_over_edges(self):
         g = star_graph()

@@ -716,10 +716,10 @@ ONE_INTERVAL_PLAN_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(ONE_INTERVAL_PLAN_GOLDEN))
 def test_one_interval_ragged_plan(name):
-    from openmult.interval import plan_intervals
+    from openmult.interval import PinTable, plan_intervals
 
     fv, gv, eps0, left, right = _one_interval(name)
-    ragged = plan_intervals(fv, gv, eps0, (0, fv.size), ((left, right),))
+    ragged = plan_intervals(fv, gv, eps0, (0, fv.size), PinTable.of(((left, right),)))
     assert _plan_digest(ragged) == ONE_INTERVAL_PLAN_GOLDEN[name]
     assert _plan_digest(plan_interval(fv, gv, eps0, left, right)) == ONE_INTERVAL_PLAN_GOLDEN[name]
 

@@ -574,3 +574,60 @@ def test_zero_perturbation_gives_each_edge_its_own_meta():
     assert all(m == metas[0] for m in metas) and metas[0]["cover"] == []
     metas[0]["cover"].append("scratch")  # a caller's edit stays on its own edge
     assert res.edge_results[1].meta["cover"] == []
+
+
+def _count_function_calls(monkeypatch, owner, name):
+    """Count the calls of the function owner.name (a module function or a
+    method), which keeps working."""
+    calls = []
+    inner = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(1) or inner(*args, **kwargs))
+    return calls
+
+
+def test_graph_hot_path_builds_no_pins_or_meta(monkeypatch):
+    # A 400-edge star whose every 8th leaf is jointly degenerate (a "cover" pin).
+    # open_mult_graph carries the vertex pins and the per-edge certificate as
+    # arrays: no EndpointPin and no meta until a caller reads them.
+    from openmult import interval
+    from openmult.graphs import GraphFactorizationResult, _vertex_pins, plan_edges
+
+    dom = IntervalDomain(0.0, 1.0, 33)
+    leaves = tuple(f"v{i}" for i in range(400))
+    graph = GraphDomain(("c",) + leaves, tuple(("c", v, dom) for v in leaves))
+    rng = np.random.default_rng(14)
+    at = {v: complex(*rng.uniform(-1, 1, 2)) * (0.01 if i % 8 == 0 else 1.0) for i, v in enumerate(leaves)}
+    f = interp_fn(graph, {"c": 0.8, **at}, rng, bump=0.05)
+    g = interp_fn(graph, {"c": 0.6j, **{v: 0.7j * z for v, z in at.items()}}, rng, bump=0.05)
+    d = scaled_to(interp_fn(graph, {"c": 0.1, **at}, rng, bump=1.0), delta0(0.5))
+    pins_built = _count_function_calls(monkeypatch, interval.EndpointPin, "__post_init__")
+    metas = _count_function_calls(monkeypatch, interval, "_meta")
+    res = open_mult_graph(f, g, d, 0.5)
+    assert (len(pins_built), len(metas)) == (0, 0)
+    rows = res.rows
+    assert (len(pins_built), len(metas)) == (0, 400)
+    assert res.rows is rows and len(metas) == 400
+
+    # the same graph through the Mapping view: one EndpointPin per edge end
+    pins = _vertex_pins(f, g, d, interval.PipelineConfig.for_target(0.5))
+    assert sorted({pin.kind for pin in pins.values()}) == ["cover", "nondeg"]
+    layout = graph._layout
+    fv, gv, dv = (x.values.copy() for x in (f, g, d))
+    for x in (fv, gv, dv):
+        x[layout.ends] = x[layout.canonical[layout.slot]]
+    table = interval.PinTable.of([(plan.left, plan.right) for plan in plan_edges(f, g, d, 0.5)])
+    d1, d2, cert, failed = interval._solve_ragged(interval.plan_intervals(fv, gv, 0.5, layout.offsets, table), dv)
+    assert failed is None
+    ref = GraphFactorizationResult(
+        GraphFunction._trusted(graph, d1), GraphFunction._trusted(graph, d2), cert, pins,
+        max(cert.residual), max(cert.bound1), max(cert.bound2),
+    )
+    assert np.array_equal(res.d1.values, d1) and np.array_equal(res.d2.values, d2)
+    assert res.rows == ref.rows and (res.residual, res.bound1, res.bound2) == (ref.residual, ref.bound1, ref.bound2)
+    for got, want in zip(res.edge_results, ref.edge_results):
+        assert np.array_equal(got.d1.values, want.d1.values) and np.array_equal(got.d2.values, want.d2.values)
+        assert (got.meta, got.residual, got.bound1, got.bound2) == (want.meta, want.residual, want.bound1, want.bound2)
+    assert res.vertex_report == {
+        v: {"kind": pin.kind, "d1": pin.d1, "d2": pin.d2, "agreement": 0.0} for v, pin in pins.items()
+    }
+    assert res.to_json() == ref.to_json()
