@@ -663,28 +663,35 @@ def root_pair(psi):
 
 
 class Certificate(NamedTuple):
-    """What a solve certifies for intervals laid end to end, one entry per
-    interval in each column: its cover tier (eta2, eps_cover) and cover runs,
-    from the plan, and its residual, bound1 and bound2, Python floats."""
+    """What a solve certifies for intervals laid end to end: from the plan,
+    its offsets, the [lo, hi] grid nodes of its cover runs in node order and
+    each interval's cover tier (eta2, eps_cover); per interval, its residual,
+    bound1 and bound2, Python floats."""
 
     cfg: PipelineConfig
+    offsets: np.ndarray
+    ends: np.ndarray
     tiers: tuple
-    runs: tuple
     residual: list
     bound1: list
     bound2: list
 
     @classmethod
-    def zero(cls, cfg: PipelineConfig, count: int) -> "Certificate":
-        """That of `count` intervals where d = 0 and no pipeline runs."""
-        zeros = [0.0] * count
-        return cls(cfg, ((cfg.eta2, 5.0 * cfg.epsilon1),) * count, ((),) * count, zeros, zeros, zeros)
+    def zero(cls, cfg: PipelineConfig, offsets) -> "Certificate":
+        """That of the intervals at `offsets` where d = 0 and no pipeline runs."""
+        offsets = np.asarray(offsets, dtype=np.intp)
+        zeros = [0.0] * (offsets.size - 1)
+        tiers = ((cfg.eta2, 5.0 * cfg.epsilon1),) * len(zeros)
+        return cls(cfg, offsets, np.zeros((0, 2), dtype=np.intp), tiers, zeros, zeros, zeros)
 
     def rows(self) -> tuple:
-        """One row (meta, residual, bound1, bound2) per interval, each with a fresh meta."""
+        """One row (meta, residual, bound1, bound2) per interval, each with a
+        fresh meta whose cover lists the interval's runs, interval-local."""
+        cuts = np.searchsorted(self.ends[:, 0], self.offsets)  # each interval's first run
+        local = (self.ends - np.repeat(self.offsets[:-1], np.diff(cuts))[:, None]).tolist()
         return tuple(
-            (_meta(self.cfg, *tier, runs), r, b1, b2)
-            for tier, runs, r, b1, b2 in zip(self.tiers, self.runs, self.residual, self.bound1, self.bound2)
+            (_meta(self.cfg, *tier, local[a:b]), r, b1, b2)
+            for tier, a, b, r, b1, b2 in zip(self.tiers, cuts, cuts[1:], self.residual, self.bound1, self.bound2)
         )
 
 
@@ -713,7 +720,6 @@ class IntervalPlan:
     cfg: PipelineConfig
     offsets: np.ndarray
     tiers: tuple  # (eta2, eps_cover) per interval
-    runs: tuple  # per interval: its cover runs [lo, hi], interval-local
     # the cover runs in node order, (ends, seam, cover_pin, zw, nodes, own, owned, halves): per run end, is
     # it a seam or pinned as "cover", and the pin's (za, wa); per run node (_halves), does the run own it
     cover: tuple
@@ -769,8 +775,6 @@ def plan_intervals(fv, gv, eps0, offsets, pins: PinTable) -> IntervalPlan:
     k, run_ends = runs[0], runs[1:].T
     seam = run_ends != bounds[k]
     zw = np.stack((pins.za, pins.wa))[:, k]
-    local = (run_ends - lefts[k, None]).tolist()
-    cuts = np.searchsorted(k, np.arange(lefts.size + 1)).tolist()
     run_nodes, *halves = _halves(run_ends)  # halves = (counts, k, size, far, pin)
     own = np.ones(run_nodes.size, dtype=bool)
     own[halves[4][seam.ravel()]] = False  # the seam ends belong to the neighbouring segments
@@ -799,9 +803,8 @@ def plan_intervals(fv, gv, eps0, offsets, pins: PinTable) -> IntervalPlan:
     d1, d2 = pins.d1[pinned_at], pins.d2[pinned_at]
     pinned = (bounds[pinned_at], d1, d2, RESIDUAL_TOL * (1.0 + pyarith.cabs(d1) + pyarith.cabs(d2)))
     return IntervalPlan(
-        fv, gv, cfg, offsets, tuple(tiers), tuple(local[a:b] for a, b in zip(cuts, cuts[1:])),
-        (run_ends, seam, ~seam & cover[k], zw, run_nodes, own, owned, halves), (keep, first, last, start),
-        beta2, f_quad, pinned,
+        fv, gv, cfg, offsets, tuple(tiers), (run_ends, seam, ~seam & cover[k], zw, run_nodes, own, owned, halves),
+        (keep, first, last, start), beta2, f_quad, pinned,
     )
 
 
@@ -882,33 +885,26 @@ def _solve_ragged(plan: IntervalPlan, dv):
         if not all(holds):
             failed = _CLAIMS[holds.index(False)]
             break
-    return d1, d2, Certificate(cfg, plan.tiers, plan.runs, residual, bound1, bound2), failed
-
-
-def _solve(plan: IntervalPlan, dv):
-    """_solve_ragged on a one-interval plan: (d1, d2, meta, residual, bound1,
-    bound2, failed)."""
-    d1, d2, cert, failed = _solve_ragged(plan, dv)
-    (row,) = cert.rows()
-    return (d1, d2, *row, failed)
+    return d1, d2, Certificate(cfg, plan.offsets, ends, plan.tiers, residual, bound1, bound2), failed
 
 
 def solve_intervals(plan: IntervalPlan, dv):
-    """_solve_ragged behind the delta0 gate: (d1, d2, rows) with one row
-    (meta, residual, bound1, bound2) per interval, each certified; a failed
-    claim is an internal invariant failure."""
+    """_solve_ragged behind the delta0 gate: (d1, d2, certificate) of a
+    result certified on every interval; a failed claim is an internal
+    invariant failure."""
     if dv.shape != plan.fv.shape:
         raise PreconditionViolated("perturbation must live on the plan's grid")
     plan.cfg.check_radius(float(np.max(np.abs(dv))))
     d1, d2, cert, failed = _solve_ragged(plan, dv)
     _verify(failed is None, failed)
-    return d1, d2, cert.rows()
+    return d1, d2, cert
 
 
 def solve_interval(plan: IntervalPlan, dv):
     """solve_intervals on a one-interval plan: (d1, d2, meta, residual,
     bound1, bound2) of a certified result."""
-    d1, d2, (row,) = solve_intervals(plan, dv)
+    d1, d2, cert = solve_intervals(plan, dv)
+    (row,) = cert.rows()
     return (d1, d2, *row)
 
 
@@ -936,6 +932,6 @@ def open_mult_interval(
     cfg = PipelineConfig.for_target(eps0)
     if not np.any(d.values):
         zero = np.zeros(f.domain.n, dtype=np.complex128)
-        return FactorizationResult.of(f.domain, (zero, zero, *Certificate.zero(cfg, 1).rows()[0]))
+        return FactorizationResult.of(f.domain, (zero, zero, *Certificate.zero(cfg, (0, f.domain.n)).rows()[0]))
     solved = factorize_interval_arrays(f.values, g.values, d.values, eps0)
     return FactorizationResult.of(f.domain, solved)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import OpenMultError, PreconditionViolated
 from .functions import GridFunction
-from .interval import _solve, delta0, plan_interval
+from .interval import _solve_ragged, delta0, plan_interval
 from .interval import open_mult_interval  # noqa: F401  traced under this name by perfbench/layers.py
 
 
@@ -140,7 +140,7 @@ def probe_pipeline(
             if plan is None:
                 continue
             try:
-                failed = _solve(plan, dv)[6]
+                failed = _solve_ragged(plan, dv)[3]
             except OpenMultError:
                 continue
             successes += failed is None

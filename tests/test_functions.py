@@ -1,8 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openmult import (
@@ -94,11 +95,13 @@ class TestSupNorm:
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
     @given(complex_lists)
+    @example([0j, 5e-324 + 5e-324j, 0j])  # |a+b| = 1.5e-323 > |a| + |b| = 1e-323, both correctly rounded
     @settings(max_examples=100)
     def test_triangle_inequality(self, values):
+        # holds in floating point up to an absolute rounding of the subnormal moduli
         f = FiniteSpaceFunction(values)
         g = FiniteSpaceFunction(list(reversed(values)))
-        assert sup_norm(f + g) <= (sup_norm(f) + sup_norm(g)) * (1 + 1e-12)
+        assert sup_norm(f + g) <= (sup_norm(f) + sup_norm(g)) * (1 + 1e-12) + 2 * math.ulp(0.0)
 
     @given(complex_lists)
     @settings(max_examples=100)

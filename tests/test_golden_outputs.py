@@ -34,7 +34,7 @@ from openmult import (
     refine,
     sup_norm,
 )
-from openmult.interval import _solve, factorize_interval_arrays, plan_interval, solve_interval
+from openmult.interval import _solve_ragged, factorize_interval_arrays, plan_interval, solve_interval
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -145,8 +145,8 @@ def _wide_gap(n):
 def _family_unchecked(n, seed, kind, eps0, scale):
     # Past the certified radius with the gates off, as the probe runs it.
     f, g, d = _family_case(n, seed, kind, eps0, scale)
-    d1, d2, meta = _solve(plan_interval(f.values, g.values, eps0), d.values)[:3]
-    return d1, d2, meta["cover"]
+    d1, d2, cert, _failed = _solve_ragged(plan_interval(f.values, g.values, eps0), d.values)
+    return d1, d2, cert.rows()[0][0]["cover"]
 
 
 CASES = {
@@ -288,8 +288,11 @@ def test_plan_reuse_matches_single_runs(kind):
     for scale, strict in ((0.5, True), (1.0, True), (8.0, False), (40.0, False), (1.0, False)):
         raw = rng.standard_normal(fv.size) + 1j * rng.standard_normal(fv.size)
         dv = raw * (scale * delta0(0.7) / float(np.max(np.abs(raw))))
-        want = factorize_interval_arrays(fv, gv, dv, 0.7) if strict else _solve(plan_interval(fv, gv, 0.7), dv)[:6]
-        got = solve_interval(plan, dv) if strict else _solve(plan, dv)[:6]
+        if strict:
+            want, got = factorize_interval_arrays(fv, gv, dv, 0.7), solve_interval(plan, dv)
+        else:
+            want, got = (_solve_ragged(p, dv)[:3] for p in (plan_interval(fv, gv, 0.7), plan))
+            want, got = ((d1, d2, *cert.rows()[0]) for d1, d2, cert in (want, got))
         assert _digest(got[0], got[1]) == _digest(want[0], want[1])
         assert got[2:] == want[2:]
     now = [plan.fv, plan.gv] + [a for seg in plan.segments for a in seg[2:]]
@@ -298,7 +301,7 @@ def test_plan_reuse_matches_single_runs(kind):
 
 
 # ---------------------------------------------------------------------------
-# The certificate verdict of _solve against the probe's former a-posteriori
+# The certificate verdict of _solve_ragged against the probe's former a-posteriori
 # check, recomputed here: the same trials fail, and the first failing claim
 # is the first false clause of (residual, d1, d2).
 
@@ -337,7 +340,8 @@ def test_solve_verdict_matches_three_clause_check(kind, f_scale):
             for _ in range(8):
                 raw = rng.standard_normal(f.domain.n) + 1j * rng.standard_normal(f.domain.n)
                 dv = raw * (delta0(0.7) * 1.5**k / float(np.max(np.abs(raw))))
-                _d1, _d2, _meta, residual, bound1, bound2, failed = _solve(plan, dv)
+                _d1, _d2, cert, failed = _solve_ragged(plan, dv)
+                (residual,), (bound1,), (bound2,) = cert.residual, cert.bound1, cert.bound2
                 assert failed == _three_clause_failure(plan, dv, residual, bound1, bound2, 0.7)
                 seen.add(failed)
     assert seen - {None} == FIRST_FAILURES[kind, f_scale]
@@ -664,7 +668,7 @@ def test_tie_index_is_segment_local():
     for k in (10, 13):
         dv[s + k] = -(f_quad[k] ** 2) / (2 * beta2[k])
     with pytest.raises(OpenMultError) as exc:
-        _solve(plan, dv)
+        _solve_ragged(plan, dv)
     assert (type(exc.value).__name__, str(exc.value)) == ("EqualModulusRoots", "root moduli tie at index 10")
 
 
@@ -672,7 +676,7 @@ def test_plan_holds_phases_on_segment_nodes_only():
     f, g, _d = _family_case(4097, 7, 3, 0.07)
     plan = plan_interval(f.values, g.values, 0.07)
     owned = f.domain.n - sum(e - s + 1 for s, e, _b, _q in plan.segments)
-    assert owned > 0 and plan.runs[0]
+    assert owned > 0 and plan.cover[0].size
     assert plan.beta2.size == plan.f_quad.size == f.domain.n - owned
 
 

@@ -90,7 +90,7 @@ class TestProbePipeline:
         def refuse(*args, **kwargs):
             raise CoverInfeasible("refine the grid")
 
-        monkeypatch.setattr(probe_mod, "_solve", refuse)
+        monkeypatch.setattr(probe_mod, "_solve_ragged", refuse)
         f = GridFunction.constant(DOM, 1.0)
         rep = probe_pipeline(f, f, 0.5, trials=2, seed=0)
         assert rep.curve == ((rep.delta_constructive, 0.0),)
@@ -100,7 +100,7 @@ class TestProbePipeline:
         def broken(*args, **kwargs):
             raise RuntimeError("internal invariant failed: factorization residual out of tolerance")
 
-        monkeypatch.setattr(probe_mod, "_solve", broken)
+        monkeypatch.setattr(probe_mod, "_solve_ragged", broken)
         f = GridFunction.constant(DOM, 1.0)
         with pytest.raises(RuntimeError, match="internal invariant failed"):
             probe_pipeline(f, f, 0.5, trials=2, seed=0)
@@ -130,3 +130,18 @@ class TestProbePipeline:
         g = GridFunction.constant(IntervalDomain(0.0, 2.0, DOM.n), 1.0)
         rep = probe_pipeline(f, g, 0.7, trials=2, seed=0)
         assert rep.curve == ((delta0(0.7), 0.0),)
+
+    def test_trials_build_no_certificate_rows(self, monkeypatch):
+        # A trial reads only the verdict of the ungated solve: no meta and
+        # no row per trial, on a pair whose plan holds a cover run.
+        from openmult import interval
+
+        calls = {name: [] for name in ("_meta", "_solve_ragged")}
+        for owner, name in ((interval, "_meta"), (probe_mod, "_solve_ragged")):
+            inner = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, inner=inner, seen=calls[name]: seen.append(1) or inner(*a))
+        t = DOM.nodes()
+        f = GridFunction(DOM, (t - 0.5).astype(complex))
+        assert plan_interval(f.values, f.values, 0.7).cover[0].size
+        rep = probe_pipeline(f, f, 0.7, trials=4, seed=1)
+        assert len(calls["_solve_ragged"]) == 4 * len(rep.curve) and not calls["_meta"]
