@@ -66,8 +66,14 @@ class _Samples:
     Every sample type holds its samples as one validated, read-only complex
     array, `values`, and builds a sample on its own domain from a new array
     with `_like(values)`.  Two samples combine node by node only when they
-    have the same type and equal `domain`.
+    have the same type and equal `domain`, and compare equal when, besides,
+    their values are equal node by node.  Samples are not hashable.
     """
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.domain == self.domain and np.array_equal(other.values, self.values)
 
     @classmethod
     def _trusted(cls, *fields):
@@ -132,7 +138,7 @@ class IntervalDomain:
         return np.linspace(self.a, self.b, self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction(_Samples):
     """Complex node samples on an IntervalDomain."""
 
@@ -164,7 +170,7 @@ class GridFunction(_Samples):
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteSpaceFunction(_Samples):
     """Complex values indexed by the points of a finite discrete space."""
 
@@ -269,7 +275,7 @@ class _EndLayout(NamedTuple):
         return tuple(values[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class GraphFunction(_Samples):
     """Per-edge grid samples with matching values at shared vertices.
 

@@ -666,7 +666,9 @@ class Certificate(NamedTuple):
     """What a solve certifies for intervals laid end to end: from the plan,
     its offsets, the [lo, hi] grid nodes of its cover runs in node order and
     each interval's cover tier (eta2, eps_cover); per interval, its residual,
-    bound1 and bound2, Python floats."""
+    bound1 and bound2, Python floats, and its verdict `failed`: the first
+    certificate claim that fails there (residual, then d1, then d2), or None
+    where the result is certified."""
 
     cfg: PipelineConfig
     offsets: np.ndarray
@@ -675,6 +677,7 @@ class Certificate(NamedTuple):
     residual: list
     bound1: list
     bound2: list
+    failed: list
 
     @classmethod
     def zero(cls, cfg: PipelineConfig, offsets) -> "Certificate":
@@ -682,7 +685,7 @@ class Certificate(NamedTuple):
         offsets = np.asarray(offsets, dtype=np.intp)
         zeros = [0.0] * (offsets.size - 1)
         tiers = ((cfg.eta2, 5.0 * cfg.epsilon1),) * len(zeros)
-        return cls(cfg, offsets, np.zeros((0, 2), dtype=np.intp), tiers, zeros, zeros, zeros)
+        return cls(cfg, offsets, np.zeros((0, 2), dtype=np.intp), tiers, zeros, zeros, zeros, [None] * len(zeros))
 
     def rows(self) -> tuple:
         """One row (meta, residual, bound1, bound2) per interval, each with a
@@ -823,9 +826,9 @@ def _solve_ragged(plan: IntervalPlan, dv):
     """The d-dependent part, ungated, for dv of the plan's shape: (d1, d2,
     certificate, failed) with d1, d2 over the whole grid and the Certificate
     of the intervals, where residual = max|(f+d1)(g+d2) - (f*g+d)| and
-    bound_i = max|d_i| per interval; `failed` names the first certificate
-    claim that fails (residual, then d1, then d2) in the first interval where
-    one does, or is None when every interval's result is certified."""
+    bound_i = max|d_i| per interval; `failed` is the first verdict in
+    certificate.failed that is not None, or None when every interval's
+    result is certified."""
     cfg = plan.cfg
     fv, gv = plan.fv, plan.gv
     ends, seam, cover_pin, zw, nodes, own, owned, halves = plan.cover
@@ -879,13 +882,12 @@ def _solve_ragged(plan: IntervalPlan, dv):
     scale = np.maximum.reduceat(np.abs(target), starts).tolist()
     bound1 = np.maximum.reduceat(np.abs(d1), starts).tolist()
     bound2 = np.maximum.reduceat(np.abs(d2), starts).tolist()
-    limit, failed = cfg.epsilon0 * (1.0 + 1e-9), None
+    limit, failed = cfg.epsilon0 * (1.0 + 1e-9), []
     for r, sc, b1, b2 in zip(residual, scale, bound1, bound2):
         holds = (r <= RESIDUAL_TOL * (1.0 + sc), b1 <= limit, b2 <= limit)
-        if not all(holds):
-            failed = _CLAIMS[holds.index(False)]
-            break
-    return d1, d2, Certificate(cfg, plan.offsets, ends, plan.tiers, residual, bound1, bound2), failed
+        failed.append(None if all(holds) else _CLAIMS[holds.index(False)])
+    first = next((claim for claim in failed if claim is not None), None)
+    return d1, d2, Certificate(cfg, plan.offsets, ends, plan.tiers, residual, bound1, bound2, failed), first
 
 
 def solve_intervals(plan: IntervalPlan, dv):

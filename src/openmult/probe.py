@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import OpenMultError, PreconditionViolated
 from .functions import GridFunction
-from .interval import _solve_ragged, delta0, plan_interval
+from .interval import _ELIDE_BYTES, PinTable, _solve_ragged, delta0, plan_interval, plan_intervals
 from .interval import open_mult_interval  # noqa: F401  traced under this name by perfbench/layers.py
 
 
@@ -115,7 +115,13 @@ def probe_pipeline(
     `trials` random directions through the ungated solve; a trial succeeds
     when the solve certifies its result (identity and bounds, checked a
     posteriori).  Reports the largest radius at which every sampled direction
-    succeeded.  The cover and phases are planned once for (f, g).
+    succeeded.  The cover and phases are planned once for (f, g), which
+    refuses every trial when the plan refuses.  A rung's trials are solved in
+    chunks of B, each as one ragged solve over B copies of (f, g) laid end to
+    end, with B small enough that every batched array stays below numpy's
+    in-place reuse threshold, so each trial gets the bits of a solve of its
+    own.  A chunk that refuses (a root tie in some trial) is replayed trial
+    by trial, so only the refusing trials fail.
     """
     if trials < 1:
         raise PreconditionViolated("trials must be at least 1")
@@ -128,23 +134,38 @@ def probe_pipeline(
         plan = plan_interval(f.values, g.values, eps0) if f.domain == g.domain else None
     except OpenMultError:
         plan = None  # refused whatever d is: every trial fails
+    chunk = max(1, min(trials, (_ELIDE_BYTES - 1) // (16 * n)))
+    tiled = {1: plan}  # plans over b copies of (f, g): the chunk's and the remainder's, built on first use
+
+    def successes(dv):
+        b = dv.shape[0]
+        if b not in tiled:
+            fv, gv = np.tile(f.values, b), np.tile(g.values, b)
+            tiled[b] = plan_intervals(fv, gv, eps0, np.arange(b + 1) * n, PinTable.of([(None, None)] * b))
+        try:
+            return _solve_ragged(tiled[b], dv.ravel())[2].failed.count(None)
+        except OpenMultError:
+            pass
+        count = 0
+        for row in dv:
+            try:
+                count += _solve_ragged(plan, row)[3] is None
+            except OpenMultError:
+                pass
+        return count
+
     curve = []
     delta_emp = 0.0
     for k in range(max_steps):
         r = base * 1.5**k
-        successes = 0
-        for _ in range(trials):
-            raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            sup = float(np.max(np.abs(raw)))
-            dv = raw * (r / sup)
-            if plan is None:
-                continue
-            try:
-                failed = _solve_ragged(plan, dv)[3]
-            except OpenMultError:
-                continue
-            successes += failed is None
-        rate = successes / trials
+        hits = 0
+        for done in range(0, trials if plan is not None else 0, chunk):
+            # the bits of one pair of standard_normal(n) calls per trial, real part first
+            raw = rng.standard_normal((min(chunk, trials - done), 2, n))
+            dv = raw[:, 0] + 1j * raw[:, 1]
+            dv *= (r / np.max(np.abs(dv), axis=1))[:, None]
+            hits += successes(dv)
+        rate = hits / trials
         curve.append((r, rate))
         if rate == 1.0:
             delta_emp = r

@@ -17,6 +17,7 @@ from openmult import (
     function_from_json,
     grid_function_from_csv,
     min_modulus_sum,
+    open_mult_interval,
     pointwise_product,
     refine,
     sup_norm,
@@ -173,6 +174,26 @@ class TestDomainCheck:
                 combine(a, b)
             with pytest.raises(DomainMismatch):
                 combine(b, a)
+
+    @pytest.mark.parametrize("make_a,make_b", MISMATCHED)
+    def test_mismatch_compares_unequal(self, make_a, make_b):
+        a, b = make_a(), make_b()
+        assert a != b and b != a and not a == b
+
+    def test_equality_on_every_type(self):
+        # values compared node by node, on functions of more than one node
+        for make in (lambda: rand_grid(5), lambda: FiniteSpaceFunction([1.0, 2j, 3.0]), lambda: _graph_fn(9)):
+            a, b = make(), make()
+            assert a == b and not a != b
+            assert a != a + 1 and a != a.values
+            with pytest.raises(TypeError):
+                hash(a)
+
+    def test_equal_results_compare_equal(self):
+        f = GridFunction(IntervalDomain(0.0, 1.0, 5), [1.0, 1.1, 1.2, 1.3, 1.4])
+        d = GridFunction(f.domain, np.full(5, 1e-4))
+        assert open_mult_interval(f, f, d, 0.7) == open_mult_interval(f, f, d, 0.7)
+        assert open_mult_interval(f, f, d, 0.7) != open_mult_interval(f, f, d * 2, 0.7)
 
     def test_scalar_operands_on_every_type(self):
         for fn in (rand_grid(4), FiniteSpaceFunction([1.0, 2j]), _graph_fn(9)):

@@ -34,7 +34,16 @@ from openmult import (
     refine,
     sup_norm,
 )
-from openmult.interval import _solve_ragged, factorize_interval_arrays, plan_interval, solve_interval
+from openmult.interval import (
+    Certificate,
+    PinTable,
+    PipelineConfig,
+    _solve_ragged,
+    factorize_interval_arrays,
+    plan_interval,
+    plan_intervals,
+    solve_interval,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -241,17 +250,35 @@ def test_golden_digest(name):
     assert _digest(d1, d2) == GOLDEN[name]
 
 
-def _probe(n, kind):
+def _probe(n, kind, trials=4):
     dom = IntervalDomain(0.0, 1.0, n)
     rng = np.random.default_rng([17, kind, n])
     fv, gv = _family(dom.nodes(), rng, kind)
-    return probe_pipeline(GridFunction(dom, fv), GridFunction(dom, gv), 0.7, trials=4, seed=n + kind)
+    return probe_pipeline(GridFunction(dom, fv), GridFunction(dom, gv), 0.7, trials=trials, seed=n + kind)
 
 
+def _readme_probe(n, trials, seed):
+    """The README pair: a joint zero at 1/2, so the plan holds a cover run."""
+    dom = IntervalDomain(0.0, 1.0, n)
+    t = dom.nodes()
+    f, g = GridFunction(dom, (t - 0.5).astype(complex)), GridFunction(dom, (t - 0.5) * (1 + 1j))
+    return probe_pipeline(f, g, 0.7, trials=trials, seed=seed)
+
+
+# The probe solves each rung's trials in chunks below numpy's 256 KiB
+# in-place reuse: 15 trials of 1025 nodes, one of 16385.  These cases pin
+# several full chunks and a remainder (64 = 4*15 + 4), a lone remainder
+# (17 = 15 + 2), chunks of one trial and a chunk of a whole rung on 2 nodes.
 PROBE_CASES = {
-    f"probe_family{kind}_n{n}": (lambda n=n, kind=kind: _probe(n, kind))
-    for n in (129, 1025)
-    for kind in range(4)
+    **{
+        f"probe_family{kind}_n{n}": (lambda n=n, kind=kind: _probe(n, kind))
+        for n in (129, 1025)
+        for kind in range(4)
+    },
+    "probe_readme_n1025_trials64": lambda: _readme_probe(1025, 64, 1),
+    "probe_family2_n1025_trials17": lambda: _probe(1025, 2, 17),
+    "probe_family0_n16385_trials2": lambda: _probe(16385, 0, 2),
+    "probe_readme_n2_trials8": lambda: _readme_probe(2, 8, 4),
 }
 
 PROBE_GOLDEN = {
@@ -263,6 +290,10 @@ PROBE_GOLDEN = {
     "probe_family2_n129": "de8fda2fb34038fc690d3d3607031ad6b404783d7f27d1fcc498c7a9047f0dca",
     "probe_family3_n1025": "3e9c53e88aacfbd08f1bcac4e542c0de117a87867fa5d25a8b287f2910b1a790",
     "probe_family3_n129": "766dbe7efc08b052f6ad6797ccac626f1fc1b36c125c3efb44e8722398974a41",
+    "probe_readme_n1025_trials64": "f1db41fe075154e9cc71de7f005f6212393b652a09aa54f2de3268073a2f9300",
+    "probe_family2_n1025_trials17": "e26aaa680b6104dbc08d9843cdf09095bb165a06b749b1870897fd83aa24665c",
+    "probe_family0_n16385_trials2": "54d7f7fc331e11f72759aa0c6e9f31ead5c615fc571513baad81f735acdb0b77",
+    "probe_readme_n2_trials8": "fc869de7c3f36f3f49c3f403646091c17c0f4a0e5a7c453b97f42d8cc8e68a62",
 }
 
 
@@ -345,6 +376,35 @@ def test_solve_verdict_matches_three_clause_check(kind, f_scale):
                 assert failed == _three_clause_failure(plan, dv, residual, bound1, bound2, 0.7)
                 seen.add(failed)
     assert seen - {None} == FIRST_FAILURES[kind, f_scale]
+
+
+# A rung of 15 trials solved as the probe solves it, on one plan over 15
+# copies of the pair: kind 0 without a cover run (its first failure in the
+# third trial), kind 2 with one; both rungs mix certified and failed trials.
+@pytest.mark.parametrize("kind,rung", [(0, 15), (2, 14)])
+def test_tiled_verdicts_match_single_solves(kind, rung):
+    f, g, _d = _family_case(1025, 23, kind, 0.7)
+    n, b = f.domain.n, 15
+    plan = plan_interval(f.values, g.values, 0.7)
+    fv, gv = np.tile(f.values, b), np.tile(g.values, b)
+    tiled = plan_intervals(fv, gv, 0.7, np.arange(b + 1) * n, PinTable.of([(None, None)] * b))
+    raw = np.random.default_rng([29, kind]).standard_normal((b, 2, n))
+    dv = raw[:, 0] + 1j * raw[:, 1]
+    dv *= (delta0(0.7) * 1.5**rung / np.max(np.abs(dv), axis=1))[:, None]
+    d1, d2, cert, first = _solve_ragged(tiled, dv.ravel())
+    for i, row in enumerate(dv):
+        one_d1, one_d2, one, failed = _solve_ragged(plan, row)
+        at = slice(i * n, (i + 1) * n)
+        assert _digest(d1[at], d2[at]) == _digest(one_d1, one_d2)
+        got = (cert.residual[i], cert.bound1[i], cert.bound2[i], cert.failed[i])
+        assert repr(got) == repr((*one.residual, *one.bound1, *one.bound2, failed))
+    assert None in cert.failed and D1 in cert.failed
+    assert first == next(claim for claim in cert.failed if claim is not None)
+
+
+def test_zero_certificate_verdicts():
+    cert = Certificate.zero(PipelineConfig.for_target(0.7), (0, 5, 9, 20))
+    assert cert.failed == [None, None, None]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 import openmult.probe as probe_mod
 from openmult import (
     CoverInfeasible,
+    EqualModulusRoots,
     GridFunction,
     IntervalDomain,
     PreconditionViolated,
@@ -105,6 +106,26 @@ class TestProbePipeline:
         with pytest.raises(RuntimeError, match="internal invariant failed"):
             probe_pipeline(f, f, 0.5, trials=2, seed=0)
 
+    def test_refused_chunk_replays_trial_by_trial(self, monkeypatch):
+        # A chunk whose batched solve refuses (a root tie in one trial) is
+        # solved again one trial at a time: the curve does not change.
+        t = DOM.nodes()
+        f = GridFunction(DOM, (t - 0.5).astype(complex))
+        want = probe_pipeline(f, f, 0.7, trials=5, seed=2)
+        inner, sizes = probe_mod._solve_ragged, []
+
+        def tie_in_batches(plan, dv):
+            sizes.append(dv.size)
+            if dv.size > DOM.n:
+                raise EqualModulusRoots("root moduli tie at index 0", index=0)
+            return inner(plan, dv)
+
+        monkeypatch.setattr(probe_mod, "_solve_ragged", tie_in_batches)
+        got = probe_pipeline(f, f, 0.7, trials=5, seed=2)
+        assert got.curve == want.curve and got.delta_empirical == want.delta_empirical
+        assert sizes == [5 * DOM.n, *[DOM.n] * 5] * len(got.curve)
+        assert 0.0 < got.curve[-1][1] < 1.0  # the last rung mixes certified and failed trials
+
     def test_plan_refusal_fails_every_trial(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise CoverInfeasible("refine the grid")
@@ -132,8 +153,9 @@ class TestProbePipeline:
         assert rep.curve == ((delta0(0.7), 0.0),)
 
     def test_trials_build_no_certificate_rows(self, monkeypatch):
-        # A trial reads only the verdict of the ungated solve: no meta and
-        # no row per trial, on a pair whose plan holds a cover run.
+        # A rung reads only the verdicts of the ungated solve: no meta and
+        # no row per trial, on a pair whose plan holds a cover run.  Its 4
+        # trials of 129 nodes make one chunk: one solve per rung.
         from openmult import interval
 
         calls = {name: [] for name in ("_meta", "_solve_ragged")}
@@ -144,4 +166,4 @@ class TestProbePipeline:
         f = GridFunction(DOM, (t - 0.5).astype(complex))
         assert plan_interval(f.values, f.values, 0.7).cover[0].size
         rep = probe_pipeline(f, f, 0.7, trials=4, seed=1)
-        assert len(calls["_solve_ragged"]) == 4 * len(rep.curve) and not calls["_meta"]
+        assert len(calls["_solve_ragged"]) == len(rep.curve) and not calls["_meta"]
