@@ -103,10 +103,11 @@ def nondeg_approx(
 # Weighted diagonal unitisation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalAlgebraElement:
     """lambda*1 + sum coords[i]*e_i in the unitisation of a weighted diagonal
-    algebra; the norm is |scalar| + sum(weights * |coords|)."""
+    algebra; the norm is |scalar| + sum(weights * |coords|).  Elements
+    compare by value and are not hashable."""
 
     scalar: complex
     coords: np.ndarray
@@ -124,6 +125,10 @@ class DiagonalAlgebraElement:
         object.__setattr__(self, "scalar", complex(self.scalar))
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other):
+        same = type(other) is type(self) and other.scalar == self.scalar
+        return same and np.array_equal(other.coords, self.coords) and np.array_equal(other.weights, self.weights)
 
     def norm(self) -> float:
         return abs(self.scalar) + float(np.sum(self.weights * np.abs(self.coords)))

@@ -179,7 +179,7 @@ class GraphFactorizationResult:
 
     d1: GraphFunction
     d2: GraphFunction
-    certificate: Certificate
+    certificate: Certificate = field(compare=False)
     pins: VertexPins | None = field(compare=False)
     residual: float = 0.0
     bound1: float = 0.0

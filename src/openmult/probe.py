@@ -8,6 +8,7 @@ verifies results a posteriori.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import OpenMultError, PreconditionViolated
 from .functions import GridFunction
-from .interval import _ELIDE_BYTES, PinTable, _solve_ragged, delta0, plan_interval, plan_intervals
+from .interval import _ELIDE_BYTES, PinTable, _solve_ragged, delta0, plan_intervals
 from .interval import open_mult_interval  # noqa: F401  traced under this name by perfbench/layers.py
 
 
@@ -105,6 +106,16 @@ def brute_scalar_delta(eps: float, x: complex, y: complex, grid: int = 32) -> fl
     return lo
 
 
+def _certified(plan, dv):
+    """How many trials, the rows of dv, a solve on `plan` certifies.  The
+    plan holds a chunk of copies of one pair; a refusing solve is replayed
+    row by row, each row as a chunk of copies of itself."""
+    padded = np.resize(dv, (plan.offsets.size - 1, dv.shape[1]))  # dv, then copies of its own rows
+    with contextlib.suppress(OpenMultError):
+        return _solve_ragged(plan, padded.ravel())[2].failed[:len(dv)].count(None)
+    return sum(_certified(plan, row[None]) for row in dv) if len(dv) > 1 else 0
+
+
 def probe_pipeline(
     f: GridFunction, g: GridFunction, eps0: float, trials: int, seed: int,
     max_steps: int = 16,
@@ -115,13 +126,14 @@ def probe_pipeline(
     `trials` random directions through the ungated solve; a trial succeeds
     when the solve certifies its result (identity and bounds, checked a
     posteriori).  Reports the largest radius at which every sampled direction
-    succeeded.  The cover and phases are planned once for (f, g), which
-    refuses every trial when the plan refuses.  A rung's trials are solved in
-    chunks of B, each as one ragged solve over B copies of (f, g) laid end to
-    end, with B small enough that every batched array stays below numpy's
-    in-place reuse threshold, so each trial gets the bits of a solve of its
-    own.  A chunk that refuses (a root tie in some trial) is replayed trial
-    by trial, so only the refusing trials fail.
+    succeeded.  A rung's trials are split evenly over the fewest chunks that
+    keep every batched array below numpy's in-place reuse threshold, so each
+    trial gets the bits of a solve of its own on the call's one plan, over a
+    chunk's worth of copies of (f, g) laid end to end; a refused plan fails
+    every trial.  A short last chunk is padded with copies of its own trials,
+    so a padded slot refuses only where a real trial does.  A chunk that
+    refuses (a root tie in some trial) is replayed one trial at a time, as a
+    chunk of copies of it, so only the refusing trials fail.
     """
     if trials < 1:
         raise PreconditionViolated("trials must be at least 1")
@@ -130,29 +142,13 @@ def probe_pipeline(
     rng = np.random.default_rng(seed)
     base = delta0(eps0)
     n = f.domain.n
-    try:
-        plan = plan_interval(f.values, g.values, eps0) if f.domain == g.domain else None
-    except OpenMultError:
-        plan = None  # refused whatever d is: every trial fails
-    chunk = max(1, min(trials, (_ELIDE_BYTES - 1) // (16 * n)))
-    tiled = {1: plan}  # plans over b copies of (f, g): the chunk's and the remainder's, built on first use
-
-    def successes(dv):
-        b = dv.shape[0]
-        if b not in tiled:
-            fv, gv = np.tile(f.values, b), np.tile(g.values, b)
-            tiled[b] = plan_intervals(fv, gv, eps0, np.arange(b + 1) * n, PinTable.of([(None, None)] * b))
-        try:
-            return _solve_ragged(tiled[b], dv.ravel())[2].failed.count(None)
-        except OpenMultError:
-            pass
-        count = 0
-        for row in dv:
-            try:
-                count += _solve_ragged(plan, row)[3] is None
-            except OpenMultError:
-                pass
-        return count
+    cap = max(1, (_ELIDE_BYTES - 1) // (16 * n))
+    chunk = -(-trials // -(-trials // cap))  # ceil(trials / the fewest chunks of at most cap)
+    plan = None  # a pair on two grids, or a plan refused whatever d is: every trial fails
+    if f.domain == g.domain:
+        fv, gv = np.tile(f.values, chunk), np.tile(g.values, chunk)
+        with contextlib.suppress(OpenMultError):
+            plan = plan_intervals(fv, gv, eps0, np.arange(chunk + 1) * n, PinTable.of([(None, None)] * chunk))
 
     curve = []
     delta_emp = 0.0
@@ -164,13 +160,11 @@ def probe_pipeline(
             raw = rng.standard_normal((min(chunk, trials - done), 2, n))
             dv = raw[:, 0] + 1j * raw[:, 1]
             dv *= (r / np.max(np.abs(dv), axis=1))[:, None]
-            hits += successes(dv)
-        rate = hits / trials
-        curve.append((r, rate))
-        if rate == 1.0:
-            delta_emp = r
-        else:
+            hits += _certified(plan, dv)
+        curve.append((r, hits / trials))
+        if hits < trials:
             break
+        delta_emp = r
     return ProbeReport(
         eps=eps0,
         delta_constructive=base,

@@ -194,6 +194,21 @@ class TestDiagonalAlgebra:
             rhs = a.norm() * sup_norm(b.embed()) + sup_norm(a.embed()) * b.norm()
             assert lhs <= rhs * (1 + 1e-12)
 
+    def test_equality(self):
+        # scalar, then coords and weights compared entry by entry
+        a = DiagonalAlgebraElement(1, [1, 2], [1, 1])
+        assert a == DiagonalAlgebraElement(1, [1, 2], [1, 1]) and not a != DiagonalAlgebraElement(1, [1, 2], [1, 1])
+        for other in (
+            DiagonalAlgebraElement(2, [1, 2], [1, 1]),
+            DiagonalAlgebraElement(1, [1, 3], [1, 1]),
+            DiagonalAlgebraElement(1, [1, 2], [1, 2]),
+            DiagonalAlgebraElement(1, [1], [1]),
+            a.embed(),
+        ):
+            assert a != other and not a == other
+        with pytest.raises(TypeError):
+            hash(a)
+
     def test_inverse(self):
         a = elem(2.0, [1.0, -1.0 + 0.5j])
         inv = a.inverse()

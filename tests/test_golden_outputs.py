@@ -265,10 +265,13 @@ def _readme_probe(n, trials, seed):
     return probe_pipeline(f, g, 0.7, trials=trials, seed=seed)
 
 
-# The probe solves each rung's trials in chunks below numpy's 256 KiB
-# in-place reuse: 15 trials of 1025 nodes, one of 16385.  These cases pin
-# several full chunks and a remainder (64 = 4*15 + 4), a lone remainder
-# (17 = 15 + 2), chunks of one trial and a chunk of a whole rung on 2 nodes.
+# The probe splits each rung's trials evenly over the fewest chunks below
+# numpy's 256 KiB in-place reuse (at most 15 trials of 1025 nodes, one of
+# 16385), and pads a short last chunk with copies of its own trials.  These
+# cases pin padded last chunks (64 = 4*13 + 12, 17 = 9 + 8, 46 = 3*12 + 10,
+# 31 = 2*11 + 9), an even split (16 = 8 + 8), chunks of one trial and a
+# chunk of a whole rung on 2 nodes.  Every digest was recorded when the
+# probe still chunked by 15 with a shorter remainder.
 PROBE_CASES = {
     **{
         f"probe_family{kind}_n{n}": (lambda n=n, kind=kind: _probe(n, kind))
@@ -279,6 +282,9 @@ PROBE_CASES = {
     "probe_family2_n1025_trials17": lambda: _probe(1025, 2, 17),
     "probe_family0_n16385_trials2": lambda: _probe(16385, 0, 2),
     "probe_readme_n2_trials8": lambda: _readme_probe(2, 8, 4),
+    "probe_family2_n1025_trials16": lambda: _probe(1025, 2, 16),
+    "probe_family0_n1025_trials31": lambda: _probe(1025, 0, 31),
+    "probe_family3_n1025_trials46": lambda: _probe(1025, 3, 46),
 }
 
 PROBE_GOLDEN = {
@@ -294,6 +300,9 @@ PROBE_GOLDEN = {
     "probe_family2_n1025_trials17": "e26aaa680b6104dbc08d9843cdf09095bb165a06b749b1870897fd83aa24665c",
     "probe_family0_n16385_trials2": "54d7f7fc331e11f72759aa0c6e9f31ead5c615fc571513baad81f735acdb0b77",
     "probe_readme_n2_trials8": "fc869de7c3f36f3f49c3f403646091c17c0f4a0e5a7c453b97f42d8cc8e68a62",
+    "probe_family2_n1025_trials16": "dcd12cf03c57dd847cd06475b2b655f0fe1173b3a1d9d51d425291bf8500c8e7",
+    "probe_family0_n1025_trials31": "b29dcd57632e5c6b9e982e40d411de5ba3d6903c7334bd587f4655136975b44c",
+    "probe_family3_n1025_trials46": "4537f1b79c493ff9f0321b9316b920f9f2df72cc323e1a20e4700674ba7f77c1",
 }
 
 

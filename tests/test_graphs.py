@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from openmult import (
     IntervalDomain,
     PerturbationTooLarge,
     delta0,
+    function_from_json,
     open_mult_graph,
     open_mult_interval,
     refine_partition,
@@ -631,3 +635,12 @@ def test_graph_hot_path_builds_no_pins_or_meta(monkeypatch):
         v: {"kind": pin.kind, "d1": pin.d1, "d2": pin.d2, "agreement": 0.0} for v, pin in pins.items()
     }
     assert res.to_json() == ref.to_json()
+
+
+def test_equal_results_compare_equal():
+    # == compares d1, d2 and the maxima; the certificate and pins do not take part
+    data = json.loads((Path(__file__).resolve().parent.parent / "fixtures" / "theta_graph.json").read_text())
+    f, g, d = (function_from_json(data[k]) for k in ("f", "g", "d"))
+    res = open_mult_graph(f, g, d, 0.7)
+    assert res == open_mult_graph(f, g, d, 0.7) and not res != open_mult_graph(f, g, d, 0.7)
+    assert res != open_mult_graph(f, g, d * 0.5, 0.7)

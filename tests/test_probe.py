@@ -108,33 +108,58 @@ class TestProbePipeline:
 
     def test_refused_chunk_replays_trial_by_trial(self, monkeypatch):
         # A chunk whose batched solve refuses (a root tie in one trial) is
-        # solved again one trial at a time: the curve does not change.
+        # solved again one trial at a time, each as a chunk of copies of
+        # itself, so only the tied trial fails.  The tie is injected by the
+        # content of a trial that fails anyway: the curve does not change.
         t = DOM.nodes()
         f = GridFunction(DOM, (t - 0.5).astype(complex))
-        want = probe_pipeline(f, f, 0.7, trials=5, seed=2)
-        inner, sizes = probe_mod._solve_ragged, []
+        inner, verdicts = probe_mod._solve_ragged, []
 
-        def tie_in_batches(plan, dv):
+        def record(plan, dv):
+            out = inner(plan, dv)
+            verdicts.extend(zip(dv.reshape(-1, DOM.n), out[2].failed))
+            return out
+
+        monkeypatch.setattr(probe_mod, "_solve_ragged", record)
+        want = probe_pipeline(f, f, 0.7, trials=5, seed=2)
+        tied = next(row for row, failed in verdicts if failed is not None)
+        sizes = []
+
+        def tie_on_row(plan, dv):
             sizes.append(dv.size)
-            if dv.size > DOM.n:
+            if (dv.reshape(-1, DOM.n) == tied).all(axis=1).any():
                 raise EqualModulusRoots("root moduli tie at index 0", index=0)
             return inner(plan, dv)
 
-        monkeypatch.setattr(probe_mod, "_solve_ragged", tie_in_batches)
+        monkeypatch.setattr(probe_mod, "_solve_ragged", tie_on_row)
         got = probe_pipeline(f, f, 0.7, trials=5, seed=2)
         assert got.curve == want.curve and got.delta_empirical == want.delta_empirical
-        assert sizes == [5 * DOM.n, *[DOM.n] * 5] * len(got.curve)
+        # one solve of the 5 trials per rung, then the last rung's 5 trials alone, each as 5 copies
+        assert sizes == [5 * DOM.n] * (len(got.curve) + 5)
         assert 0.0 < got.curve[-1][1] < 1.0  # the last rung mixes certified and failed trials
 
     def test_plan_refusal_fails_every_trial(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise CoverInfeasible("refine the grid")
 
-        monkeypatch.setattr(probe_mod, "plan_interval", refuse)
+        monkeypatch.setattr(probe_mod, "plan_intervals", refuse)
         f = GridFunction.constant(DOM, 1.0)
         rep = probe_pipeline(f, f, 0.5, trials=2, seed=0)
         assert rep.curve == ((delta0(0.5), 0.0),)
         assert rep.delta_empirical == 0.0
+
+    def test_probe_plans_once(self, monkeypatch):
+        # 200 trials of 129 nodes make two chunks a rung: one plan, over a
+        # chunk of copies of the pair, is the refusal gate and serves both.
+        from openmult import interval
+
+        calls = []
+        for owner in (interval, probe_mod):
+            inner = owner.plan_intervals
+            monkeypatch.setattr(owner, "plan_intervals", lambda *a, inner=inner: calls.append(1) or inner(*a))
+        f = GridFunction.constant(DOM, 1.0)
+        rep = probe_pipeline(f, f, 0.7, trials=200, seed=0)
+        assert rep.curve[0][1] == 1.0 and len(calls) == 1
 
     def test_infeasible_cover_fails_every_trial(self):
         # f = g jumps from 0 to 1 between adjacent nodes: no cover tier can
@@ -147,10 +172,11 @@ class TestProbePipeline:
         assert rep.delta_empirical == 0.0
 
     def test_domain_mismatch_fails_every_trial(self):
+        # the second g has another node count: the pair is never tiled or planned
         f = GridFunction.constant(DOM, 1.0)
-        g = GridFunction.constant(IntervalDomain(0.0, 2.0, DOM.n), 1.0)
-        rep = probe_pipeline(f, g, 0.7, trials=2, seed=0)
-        assert rep.curve == ((delta0(0.7), 0.0),)
+        for other in (IntervalDomain(0.0, 2.0, DOM.n), IntervalDomain(0.0, 1.0, DOM.n + 1)):
+            rep = probe_pipeline(f, GridFunction.constant(other, 1.0), 0.7, trials=2, seed=0)
+            assert rep.curve == ((delta0(0.7), 0.0),)
 
     def test_trials_build_no_certificate_rows(self, monkeypatch):
         # A rung reads only the verdicts of the ungated solve: no meta and
