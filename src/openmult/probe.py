@@ -110,7 +110,8 @@ def _certified(plan, dv):
     """How many trials, the rows of dv, a solve on `plan` certifies.  The
     plan holds a chunk of copies of one pair; a refusing solve is replayed
     row by row, each row as a chunk of copies of itself."""
-    padded = np.resize(dv, (plan.offsets.size - 1, dv.shape[1]))  # dv, then copies of its own rows
+    rows = plan.offsets.size - 1
+    padded = dv if len(dv) == rows else np.resize(dv, (rows, dv.shape[1]))  # dv, then copies of its own rows
     with contextlib.suppress(OpenMultError):
         return _solve_ragged(plan, padded.ravel())[2].failed[:len(dv)].count(None)
     return sum(_certified(plan, row[None]) for row in dv) if len(dv) > 1 else 0

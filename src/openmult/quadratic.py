@@ -27,14 +27,11 @@ class QuadraticTriple:
             raise ValueError("leading coefficient must be unimodular")
 
 
-def roots_vec(alpha, beta, gamma):
-    """Both roots, numerically stable, vectorized.
-
-    Returns (big, small) ordered by modulus, |big| >= |small|.  The larger
-    root comes from the cancellation-free branch of the quadratic formula and
-    the smaller from the product relation small = alpha / (gamma * big), so
-    tiny alpha never cancels.
-    """
+def _scaled_big_root(alpha, beta, gamma):
+    """(shape, alpha, gamma, q): the coefficients as arrays of at least one
+    dimension, their broadcast shape, and q = -(beta +- sqrt(disc))/2 on the
+    cancellation-free branch of the quadratic formula, the larger-modulus
+    root times gamma."""
     arrays = [np.asarray(x, dtype=np.complex128) for x in (alpha, beta, gamma)]
     shape = np.broadcast(*arrays).shape
     # Scalars take the array path as 1-d arrays.  Buffers are reused only
@@ -49,15 +46,37 @@ def roots_vec(alpha, beta, gamma):
     np.copyto(w, plus, where=np.abs(plus) >= np.abs(w))
     q = np.negative(w, out=w)
     np.divide(q, 2.0, out=q)
-    big = np.divide(q, gamma, out=plus)
-    return big.reshape(shape), quotient(alpha, q).reshape(shape)
+    return shape, alpha, gamma, q
+
+
+def roots_vec(alpha, beta, gamma):
+    """Both roots, numerically stable, vectorized.
+
+    Returns (big, small) ordered by modulus, |big| >= |small|.  The larger
+    root comes from the cancellation-free branch of the quadratic formula and
+    the smaller from the product relation small = alpha / (gamma * big), so
+    tiny alpha never cancels.
+    """
+    shape, alpha, gamma, q = _scaled_big_root(alpha, beta, gamma)
+    return np.divide(q, gamma).reshape(shape), quotient(alpha, q).reshape(shape)
 
 
 def quotient(num, den):
     """num / den as np.divide rounds it, 0 where den == 0, except where
     numpy's complex division overflows its reciprocal 1/(dr + di*(di/dr))
     (|den| about 1e-308 or less): there num is divided by den scaled by
-    2**600, which is exact, and the quotient is scaled back."""
+    2**600, which is exact, and the quotient is scaled back.
+
+    The division runs unmasked first and is kept when it raises no flag.  A
+    finite num over den == 0 raises one; a num with no finite part over 0
+    does not, and keeps num/0 (nan or inf) in place of 0.  Neither caller
+    divides such a num by 0: a zero q in the roots needs a finite alpha, and
+    _factor_arrays overwrites its far nodes."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return np.divide(num, den)
+    except FloatingPointError:
+        pass
     out = np.zeros(den.shape, dtype=np.complex128)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -73,19 +92,52 @@ def quotient(num, den):
     return out
 
 
-def smaller_root_vec(alpha, beta, gamma):
-    """Selected (smaller-modulus) root per node; raises when any node ties."""
-    big, small = roots_vec(alpha, beta, gamma)
-    abs_big = np.abs(big)
+# Where 2**-960 <= |gamma| <= 2**500 and 1e-9 <= rho = |q|/|gamma| <= 2**500,
+# no step of numpy's division q/gamma overflows, and an underflow in it is an
+# absolute error of at most 2**-1074 against |q| >= 2**-990 or against
+# |gamma|: |q/gamma| rounds to rho within a relative 1e-14.  There
+# 2|small| <= rho puts |big| - |small| above |big|/2 - 1e-14|big|, and
+# TIE_TOL*(|big| + 1 + |small|) below 1e-12*(1.5|big| + 1), which is less
+# than |big|/4 for |big| >= 1e-9/2: no rounding of the test can close a gap
+# of that size, so the node does not tie and big need not be formed.
+_LO, _HI = 2.0**-960, 2.0**500
+
+
+def _first_tie(q, gamma, small):
+    """The flat index of the first node whose root moduli tie, or None.
+
+    A node ties when |big| - |small| <= TIE_TOL*(|big| + 1 + |small|), with
+    big = q/gamma the larger root.  big is formed only on the nodes that the
+    bound on rho = |q|/|gamma| above does not already clear.
+    """
     abs_small = np.abs(small)
+    with np.errstate(all="ignore"):  # a node that overflows here is left open
+        abs_gamma = np.abs(gamma)
+        rho = np.abs(q)
+        rho /= abs_gamma
+        twice = np.multiply(abs_small, 2.0)
+        clear = np.maximum(twice, 1e-9, out=twice) <= rho
+        clear &= (abs_gamma >= _LO) & (abs_gamma <= _HI) & (rho <= _HI)
+    if clear.all():
+        return None
+    nodes = np.flatnonzero(~clear)
+    abs_big = np.abs(q.ravel()[nodes] / np.broadcast_to(gamma, q.shape).flat[nodes])
+    abs_small = abs_small.ravel()[nodes]
     tol = abs_big + 1.0
     tol += abs_small
     tol *= TIE_TOL
     bad = abs_big - abs_small <= tol
-    if bad.any():
-        idx = int(np.argmax(bad))
+    return int(nodes[np.argmax(bad)]) if bad.any() else None
+
+
+def smaller_root_vec(alpha, beta, gamma):
+    """Selected (smaller-modulus) root per node; raises when any node ties."""
+    shape, alpha, gamma, q = _scaled_big_root(alpha, beta, gamma)
+    small = quotient(alpha, q)
+    idx = _first_tie(q, gamma, small)
+    if idx is not None:
         raise EqualModulusRoots(f"root moduli tie at index {idx}", index=idx)
-    return small
+    return small.reshape(shape)
 
 
 def roots(t: QuadraticTriple) -> tuple[complex, complex]:

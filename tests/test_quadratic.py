@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openmult import EqualModulusRoots, QuadraticTriple, has_distinct_moduli, roots, smaller_root
-from openmult.quadratic import roots_vec, smaller_root_vec
+from openmult.quadratic import TIE_TOL, quotient, roots_vec, smaller_root_vec
 
 finite_complex = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 phases = st.floats(min_value=-np.pi, max_value=np.pi)
@@ -219,3 +220,135 @@ class TestVectorisedRoots:
         beta[[3, 7]] = 0.0
         with pytest.raises(EqualModulusRoots, match="index 3"):
             smaller_root_vec(alpha, beta, gamma)
+
+
+# Coefficients over the whole double range: zero, moduli from 1e-320
+# (subnormal) to 1e308, and the moderate ones above.
+wide_complex = st.one_of(
+    st.just(0j),
+    st.builds(lambda e, phi: 10.0**e * cmath.exp(1j * phi), st.floats(-320.0, 308.0), phases),
+    finite_complex,
+)
+
+
+def _near_tie(e, k, p1, p2, eg, pg):
+    """(alpha, beta, gamma) with roots r1 and r2, |r2|/|r1| = 1 + k*1e-12."""
+    gamma = 10.0**eg * cmath.exp(1j * pg)
+    r1 = 10.0**e * cmath.exp(1j * p1)
+    r2 = r1 * (1.0 + k * 1e-12) * cmath.exp(1j * p2)
+    return gamma * r1 * r2, -gamma * (r1 + r2), gamma
+
+
+near_tie = st.builds(
+    _near_tie, st.floats(-150.0, 150.0), st.floats(-3.0, 3.0), phases, phases, st.floats(-100.0, 100.0), phases
+)
+
+
+def _selected(x):
+    return np.shape(x), np.atleast_1d(x).view(np.int64).tobytes()
+
+
+def _selection_by_formula(alpha, beta, gamma):
+    """The selection as the quadratic formula and the tie test define it, on
+    every node: ("tie", first flat index) or ("root", shape and bits)."""
+    big, small = roots_vec(alpha, beta, gamma)
+    abs_big, abs_small = np.abs(big), np.abs(small)
+    bad = abs_big - abs_small <= TIE_TOL * (abs_big + 1.0 + abs_small)
+    if bad.any():
+        return "tie", int(np.argmax(bad))
+    return "root", _selected(small)
+
+
+def _selection(alpha, beta, gamma):
+    try:
+        small = smaller_root_vec(alpha, beta, gamma)
+    except EqualModulusRoots as exc:
+        return "tie", exc.index
+    return "root", _selected(small)
+
+
+def _tie_boundary():
+    """|big| = t, |small| = 0 with t == TIE_TOL*(t + 1 + 0): the largest
+    root modulus that still ties with a zero root."""
+    t = TIE_TOL
+    for _ in range(4):
+        t = (t + 1.0) * TIE_TOL
+    return t
+
+
+class TestTieCheck:
+    @given(st.lists(st.one_of(st.tuples(wide_complex, wide_complex, wide_complex), near_tie), min_size=1, max_size=24),
+           st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_formula(self, triples, as_matrix):
+        alpha, beta, gamma = (np.array(column, dtype=np.complex128) for column in zip(*triples))
+        if as_matrix and alpha.size % 2 == 0:
+            alpha, beta, gamma = (x.reshape(2, -1) for x in (alpha, beta, gamma))
+        with np.errstate(all="ignore"):  # a zero gamma divides by zero in both
+            assert _selection(alpha, beta, gamma) == _selection_by_formula(alpha, beta, gamma)
+
+    @pytest.mark.parametrize("alpha, beta, gamma", [
+        (0.0, -_tie_boundary(), 1.0),  # exactly at the boundary: ties
+        (0.0, -np.nextafter(_tie_boundary(), 1.0), 1.0),  # one ulp above it: does not
+        ([0.0, 0.01, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]),  # alpha = 0, gamma = 0
+        (0.0, 0.0, 0.0),
+        # |q| near 1e154, where beta**2 still fits; past it q and big overflow
+        ([1.0, 1.0, 1.0], [-1.3e154, -1.3e154j, -1e155], [1.0, 1j, 1.0]),
+        ([1.0, 1.0], [-1e50, -1e50], [1e-250, 1e-270]),  # |q/gamma| near 1e300, then past 1e308
+        ([0.0, 0.0], [-2e-315, -2e-300], [5e-320, 1e-304]),  # numpy's q/gamma overflows 1/gamma, then not
+        (1e-300, 1.7e308j, 1j),
+        ([1e-320, 0.0, 1e-318], [1.0, 3e-310, 2e-309 - 1e-310j], [1.0, 1.0, -1j]),  # subnormal roots
+        (0.01, 1.0, 1j),  # 0-d
+        (1.0, 0.0, 1.0),  # 0-d, ties
+        ([[0.01, 0.02j, 1e-3], [0.0, 1.0, 1.0]], [[1.0, 2.0, 1j], [1.0, 0.0, 0.0]], 1.0),  # 2-d, ties at 4
+        ([[0.01, 0.02j], [1e-5, 3e-3]], [[1.0, 2.0], [1j, 1.0 - 1j]], [[1.0, 1j], [-1.0, 1.0]]),  # 2-d
+    ])
+    def test_edge_cases_match_the_formula(self, alpha, beta, gamma):
+        with np.errstate(all="ignore"):
+            assert _selection(alpha, beta, gamma) == _selection_by_formula(alpha, beta, gamma)
+
+    def test_boundary_examples_fall_on_either_side(self):
+        t = _tie_boundary()
+        assert t == (t + 1.0) * TIE_TOL
+        assert _selection(0.0, -t, 1.0) == ("tie", 0)
+        assert _selection(0.0, -np.nextafter(t, 1.0), 1.0)[0] == "root"
+
+
+def _masked_quotient(num, den):
+    out = np.zeros(den.shape, dtype=np.complex128)
+    with np.errstate(all="ignore"):  # a subnormal den overflows numpy's reciprocal
+        return np.divide(num, den, out=out, where=den != 0)
+
+
+def _wide(rng, exponents):
+    return 10.0**exponents * np.exp(1j * rng.uniform(-np.pi, np.pi, exponents.size))
+
+
+class TestQuotient:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 17, 1000]), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_masked_division(self, seed, n, zeros):
+        rng = np.random.default_rng(seed)
+        e_den = rng.uniform(-300.0, 300.0, n)
+        e_num = np.clip(e_den + rng.uniform(-300.0, 300.0, n), -300.0, 300.0)  # |num/den| < 1e301
+        num, den = _wide(rng, e_num), _wide(rng, e_den)
+        if zeros:
+            den[rng.random(n) < 0.3] = 0.0
+            num[rng.random(n) < 0.3] = 0.0
+            num[rng.random(n) < 0.2] *= -0.0  # signed zeros
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quotient(num, den)
+        assert got.shape == den.shape
+        assert np.array_equal(got.view(np.int64), _masked_quotient(num, den).view(np.int64))
+
+    def test_subnormal_denominator_is_scaled(self):
+        num = np.array([1.0, 2e-5j, 3.0, 0.5 - 0.5j])
+        den = np.array([1.0 + 1j, 3e-310 + 1e-311j, 0.0, 2.0 - 1j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quotient(num, den)
+        want = _masked_quotient(num, den)
+        want[1] = num[1] / (den[1] * 2.0**600) * 2.0**600
+        assert np.isfinite(got).all()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
