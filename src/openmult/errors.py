@@ -36,9 +36,9 @@ class EqualModulusRoots(OpenMultError):
 
     exit_code = 2
 
-    def __init__(self, message, *, index=None):
+    def __init__(self, message, *, index=None, nodes=None):
         super().__init__(message)
-        self.index = index  # the first tying node, when the error names one
+        self.index, self.nodes = index, nodes  # when named: the first tying node, every one's flat index in order
 
 
 class ZeroArgument(OpenMultError):

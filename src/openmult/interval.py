@@ -30,7 +30,7 @@ from .errors import (
     ZeroArgument,
 )
 from .functions import GridFunction
-from .quadratic import quotient, smaller_root_vec
+from .quadratic import quotient, roots_vec, smaller_root_vec
 
 RESIDUAL_TOL = 1e-9
 UNDEFINED = complex(float("nan"), float("nan"))
@@ -666,9 +666,9 @@ class Certificate(NamedTuple):
     """What a solve certifies for intervals laid end to end: from the plan,
     its offsets, the [lo, hi] grid nodes of its cover runs in node order and
     each interval's cover tier (eta2, eps_cover); per interval, its residual,
-    bound1 and bound2, Python floats, and its verdict `failed`: the first
-    certificate claim that fails there (residual, then d1, then d2), or None
-    where the result is certified."""
+    bound1 and bound2, Python floats, and its verdict `failed`: its first
+    root tie, else the first certificate claim that fails there (residual,
+    then d1, then d2), or None where the result is certified."""
 
     cfg: PipelineConfig
     offsets: np.ndarray
@@ -824,21 +824,28 @@ _CLAIMS = ("factorization residual out of tolerance", "d1 exceeds eps0", "d2 exc
 
 def _solve_ragged(plan: IntervalPlan, dv):
     """The d-dependent part, ungated, for dv of the plan's shape: (d1, d2,
-    certificate, failed) with d1, d2 over the whole grid and the Certificate
+    certificate, refusal) with d1, d2 over the whole grid and the Certificate
     of the intervals, where residual = max|(f+d1)(g+d2) - (f*g+d)| and
-    bound_i = max|d_i| per interval; `failed` is the first verdict in
-    certificate.failed that is not None, or None when every interval's
-    result is certified."""
+    bound_i = max|d_i| per interval.  A root tie fails only its intervals,
+    "root moduli tie at index i" with i counted within its segment.
+    `refusal` is what the gate raises, or None: the first tie as
+    EqualModulusRoots, else the first failed claim as a RuntimeError.  An
+    end pinned where the solve disagrees raises, after a tie."""
     cfg = plan.cfg
     fv, gv = plan.fv, plan.gv
     ends, seam, cover_pin, zw, nodes, own, owned, halves = plan.cover
-    keep, _first, _last, start = plan.pieces
+    keep, first, _last, start = plan.pieces
+    refusal, ties = None, {}
     try:
         # solve_interval's gate, sup|d| <= delta0 = shift_budget(eps1, eps1), is this step's budget
         phi = smaller_root_vec(-dv[keep], plan.f_quad, plan.beta2)
-    except EqualModulusRoots as exc:
-        index = exc.index - int(start[np.searchsorted(start, exc.index, side="right") - 1])
-        raise EqualModulusRoots(f"root moduli tie at index {index}", index=index) from None
+    except EqualModulusRoots as exc:  # the tied nodes take the second root of roots_vec
+        phi = roots_vec(-dv[keep], plan.f_quad, plan.beta2)[1]
+        segment = np.searchsorted(start, exc.nodes, side="right") - 1
+        local = (exc.nodes - start[segment]).tolist()
+        within = (np.searchsorted(plan.offsets, first[segment], side="right") - 1).tolist()
+        ties = {k: f"root moduli tie at index {i}" for k, i in zip(within[::-1], local[::-1])}  # each keeps its first
+        refusal = EqualModulusRoots(f"root moduli tie at index {local[0]}", index=local[0])
     if nodes.size:  # spread onto the grid before target is allocated
         d1 = np.zeros(fv.size, dtype=np.complex128)
         d2 = np.zeros(fv.size, dtype=np.complex128)
@@ -873,7 +880,7 @@ def _solve_ragged(plan: IntervalPlan, dv):
         d2[nodes] = pin_d2
         bad = np.flatnonzero(err > tol)
         if bad.size:
-            raise VertexInconsistency(
+            raise refusal or VertexInconsistency(
                 f"edge construction disagrees with the pinned endpoint by {float(err[bad[0]])}"
             )
 
@@ -883,22 +890,23 @@ def _solve_ragged(plan: IntervalPlan, dv):
     bound1 = np.maximum.reduceat(np.abs(d1), starts).tolist()
     bound2 = np.maximum.reduceat(np.abs(d2), starts).tolist()
     limit, failed = cfg.epsilon0 * (1.0 + 1e-9), []
-    for r, sc, b1, b2 in zip(residual, scale, bound1, bound2):
+    for k, (r, sc, b1, b2) in enumerate(zip(residual, scale, bound1, bound2)):
         holds = (r <= RESIDUAL_TOL * (1.0 + sc), b1 <= limit, b2 <= limit)
-        failed.append(None if all(holds) else _CLAIMS[holds.index(False)])
-    first = next((claim for claim in failed if claim is not None), None)
-    return d1, d2, Certificate(cfg, plan.offsets, ends, plan.tiers, residual, bound1, bound2, failed), first
+        failed.append(ties.get(k) or (None if all(holds) else _CLAIMS[holds.index(False)]))
+    if refusal is None and any(failed):
+        refusal = RuntimeError(f"internal invariant failed: {next(filter(None, failed))}")
+    return d1, d2, Certificate(cfg, plan.offsets, ends, plan.tiers, residual, bound1, bound2, failed), refusal
 
 
 def solve_intervals(plan: IntervalPlan, dv):
     """_solve_ragged behind the delta0 gate: (d1, d2, certificate) of a
-    result certified on every interval; a failed claim is an internal
-    invariant failure."""
+    result certified on every interval, else the solve's refusal raised."""
     if dv.shape != plan.fv.shape:
         raise PreconditionViolated("perturbation must live on the plan's grid")
     plan.cfg.check_radius(float(np.max(np.abs(dv))))
-    d1, d2, cert, failed = _solve_ragged(plan, dv)
-    _verify(failed is None, failed)
+    d1, d2, cert, refusal = _solve_ragged(plan, dv)
+    if refusal is not None:
+        raise refusal
     return d1, d2, cert
 
 

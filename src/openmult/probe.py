@@ -106,17 +106,6 @@ def brute_scalar_delta(eps: float, x: complex, y: complex, grid: int = 32) -> fl
     return lo
 
 
-def _certified(plan, dv):
-    """How many trials, the rows of dv, a solve on `plan` certifies.  The
-    plan holds a chunk of copies of one pair; a refusing solve is replayed
-    row by row, each row as a chunk of copies of itself."""
-    rows = plan.offsets.size - 1
-    padded = dv if len(dv) == rows else np.resize(dv, (rows, dv.shape[1]))  # dv, then copies of its own rows
-    with contextlib.suppress(OpenMultError):
-        return _solve_ragged(plan, padded.ravel())[2].failed[:len(dv)].count(None)
-    return sum(_certified(plan, row[None]) for row in dv) if len(dv) > 1 else 0
-
-
 def probe_pipeline(
     f: GridFunction, g: GridFunction, eps0: float, trials: int, seed: int,
     max_steps: int = 16,
@@ -131,10 +120,9 @@ def probe_pipeline(
     keep every batched array below numpy's in-place reuse threshold, so each
     trial gets the bits of a solve of its own on the call's one plan, over a
     chunk's worth of copies of (f, g) laid end to end; a refused plan fails
-    every trial.  A short last chunk is padded with copies of its own trials,
-    so a padded slot refuses only where a real trial does.  A chunk that
-    refuses (a root tie in some trial) is replayed one trial at a time, as a
-    chunk of copies of it, so only the refusing trials fail.
+    every trial.  A trial fails on its own verdict, a root tie included, so
+    it never fails another trial of its chunk.  A short last chunk is padded
+    with copies of its own trials.
     """
     if trials < 1:
         raise PreconditionViolated("trials must be at least 1")
@@ -158,10 +146,13 @@ def probe_pipeline(
         hits = 0
         for done in range(0, trials if plan is not None else 0, chunk):
             # the bits of one pair of standard_normal(n) calls per trial, real part first
-            raw = rng.standard_normal((min(chunk, trials - done), 2, n))
+            rows = min(chunk, trials - done)
+            raw = rng.standard_normal((rows, 2, n))
             dv = raw[:, 0] + 1j * raw[:, 1]
             dv *= (r / np.max(np.abs(dv), axis=1))[:, None]
-            hits += _certified(plan, dv)
+            padded = dv if rows == chunk else np.resize(dv, (chunk, n))  # dv, then copies of its own rows
+            with contextlib.suppress(OpenMultError):
+                hits += _solve_ragged(plan, padded.ravel())[2].failed[:rows].count(None)
         curve.append((r, hits / trials))
         if hits < trials:
             break

@@ -103,8 +103,8 @@ def quotient(num, den):
 _LO, _HI = 2.0**-960, 2.0**500
 
 
-def _first_tie(q, gamma, small):
-    """The flat index of the first node whose root moduli tie, or None.
+def _ties(q, gamma, small):
+    """The flat indices of the nodes whose root moduli tie, in order.
 
     A node ties when |big| - |small| <= TIE_TOL*(|big| + 1 + |small|), with
     big = q/gamma the larger root.  big is formed only on the nodes that the
@@ -119,24 +119,23 @@ def _first_tie(q, gamma, small):
         clear = np.maximum(twice, 1e-9, out=twice) <= rho
         clear &= (abs_gamma >= _LO) & (abs_gamma <= _HI) & (rho <= _HI)
     if clear.all():
-        return None
+        return np.empty(0, dtype=np.intp)
     nodes = np.flatnonzero(~clear)
     abs_big = np.abs(q.ravel()[nodes] / np.broadcast_to(gamma, q.shape).flat[nodes])
     abs_small = abs_small.ravel()[nodes]
     tol = abs_big + 1.0
     tol += abs_small
     tol *= TIE_TOL
-    bad = abs_big - abs_small <= tol
-    return int(nodes[np.argmax(bad)]) if bad.any() else None
+    return nodes[abs_big - abs_small <= tol]
 
 
 def smaller_root_vec(alpha, beta, gamma):
-    """Selected (smaller-modulus) root per node; raises when any node ties."""
+    """Selected (smaller-modulus) root per node; raises when any node ties, naming them all."""
     shape, alpha, gamma, q = _scaled_big_root(alpha, beta, gamma)
     small = quotient(alpha, q)
-    idx = _first_tie(q, gamma, small)
-    if idx is not None:
-        raise EqualModulusRoots(f"root moduli tie at index {idx}", index=idx)
+    ties = _ties(q, gamma, small)
+    if ties.size:
+        raise EqualModulusRoots(f"root moduli tie at index {ties[0]}", index=int(ties[0]), nodes=ties)
     return small.reshape(shape)
 
 

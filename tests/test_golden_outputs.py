@@ -17,9 +17,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openmult import (
     EndpointPin,
+    EqualModulusRoots,
     GraphDomain,
     GraphFunction,
     GridFunction,
@@ -380,9 +383,10 @@ def test_solve_verdict_matches_three_clause_check(kind, f_scale):
             for _ in range(8):
                 raw = rng.standard_normal(f.domain.n) + 1j * rng.standard_normal(f.domain.n)
                 dv = raw * (delta0(0.7) * 1.5**k / float(np.max(np.abs(raw))))
-                _d1, _d2, cert, failed = _solve_ragged(plan, dv)
-                (residual,), (bound1,), (bound2,) = cert.residual, cert.bound1, cert.bound2
+                _d1, _d2, cert, refusal = _solve_ragged(plan, dv)
+                (residual,), (bound1,), (bound2,), (failed,) = cert.residual, cert.bound1, cert.bound2, cert.failed
                 assert failed == _three_clause_failure(plan, dv, residual, bound1, bound2, 0.7)
+                assert repr(refusal) == repr(failed and RuntimeError(f"internal invariant failed: {failed}"))
                 seen.add(failed)
     assert seen - {None} == FIRST_FAILURES[kind, f_scale]
 
@@ -400,15 +404,73 @@ def test_tiled_verdicts_match_single_solves(kind, rung):
     raw = np.random.default_rng([29, kind]).standard_normal((b, 2, n))
     dv = raw[:, 0] + 1j * raw[:, 1]
     dv *= (delta0(0.7) * 1.5**rung / np.max(np.abs(dv), axis=1))[:, None]
-    d1, d2, cert, first = _solve_ragged(tiled, dv.ravel())
+    d1, d2, cert, refusal = _solve_ragged(tiled, dv.ravel())
     for i, row in enumerate(dv):
-        one_d1, one_d2, one, failed = _solve_ragged(plan, row)
+        one_d1, one_d2, one, _refusal = _solve_ragged(plan, row)
         at = slice(i * n, (i + 1) * n)
         assert _digest(d1[at], d2[at]) == _digest(one_d1, one_d2)
         got = (cert.residual[i], cert.bound1[i], cert.bound2[i], cert.failed[i])
-        assert repr(got) == repr((*one.residual, *one.bound1, *one.bound2, failed))
+        assert repr(got) == repr((*one.residual, *one.bound1, *one.bound2, one.failed[0]))
     assert None in cert.failed and D1 in cert.failed
-    assert first == next(claim for claim in cert.failed if claim is not None)
+    first = next(claim for claim in cert.failed if claim is not None)
+    assert repr(refusal) == repr(RuntimeError(f"internal invariant failed: {first}"))
+
+
+# Distinct pairs laid end to end under one plan, root ties injected into some
+# of them as in test_tie_index_is_segment_local: a tie fails only its own
+# pair, every pair keeps the bits and verdict of its own one-pair solve, and
+# the batch refuses with the first tie, else the first failed claim.  At most
+# 8 pairs of at most 1025 nodes stay below numpy's 256 KiB in-place reuse.
+pair_specs = st.tuples(
+    st.integers(0, 3), st.sampled_from([129, 257, 513, 1025]), st.integers(0, 20),
+    st.lists(st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)), max_size=2),
+)
+
+
+def _inject_tie(plan, dv, lo, hi, where):
+    segments = [seg for seg in plan.segments if lo <= seg[0] < hi]
+    s, e, beta2, f_quad = segments[int(where[0] * len(segments))]
+    k = int(where[1] * (e - s + 1))
+    dv[s + k] = -(f_quad[k] ** 2) / (2 * beta2[k])
+
+
+@given(st.lists(pair_specs, min_size=2, max_size=8), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_ties_fail_only_their_own_pair(specs, seed):
+    cases = [_family_case(n, seed + i, kind, 0.7, 1.5**rung) for i, (kind, n, rung, _ties) in enumerate(specs)]
+    offsets = np.cumsum([0] + [f.domain.n for f, _g, _d in cases])
+    fv, gv, dv = (np.concatenate([case[x].values for case in cases]) for x in range(3))
+    plan = plan_intervals(fv, gv, 0.7, offsets, PinTable.of([(None, None)] * len(cases)))
+    for j, (*_spec, ties) in enumerate(specs):
+        for where in ties:
+            _inject_tie(plan, dv, offsets[j], offsets[j + 1], where)
+    d1, d2, cert, refusal = _solve_ragged(plan, dv)
+    refusals = []
+    for j, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        one_d1, one_d2, one, one_refusal = _solve_ragged(plan_interval(fv[lo:hi], gv[lo:hi], 0.7), dv[lo:hi])
+        assert _digest(d1[lo:hi], d2[lo:hi]) == _digest(one_d1, one_d2)
+        got = (cert.residual[j], cert.bound1[j], cert.bound2[j], cert.failed[j])
+        assert repr(got) == repr((*one.residual, *one.bound1, *one.bound2, *one.failed))
+        assert str(cert.failed[j]).startswith("root moduli tie at index ") == bool(specs[j][3])
+        refusals.append(one_refusal)
+    want = next((x for x in refusals if isinstance(x, EqualModulusRoots)), None) or next(filter(None, refusals), None)
+    assert (type(refusal), str(refusal), getattr(refusal, "index", None)) == (
+        type(want), str(want), getattr(want, "index", None))
+
+
+def test_tie_comes_before_a_pinned_end_disagreement():
+    # The left end is pinned with d1 = d2 = 0, which a nonzero d there breaks.
+    fv, gv, eps0, left, right = _one_interval("pinned_ends")
+    plan = plan_interval(fv, gv, eps0, left, right)
+    dv = np.full(fv.size, 1e-3 + 0j)
+    with pytest.raises(VertexInconsistency):
+        _solve_ragged(plan, dv)
+    s, _e, beta2, f_quad = plan.segments[0]
+    dv[s + 5] = -(f_quad[5] ** 2) / (2 * beta2[5])
+    with pytest.raises(OpenMultError) as exc:
+        _solve_ragged(plan, dv)
+    assert (type(exc.value).__name__, str(exc.value), exc.value.index) == (
+        "EqualModulusRoots", "root moduli tie at index 5", 5)
 
 
 def test_zero_certificate_verdicts():
@@ -736,9 +798,10 @@ def test_tie_index_is_segment_local():
     dv = d.values.copy()
     for k in (10, 13):
         dv[s + k] = -(f_quad[k] ** 2) / (2 * beta2[k])
-    with pytest.raises(OpenMultError) as exc:
-        _solve_ragged(plan, dv)
-    assert (type(exc.value).__name__, str(exc.value)) == ("EqualModulusRoots", "root moduli tie at index 10")
+    _d1, _d2, cert, refusal = _solve_ragged(plan, dv)
+    assert cert.failed == ["root moduli tie at index 10"]
+    assert (type(refusal).__name__, str(refusal), refusal.index) == (
+        "EqualModulusRoots", "root moduli tie at index 10", 10)
 
 
 def test_plan_holds_phases_on_segment_nodes_only():

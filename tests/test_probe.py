@@ -3,7 +3,6 @@ import pytest
 import openmult.probe as probe_mod
 from openmult import (
     CoverInfeasible,
-    EqualModulusRoots,
     GridFunction,
     IntervalDomain,
     PreconditionViolated,
@@ -106,37 +105,33 @@ class TestProbePipeline:
         with pytest.raises(RuntimeError, match="internal invariant failed"):
             probe_pipeline(f, f, 0.5, trials=2, seed=0)
 
-    def test_refused_chunk_replays_trial_by_trial(self, monkeypatch):
-        # A chunk whose batched solve refuses (a root tie in one trial) is
-        # solved again one trial at a time, each as a chunk of copies of
-        # itself, so only the tied trial fails.  The tie is injected by the
-        # content of a trial that fails anyway: the curve does not change.
+    def test_tied_trial_fails_alone(self, monkeypatch):
+        # A real root tie in the second trial of the third rung: d turns the
+        # tracked quadratic's discriminant into -f_quad^2 at one node of that
+        # trial's first complement segment.  Only that trial fails, on its own
+        # verdict, and each rung takes one solve of its 5 trials.
         t = DOM.nodes()
         f = GridFunction(DOM, (t - 0.5).astype(complex))
-        inner, verdicts = probe_mod._solve_ragged, []
+        want = probe_pipeline(f, f, 0.7, trials=5, seed=2)
+        assert [rate for _r, rate in want.curve[:3]] == [1.0, 1.0, 1.0]
+        inner, sizes, verdicts = probe_mod._solve_ragged, [], []
 
-        def record(plan, dv):
+        def tie_on_rung_2(plan, dv):
+            if len(sizes) == 2:
+                s, _e, beta2, f_quad = next(seg for seg in plan.segments if seg[0] >= DOM.n)
+                dv = dv.copy()
+                dv[s + 3] = -(f_quad[3] ** 2) / (2 * beta2[3])
+            sizes.append(dv.size)
             out = inner(plan, dv)
-            verdicts.extend(zip(dv.reshape(-1, DOM.n), out[2].failed))
+            verdicts.append(out[2].failed)
             return out
 
-        monkeypatch.setattr(probe_mod, "_solve_ragged", record)
-        want = probe_pipeline(f, f, 0.7, trials=5, seed=2)
-        tied = next(row for row, failed in verdicts if failed is not None)
-        sizes = []
-
-        def tie_on_row(plan, dv):
-            sizes.append(dv.size)
-            if (dv.reshape(-1, DOM.n) == tied).all(axis=1).any():
-                raise EqualModulusRoots("root moduli tie at index 0", index=0)
-            return inner(plan, dv)
-
-        monkeypatch.setattr(probe_mod, "_solve_ragged", tie_on_row)
+        monkeypatch.setattr(probe_mod, "_solve_ragged", tie_on_rung_2)
         got = probe_pipeline(f, f, 0.7, trials=5, seed=2)
-        assert got.curve == want.curve and got.delta_empirical == want.delta_empirical
-        # one solve of the 5 trials per rung, then the last rung's 5 trials alone, each as 5 copies
-        assert sizes == [5 * DOM.n] * (len(got.curve) + 5)
-        assert 0.0 < got.curve[-1][1] < 1.0  # the last rung mixes certified and failed trials
+        assert got.curve == (*want.curve[:2], (want.curve[2][0], 0.8))
+        assert 0.0 < got.curve[-1][1] < 1.0 and got.delta_empirical == want.curve[1][0]
+        assert sizes == [5 * DOM.n] * 3  # one solve per rung, none replayed
+        assert verdicts[2] == [None, "root moduli tie at index 3", None, None, None]
 
     def test_plan_refusal_fails_every_trial(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -248,15 +248,31 @@ def _selected(x):
     return np.shape(x), np.atleast_1d(x).view(np.int64).tobytes()
 
 
+def _ties_by_formula(alpha, beta, gamma):
+    """The smaller root and the tie test on every node, as the quadratic
+    formula defines them."""
+    big, small = roots_vec(alpha, beta, gamma)
+    abs_big, abs_small = np.abs(big), np.abs(small)
+    return small, abs_big - abs_small <= TIE_TOL * (abs_big + 1.0 + abs_small)
+
+
 def _selection_by_formula(alpha, beta, gamma):
     """The selection as the quadratic formula and the tie test define it, on
     every node: ("tie", first flat index) or ("root", shape and bits)."""
-    big, small = roots_vec(alpha, beta, gamma)
-    abs_big, abs_small = np.abs(big), np.abs(small)
-    bad = abs_big - abs_small <= TIE_TOL * (abs_big + 1.0 + abs_small)
+    small, bad = _ties_by_formula(alpha, beta, gamma)
     if bad.any():
         return "tie", int(np.argmax(bad))
     return "root", _selected(small)
+
+
+def _tied_nodes(alpha, beta, gamma):
+    """The flat indices of the tied nodes that smaller_root_vec names, in order."""
+    try:
+        smaller_root_vec(alpha, beta, gamma)
+    except EqualModulusRoots as exc:
+        assert exc.nodes.dtype == np.intp and exc.index == exc.nodes[0]
+        return exc.nodes.tolist()
+    return []
 
 
 def _selection(alpha, beta, gamma):
@@ -286,6 +302,7 @@ class TestTieCheck:
             alpha, beta, gamma = (x.reshape(2, -1) for x in (alpha, beta, gamma))
         with np.errstate(all="ignore"):  # a zero gamma divides by zero in both
             assert _selection(alpha, beta, gamma) == _selection_by_formula(alpha, beta, gamma)
+            assert _tied_nodes(alpha, beta, gamma) == np.flatnonzero(_ties_by_formula(alpha, beta, gamma)[1]).tolist()
 
     @pytest.mark.parametrize("alpha, beta, gamma", [
         (0.0, -_tie_boundary(), 1.0),  # exactly at the boundary: ties
@@ -306,12 +323,24 @@ class TestTieCheck:
     def test_edge_cases_match_the_formula(self, alpha, beta, gamma):
         with np.errstate(all="ignore"):
             assert _selection(alpha, beta, gamma) == _selection_by_formula(alpha, beta, gamma)
+            assert _tied_nodes(alpha, beta, gamma) == np.flatnonzero(_ties_by_formula(alpha, beta, gamma)[1]).tolist()
 
     def test_boundary_examples_fall_on_either_side(self):
         t = _tie_boundary()
         assert t == (t + 1.0) * TIE_TOL
         assert _selection(0.0, -t, 1.0) == ("tie", 0)
         assert _selection(0.0, -np.nextafter(t, 1.0), 1.0)[0] == "root"
+
+    def test_names_every_tied_node(self):
+        # z**2 + 1 (roots +-i) at flat nodes 1, 4 and 5 of a 2-by-3 grid, a
+        # split pair everywhere else: all three are named, in order.
+        alpha = np.full((2, 3), 1e-3, dtype=complex)
+        beta = np.full((2, 3), 2.0, dtype=complex)
+        alpha.flat[[1, 4, 5]], beta.flat[[1, 4, 5]] = 1.0, 0.0
+        with pytest.raises(EqualModulusRoots, match="index 1$") as exc:
+            smaller_root_vec(alpha, beta, 1.0)
+        assert exc.value.index == 1 and exc.value.nodes.tolist() == [1, 4, 5]
+        assert _tied_nodes(alpha, beta, 1.0) == np.flatnonzero(_ties_by_formula(alpha, beta, 1.0)[1]).tolist()
 
 
 def _masked_quotient(num, den):
