@@ -31,6 +31,7 @@ from .functions import (
     GraphFunction,
     GridFunction,
     function_from_json,
+    min_modulus_sum,
     refine,
 )
 
@@ -97,16 +98,16 @@ def _writing(args, step, *step_args):
     try:
         return step(*step_args)
     except OSError as exc:
-        where = args.output or "/dev/stdout"
+        where = args.output or "stdout"
         raise PreconditionViolated(f"{where}: {type(exc).__name__}: {exc}", bound="output") from exc
 
 
 def _open_output(args):
-    # Opened before the library call, as shell redirection would be.
-    if args.format == "json" and not args.output:
+    # Opened before the library call, as shell redirection would be.  stdout is
+    # written as it is, never reopened, so `>> file` keeps what the file holds.
+    if not args.output:
         return contextlib.nullcontext(sys.stdout)
-    newline = "" if args.format == "csv" else None
-    return open(args.output or "/dev/stdout", "w", encoding="utf-8", newline=newline)
+    return open(args.output, "w", encoding="utf-8", newline="" if args.format == "csv" else None)
 
 
 # A list of [re, im] float pairs is written this many pairs at a time, each
@@ -165,7 +166,7 @@ class Command:
     load the input, decode the payload entries, refine grid functions under
     --grid, open the output, run, fill the report and emit it."""
 
-    inputs: tuple   # (payload key, decode(data, key)) pairs, in `run` argument order
+    inputs: tuple   # (payload key, decode(data, key, *inputs decoded before it)) pairs, in `run` argument order
     run: object     # run(args, *inputs) -> (report fields, CSV rows: an iterator, read only under --format csv)
     header: tuple   # CSV header
 
@@ -175,7 +176,7 @@ class Command:
             data = _load_input(args.input)
             inputs = []
             for key, decode in self.inputs:
-                inputs.append(_maybe_refine(decode(data, key), args.grid))
+                inputs.append(_maybe_refine(decode(data, key, *inputs), args.grid))
         except _INPUT_ERRORS as exc:
             where = args.input if key is None else f"payload key {key!r}"
             raise PreconditionViolated(f"{where}: {type(exc).__name__}: {exc}", bound=key or "input") from exc
@@ -190,7 +191,7 @@ class Command:
 def _sample(kind):
     """Decoder of a payload entry that must be a `kind` sample function."""
 
-    def decode(data, key):
+    def decode(data, key, *_):
         fn = function_from_json(data[key])
         if not isinstance(fn, kind):
             raise TypeError(f"expected a {kind.__name__}, got a {type(fn).__name__}")
@@ -202,7 +203,7 @@ def _sample(kind):
 GRID, GRAPH, FINITE = _sample(GridFunction), _sample(GraphFunction), _sample(FiniteSpaceFunction)
 
 
-def _trials(data, key):
+def _trials(data, key, *_):
     trials = data.get(key, 8)
     if type(trials) is not int:  # a JSON integer: not a bool, a float or a string
         raise TypeError(f"expected a JSON integer, got {trials!r}")
@@ -210,27 +211,41 @@ def _trials(data, key):
 
 
 def _model_spec(data, key):
-    return data.get(key, {"type": "sup"})
-
-
-def _scheme_element(data, key):
-    spec = _model_spec(data, "model")
-    if spec.get("type") == "diagonal":
-        return _cli.DiagonalAlgebraElement.from_json(data[key], spec["weights"])
-    return FINITE(data, key)
-
-
-def _build_model(spec_obj, sample):
-    kind = spec_obj.get("type")
+    """The `model` entry ({"type": "sup"} if absent), decoded and checked once:
+    an object of a known type; a diagonal one unital, with positive weights."""
+    spec = data.get(key, {"type": "sup"})
+    if not isinstance(spec, dict):
+        raise TypeError(f"expected a JSON object, got {spec!r}")
+    kind = spec.get("type")
     if kind in UNSUPPORTED_MODELS:
         raise PreconditionViolated(UNSUPPORTED_MODELS[kind], bound="model")
     if kind == "sup":
+        return {"type": kind}
+    if kind != "diagonal":
+        raise PreconditionViolated(f"unknown model type {kind!r}", bound="model")
+    if spec.get("unital", True) is not True:
+        raise PreconditionViolated("only the unitisation of the diagonal algebra is supported", bound="model")
+    weights = np.asarray(spec["weights"], dtype=float)
+    if weights.ndim != 1 or not np.all(np.isfinite(weights) & (weights > 0.0)):
+        raise ValueError(f"weights must be one vector of positive finite numbers, got {spec['weights']!r}")
+    return {"type": kind, "weights": weights}
+
+
+def _scheme_element(data, key, spec, *_):
+    """An element of the decoded model `spec`'s algebra: a diagonal element
+    takes the model's weights, and may repeat them but not give others."""
+    if spec["type"] != "diagonal":
+        return FINITE(data, key)
+    obj, weights = data[key], spec["weights"]
+    if "weights" in obj and not np.array_equal(np.asarray(obj["weights"], dtype=float), weights):
+        raise ValueError(f"weights {obj['weights']!r} differ from the model's {weights.tolist()!r}")
+    return _cli.DiagonalAlgebraElement.from_json(obj, weights)
+
+
+def _build_model(spec, sample):
+    if spec["type"] == "sup":
         return _cli.sup_algebra_model(sample.n)
-    if kind == "diagonal":
-        if not spec_obj.get("unital", True):
-            raise PreconditionViolated("only the unitisation of the diagonal algebra is supported", bound="model")
-        return _cli.diagonal_algebra_model(np.asarray(spec_obj["weights"], dtype=float))
-    raise PreconditionViolated(f"unknown model type {kind!r}", bound="model")
+    return _cli.diagonal_algebra_model(spec["weights"])
 
 
 def _pipeline_constants(eps0):
@@ -313,7 +328,7 @@ def _nondeg_approx(args, f, g):
         "g_prime": g2.to_json(),
         "distance_f": _sup_distance(f2, f),
         "distance_g": _sup_distance(g2, g),
-        "min_joint_modulus_sq": repr(float(np.min(np.abs(f2.values) ** 2 + np.abs(g2.values) ** 2))),
+        "min_joint_modulus_sq": repr(min_modulus_sum(f2, g2, squared=True)),
     }
     return fields, _index_rows(f2, g2)
 

@@ -157,7 +157,8 @@ def _vertex_pins(f, g, d, cfg) -> VertexPins:
         )
     d1[nd] = pyarith.mul(beta2[nd], phi)
     d2[nd] = phi
-    return VertexPins(layout.index, PinTable(np.where(cover, 1, 2), d1, d2, za, wa, beta2))  # PIN_KINDS codes
+    kind = np.where(cover, PIN_KINDS.index("cover"), PIN_KINDS.index("nondeg"))
+    return VertexPins(layout.index, PinTable(kind, d1, d2, za, wa, beta2))
 
 
 def plan_edges(f: GraphFunction, g: GraphFunction, d: GraphFunction, eps0: float) -> tuple:

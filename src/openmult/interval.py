@@ -94,6 +94,13 @@ class PipelineConfig:
             delta0=min(eps1 * eps1, shift_budget(eps1, eps1)),
         )
 
+    @property
+    def cover_tiers(self) -> tuple:
+        """(eta2, eps_cover) of the narrow cover tier and of the wide fallback,
+        which keeps every bound: seam moduli < 3*eps1, eps_cover + 3*eps1 <= eps0."""
+        eps1 = self.epsilon1
+        return (self.eta2, 5.0 * eps1), (9.0 * eps1 * eps1, 4.0 * eps1)
+
     def check_radius(self, supd: float):
         """Refuse a perturbation whose sup norm `supd` exceeds delta0."""
         if supd > self.delta0 * (1.0 + 1e-12):
@@ -176,32 +183,25 @@ def _runs(idx, group):
     return idx[first], idx[last], group[first], first
 
 
-def circle_extend(partial, defined=None, pin_left=None, pin_right=None, segments=None):
+def circle_extend(partial, defined=None, segments=None):
     """Fill undefined index gaps of the array `partial` with unit-circle values.
 
     Defined entries must be unimodular; undefined entries are NaN (or given
     by a `defined` mask).  Interior gaps are bridged by the shortest arc
     between their endpoint values, counterclockwise on antipodal ties.
-    Boundary gaps extend the single adjacent defined value as a constant,
-    unless a pinned boundary value is supplied, in which case the gap is
-    bridged toward the pin.  With nothing defined the result is constant
-    one.  Defined entries are preserved exactly.  `segments`, a pair of
-    arrays (first, last), extends each node range [first[i], last[i]] as an
-    array of its own and leaves the nodes outside every range as they are.
+    Boundary gaps extend the single adjacent defined value as a constant; a
+    pinned end is a defined entry.  With nothing defined the result is
+    constant one.  Defined entries are preserved exactly.  `segments`, a pair
+    of arrays (first, last), extends each node range [first[i], last[i]] as
+    an array of its own and leaves the nodes outside every range as they are.
     """
     vals = np.array(partial, dtype=np.complex128)
     if defined is None:
         mask = ~np.isnan(vals)
     else:
-        mask = np.array(defined, dtype=bool)
+        mask = np.asarray(defined, dtype=bool)
         if mask.shape != vals.shape:
             raise ValueError("mask shape mismatch")
-    for pin, idx in ((pin_left, 0), (pin_right, vals.size - 1)):
-        if pin is not None:
-            if abs(abs(pin) - 1.0) > 1e-9:
-                raise NonUnimodularInput("pinned boundary value must be unimodular")
-            vals[idx] = pin
-            mask[idx] = True
     dev = np.abs(vals)
     dev -= 1.0
     np.abs(dev, out=dev)
@@ -606,7 +606,7 @@ class PinTable(NamedTuple):
 
     @classmethod
     def of(cls, pairs) -> "PinTable":
-        """The (K, 2) table of K pairs (pin_left, pin_right), each an EndpointPin or None."""
+        """The (K, 2) table of K pairs (left, right), each an EndpointPin or None."""
         flat = [pin for pair in pairs for pin in pair]
         kind = np.array([PIN_KINDS.index(getattr(pin, "kind", None)) for pin in flat], dtype=np.int8)
         columns = ([getattr(pin, name, None) for pin in flat] for name in cls._fields[1:])
@@ -684,7 +684,7 @@ class Certificate(NamedTuple):
         """That of the intervals at `offsets` where d = 0 and no pipeline runs."""
         offsets = np.asarray(offsets, dtype=np.intp)
         zeros = [0.0] * (offsets.size - 1)
-        tiers = ((cfg.eta2, 5.0 * cfg.epsilon1),) * len(zeros)
+        tiers = cfg.cover_tiers[:1] * len(zeros)
         return cls(cfg, offsets, np.zeros((0, 2), dtype=np.intp), tiers, zeros, zeros, zeros, [None] * len(zeros))
 
     def rows(self) -> tuple:
@@ -760,9 +760,7 @@ def plan_intervals(fv, gv, eps0, offsets, pins: PinTable) -> IntervalPlan:
 
     h = np.abs(fv) ** 2 + np.abs(gv) ** 2
     eps1 = cfg.epsilon1
-    # Wider fallback tier keeps every bound: seam moduli < 3*eps1 and
-    # eps_cover + 3*eps1 <= 7*eps1 = eps0.
-    narrow, wide = (cfg.eta2, 5.0 * eps1), (9.0 * eps1 * eps1, 4.0 * eps1)
+    narrow, wide = cfg.cover_tiers
     tiers = [narrow] * lefts.size
     runs, refused = _plan_cover(h, cfg.eta1, narrow[0], lefts, rights, cover, nondeg)
     if refused:
@@ -811,12 +809,12 @@ def plan_intervals(fv, gv, eps0, offsets, pins: PinTable) -> IntervalPlan:
     )
 
 
-def plan_interval(fv, gv, eps0, pin_left=None, pin_right=None) -> IntervalPlan:
-    """The d-independent part of the pipeline on one interval; refuses an
-    infeasible cover or phase here.  One plan serves solve_interval for any
-    number of d.  The plan holds fv and gv by reference: they must not
-    change while it is in use."""
-    return plan_intervals(fv, gv, eps0, (0, fv.size), PinTable.of(((pin_left, pin_right),)))
+def plan_interval(fv, gv, eps0) -> IntervalPlan:
+    """The d-independent part of the pipeline on one interval with no end
+    pins (pinned ends are a PinTable row for plan_intervals); refuses an
+    infeasible cover here.  One plan serves solve_interval for any number of
+    d.  It holds fv and gv by reference: they must not change while in use."""
+    return plan_intervals(fv, gv, eps0, (0, fv.size), PinTable.of(((None, None),)))
 
 
 _CLAIMS = ("factorization residual out of tolerance", "d1 exceeds eps0", "d2 exceeds eps0")
@@ -918,11 +916,11 @@ def solve_interval(plan: IntervalPlan, dv):
     return (d1, d2, *row)
 
 
-def factorize_interval_arrays(fv, gv, dv, eps0, *, pin_left=None, pin_right=None):
+def factorize_interval_arrays(fv, gv, dv, eps0):
     """solve_interval(plan_interval(...), dv), except that a d past delta0 is
     refused before any refusal of the plan."""
     try:
-        plan = plan_interval(fv, gv, eps0, pin_left, pin_right)
+        plan = plan_interval(fv, gv, eps0)
     except OpenMultError:
         PipelineConfig.for_target(eps0).check_radius(float(np.max(np.abs(dv))))
         raise

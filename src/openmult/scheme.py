@@ -10,7 +10,7 @@ halves.  Every iteration is recorded and auditable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -105,14 +105,7 @@ class SchemeParams:
             raise ValueError("scheme constants out of range")
 
     def to_json(self) -> dict:
-        return {
-            "gamma": repr(self.gamma),
-            "K": repr(self.K),
-            "That": repr(self.That),
-            "T": repr(self.T),
-            "delta": repr(self.delta),
-            "eps": repr(self.eps),
-        }
+        return {name: repr(value) for name, value in asdict(self).items()}
 
 
 def scheme_params(F, G, eps: float, model: AlgebraModel) -> SchemeParams:
@@ -143,17 +136,7 @@ class TraceRecord:
     move_g: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "norm_f": self.norm_f,
-            "norm_g": self.norm_g,
-            "norm_h": self.norm_h,
-            "inf_embed": self.inf_embed,
-            "identity_residual": self.identity_residual,
-            "move_f": self.move_f,
-            "move_g": self.move_g,
-            "claims": self.claims,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -571,6 +571,70 @@ class TestDiagonalSchemeCommand:
         assert code == 2
 
 
+def _element(scalar, coord, weights=None):
+    obj = {"scalar": [scalar.real, scalar.imag], "coords": [[coord.real, coord.imag]]}
+    return obj if weights is None else {**obj, "weights": weights}
+
+
+def _diagonal_scheme(tmp_path, model, weights=None):
+    payload = {
+        "model": model,
+        "F": _element(1.0 + 0j, 0.1 + 0j, weights),
+        "G": _element(0.9 + 0j, 0.1j, weights),
+        "H": _element(0j, 0j, weights),
+    }
+    return main(["scheme", "--input", write_json(tmp_path / "diag.json", payload), "--epsilon", "0.5"])
+
+
+def test_diagonal_elements_take_the_model_weights(tmp_path, capsys):
+    from openmult import DiagonalAlgebraElement, diagonal_algebra_model, scheme_params
+
+    assert _diagonal_scheme(tmp_path, {"type": "diagonal", "weights": [1e-3], "unital": True}) == 0
+    w = np.array([1e-3])
+    a, b = DiagonalAlgebraElement(1.0, [0.1], w), DiagonalAlgebraElement(0.9, [0.1j], w)
+    want = scheme_params(a, b, 0.5, diagonal_algebra_model(w)).to_json()
+    assert json.loads(capsys.readouterr().out)["constants"] == want
+
+
+def test_diagonal_element_with_other_weights_refused(tmp_path, capsys):
+    # the model's weights set C, T and delta, the elements' the norms: they must be one vector
+    assert _diagonal_scheme(tmp_path, {"type": "diagonal", "weights": [1.0], "unital": True}, [1e-3]) == 2
+    diag = json.loads(capsys.readouterr().err.strip())
+    assert (diag["error"], diag["bound"]) == ("PreconditionViolated", "F")
+    assert diag["message"].startswith("payload key 'F': ValueError: weights [0.001] differ")
+
+
+@pytest.mark.parametrize("model", [
+    [{"type": "diagonal", "weights": [1.0]}],
+    "diagonal",
+    {"type": "diagonal", "unital": True},
+    {"type": "diagonal", "weights": [0.0], "unital": True},
+    {"type": "diagonal", "weights": [-1.0], "unital": True},
+    {"type": "diagonal", "weights": [[1.0]], "unital": True},
+])
+def test_malformed_model_refused_under_model(tmp_path, capsys, model):
+    assert _diagonal_scheme(tmp_path, model) == 2
+    diag = json.loads(capsys.readouterr().err.strip())
+    assert (diag["error"], diag["bound"]) == ("PreconditionViolated", "model")
+    assert diag["message"].startswith("payload key 'model': ")
+
+
+def test_csv_on_stdout_appends_to_a_redirected_file(tmp_path):
+    # `openmult ... --format csv >> log.csv` keeps what log.csv held
+    argv = ["factor-finite", "--input", _finite_payload(tmp_path), "--epsilon", "0.5", "--format", "csv"]
+    assert main([*argv, "--output", str(tmp_path / "report.csv")]) == 0
+    report = (tmp_path / "report.csv").read_bytes()
+    log = tmp_path / "log.csv"
+    log.write_bytes(b"a line written before\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(openmult.__file__).resolve().parent.parent))
+    for _ in range(2):
+        with open(log, "ab") as out:
+            proc = subprocess.run([sys.executable, "-m", "openmult.cli", *argv], stdout=out, env=env, timeout=120)
+        assert proc.returncode == 0
+    assert log.read_bytes() == b"a line written before\n" + report + report
+    assert report.startswith(b"index,a_re,a_im,b_re,b_im\r\n")
+
+
 # ---------------------------------------------------------------------------
 # Golden reports: sha256 of every command's report in both formats.  The JSON
 # digest is of the report bytes with the volatile `timestamp` line removed;

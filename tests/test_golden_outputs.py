@@ -46,6 +46,7 @@ from openmult.interval import (
     plan_interval,
     plan_intervals,
     solve_interval,
+    solve_intervals,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -461,7 +462,7 @@ def test_ties_fail_only_their_own_pair(specs, seed):
 def test_tie_comes_before_a_pinned_end_disagreement():
     # The left end is pinned with d1 = d2 = 0, which a nonzero d there breaks.
     fv, gv, eps0, left, right = _one_interval("pinned_ends")
-    plan = plan_interval(fv, gv, eps0, left, right)
+    plan = plan_intervals(fv, gv, eps0, (0, fv.size), PinTable.of(((left, right),)))
     dv = np.full(fv.size, 1e-3 + 0j)
     with pytest.raises(VertexInconsistency):
         _solve_ragged(plan, dv)
@@ -647,7 +648,7 @@ PIN_REFUSALS = {
 def test_pin_refusal(name):
     fv, gv, dv, pin_left, pin_right = _pin_case(name)
     with pytest.raises(OpenMultError) as exc:
-        factorize_interval_arrays(fv, gv, dv, 0.7, pin_left=pin_left, pin_right=pin_right)
+        solve_intervals(plan_intervals(fv, gv, 0.7, (0, fv.size), PinTable.of(((pin_left, pin_right),))), dv)
     assert (type(exc.value).__name__, str(exc.value)) == PIN_REFUSALS[name]
 
 
@@ -659,7 +660,7 @@ def test_vertex_inconsistency_refusal():
     dv = np.full(n, 1e-4 + 0j)
     pin = EndpointPin(kind="nondeg", d1=1e-3 + 0j, d2=-1e-3j, beta2=1j)
     with pytest.raises(VertexInconsistency) as exc:
-        factorize_interval_arrays(fv, gv, dv, 0.7, pin_right=pin)
+        solve_intervals(plan_intervals(fv, gv, 0.7, (0, n), PinTable.of(((None, pin),))), dv)
     assert str(exc.value) == VERTEX_INCONSISTENCY
 
 
@@ -857,7 +858,8 @@ def test_one_interval_ragged_plan(name):
     fv, gv, eps0, left, right = _one_interval(name)
     ragged = plan_intervals(fv, gv, eps0, (0, fv.size), PinTable.of(((left, right),)))
     assert _plan_digest(ragged) == ONE_INTERVAL_PLAN_GOLDEN[name]
-    assert _plan_digest(plan_interval(fv, gv, eps0, left, right)) == ONE_INTERVAL_PLAN_GOLDEN[name]
+    if left is None and right is None:  # plan_interval plans an interval without end pins
+        assert _plan_digest(plan_interval(fv, gv, eps0)) == ONE_INTERVAL_PLAN_GOLDEN[name]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from openmult import (
     sublevel_cover,
     sup_norm,
 )
-from openmult.interval import UNDEFINED, factorize_interval_arrays, plan_interval, root_pair
+from openmult.interval import UNDEFINED, PinTable, plan_interval, plan_intervals, root_pair, solve_intervals
 
 DOM = IntervalDomain(0.0, 1.0, 257)
 T = DOM.nodes()
@@ -200,8 +200,8 @@ class TestCircleExtend:
 
     def test_pinned_boundary_gap(self):
         vals = np.full(9, UNDEFINED, dtype=complex)
-        vals[-1] = 1.0
-        out = circle_extend(vals, pin_left=1j)
+        vals[0], vals[-1] = 1j, 1.0  # the pinned left end is a defined entry
+        out = circle_extend(vals)
         assert out[0] == 1j and out[-1] == 1.0
         assert np.max(np.abs(np.abs(out) - 1.0)) < 1e-12
 
@@ -225,15 +225,22 @@ class TestCircleExtend:
         assert jumps[0] / jumps[2] == pytest.approx(4.0, rel=0.1)
 
 
-def _circle_extend_reference(vals, mask, pin_left=None, pin_right=None):
-    """Per-node loop over the gaps: the reference circle_extend must match bit
-    for bit (validation is not repeated here)."""
+def _pin_ends(vals, mask, pin_left, pin_right):
+    """vals and mask with each given end pin written in as a defined entry."""
     vals = np.array(vals, dtype=np.complex128)
     mask = np.array(mask, dtype=bool)
     for pin, idx in ((pin_left, 0), (pin_right, vals.size - 1)):
         if pin is not None:
             vals[idx] = pin
             mask[idx] = True
+    return vals, mask
+
+
+def _circle_extend_reference(vals, mask):
+    """Per-node loop over the gaps: the reference circle_extend must match bit
+    for bit (validation is not repeated here)."""
+    vals = np.array(vals, dtype=np.complex128)
+    mask = np.array(mask, dtype=bool)
     if not np.any(mask):
         return np.ones(vals.size, dtype=np.complex128)
     n = vals.size
@@ -293,26 +300,23 @@ class TestCircleExtendEquivalence:
     @given(_partial_circle())
     @settings(max_examples=400, deadline=None)
     def test_matches_per_node_loop(self, case):
-        vals, mask, pin_left, pin_right = case
-        expected = _circle_extend_reference(vals, mask, pin_left, pin_right)
+        vals, mask = _pin_ends(*case)
+        expected = _circle_extend_reference(vals, mask)
         nan_marked = np.where(mask, vals, UNDEFINED)
         garbage = np.where(mask, vals, 5.0 - 3.0j)
-        for out in (
-            circle_extend(nan_marked, pin_left=pin_left, pin_right=pin_right),
-            circle_extend(garbage, mask, pin_left=pin_left, pin_right=pin_right),
-        ):
+        for out in (circle_extend(nan_marked), circle_extend(garbage, mask)):
             assert out.dtype == np.complex128
             assert np.array_equal(out.view(np.float64), expected.view(np.float64))
 
     @given(_partial_circle())
     @settings(max_examples=100, deadline=None)
     def test_inputs_untouched(self, case):
-        vals, mask, pin_left, pin_right = case
+        vals, mask = _pin_ends(*case)
         partial = np.where(mask, vals, UNDEFINED)
         partial.setflags(write=False)
         frozen_mask = mask.copy()
         frozen_mask.setflags(write=False)
-        circle_extend(partial, frozen_mask, pin_left=pin_left, pin_right=pin_right)
+        circle_extend(partial, frozen_mask)
 
     def test_exact_antipodal_gap_is_counterclockwise(self):
         vals = np.array([1.0, 0.0, 0.0, 0.0, -1.0], dtype=complex)
@@ -753,6 +757,11 @@ class TestOpenMultInterval:
 # Endpoint pins: each malformed or ill-rotated pin ends in a named refusal.
 
 
+def _solve_pinned(fv, gv, dv, eps0, left=None, right=None):
+    """The pipeline on one interval with its end pins as one PinTable row."""
+    return solve_intervals(plan_intervals(fv, gv, eps0, (0, fv.size), PinTable.of(((left, right),))), dv)
+
+
 def _pinned_pair(n=65):
     t = IntervalDomain(0.0, 1.0, n).nodes()
     fv = 0.6 * np.exp(1j * t)
@@ -765,7 +774,7 @@ class TestEndpointPinRefusals:
         fv, gv, dv = _pinned_pair()
         with pytest.raises(NonUnimodularInput, match="^pinned boundary value must be unimodular$") as exc:
             pin = EndpointPin(kind="nondeg", d1=0j, d2=0j, beta2=1.5j)
-            factorize_interval_arrays(fv, gv, dv, 0.7, pin_left=pin)
+            _solve_pinned(fv, gv, dv, 0.7, left=pin)
         assert exc.value.exit_code == 2
 
     def test_beta2_cancelling_the_pair(self):
@@ -773,7 +782,7 @@ class TestEndpointPinRefusals:
         fv, gv, dv = _pinned_pair()
         pin = EndpointPin(kind="nondeg", d1=0j, d2=0j, beta2=1j)
         with pytest.raises(PreconditionViolated) as exc:
-            factorize_interval_arrays(fv, gv, dv, 0.7, pin_left=pin)
+            _solve_pinned(fv, gv, dv, 0.7, left=pin)
         assert exc.value.bound == "|f + beta2*g| >= epsilon1"
         assert exc.value.value == 0.0 and exc.value.limit == 0.7 / 7.0
         assert exc.value.exit_code == 2
@@ -782,7 +791,7 @@ class TestEndpointPinRefusals:
         fv, gv, dv = _pinned_pair()
         with pytest.raises(PreconditionViolated) as exc:
             pin = EndpointPin(kind="nondegenerate", d1=0j, d2=0j, beta2=1.0)
-            factorize_interval_arrays(fv, gv, dv, 0.7, pin_right=pin)
+            _solve_pinned(fv, gv, dv, 0.7, right=pin)
         assert exc.value.bound == "kind in ('cover', 'nondeg')"
         assert exc.value.value == "nondegenerate"
         assert exc.value.exit_code == 2
@@ -791,7 +800,7 @@ class TestEndpointPinRefusals:
         fv, gv, dv = _pinned_pair()
         with pytest.raises(PreconditionViolated) as exc:
             pin = EndpointPin(kind="nondeg", d1=0j, d2=0j)
-            factorize_interval_arrays(fv, gv, dv, 0.7, pin_right=pin)
+            _solve_pinned(fv, gv, dv, 0.7, right=pin)
         assert exc.value.bound == "beta2 given for kind 'nondeg'"
         assert exc.value.exit_code == 2
 
@@ -801,7 +810,7 @@ class TestEndpointPinRefusals:
         fv = t * (1.0 + 0.5j)
         with pytest.raises(PreconditionViolated) as exc:
             pin = EndpointPin(kind="cover", d1=0j, d2=0j)
-            factorize_interval_arrays(fv, 0.5j * fv, np.full(65, 1e-4 + 0j), 0.7, pin_left=pin)
+            _solve_pinned(fv, 0.5j * fv, np.full(65, 1e-4 + 0j), 0.7, left=pin)
         assert exc.value.bound == "za, wa given for kind 'cover'"
         assert exc.value.exit_code == 2
 
