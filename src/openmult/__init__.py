@@ -24,7 +24,7 @@ _EXPORTS = {
         "slice_graph_function",
     ),
     "interval": (
-        "EndpointPin", "FactorizationResult", "IntervalCover", "PipelineConfig", "circle_extend", "delta0",
+        "EndpointPin", "FactorizationResult", "IntervalCover", "PinTable", "PipelineConfig", "circle_extend", "delta0",
         "factor_halfboundary", "factor_interval", "nondeg_phases", "open_mult_interval", "perturb_nondegenerate",
         "phase_offset", "plan_interval", "plan_intervals", "quadratic_correction", "shift_budget",
         "solve_interval", "solve_intervals", "sublevel_cover",

@@ -667,8 +667,8 @@ class Certificate(NamedTuple):
     its offsets, the [lo, hi] grid nodes of its cover runs in node order and
     each interval's cover tier (eta2, eps_cover); per interval, its residual,
     bound1 and bound2, Python floats, and its verdict `failed`: its first
-    root tie, else the first certificate claim that fails there (residual,
-    then d1, then d2), or None where the result is certified."""
+    root tie, else its first missed end pin, else its first failed claim
+    (residual, then d1, then d2), or None where the result is certified."""
 
     cfg: PipelineConfig
     offsets: np.ndarray
@@ -824,16 +824,16 @@ def _solve_ragged(plan: IntervalPlan, dv):
     """The d-dependent part, ungated, for dv of the plan's shape: (d1, d2,
     certificate, refusal) with d1, d2 over the whole grid and the Certificate
     of the intervals, where residual = max|(f+d1)(g+d2) - (f*g+d)| and
-    bound_i = max|d_i| per interval.  A root tie fails only its intervals,
-    "root moduli tie at index i" with i counted within its segment.
-    `refusal` is what the gate raises, or None: the first tie as
-    EqualModulusRoots, else the first failed claim as a RuntimeError.  An
-    end pinned where the solve disagrees raises, after a tie."""
+    bound_i = max|d_i| per interval.  It never raises: a root tie ("root
+    moduli tie at index i", i counted within its segment) or a pinned end
+    that the solve misses fails only its interval.  `refusal` is what the
+    gate raises, or None: the first tie as EqualModulusRoots, else the first
+    missed pin as VertexInconsistency, else the first failed claim."""
     cfg = plan.cfg
     fv, gv = plan.fv, plan.gv
     ends, seam, cover_pin, zw, nodes, own, owned, halves = plan.cover
     keep, first, _last, start = plan.pieces
-    refusal, ties = None, {}
+    refusal, verdicts = None, {}  # per interval, its tie or missed pin
     try:
         # solve_interval's gate, sup|d| <= delta0 = shift_budget(eps1, eps1), is this step's budget
         phi = smaller_root_vec(-dv[keep], plan.f_quad, plan.beta2)
@@ -842,7 +842,7 @@ def _solve_ragged(plan: IntervalPlan, dv):
         segment = np.searchsorted(start, exc.nodes, side="right") - 1
         local = (exc.nodes - start[segment]).tolist()
         within = (np.searchsorted(plan.offsets, first[segment], side="right") - 1).tolist()
-        ties = {k: f"root moduli tie at index {i}" for k, i in zip(within[::-1], local[::-1])}  # each keeps its first
+        verdicts = {k: f"root moduli tie at index {i}" for k, i in zip(within[::-1], local[::-1])}  # the first stays
         refusal = EqualModulusRoots(f"root moduli tie at index {local[0]}", index=local[0])
     if nodes.size:  # spread onto the grid before target is allocated
         d1 = np.zeros(fv.size, dtype=np.complex128)
@@ -874,13 +874,13 @@ def _solve_ragged(plan: IntervalPlan, dv):
         # hypot rounds as Python's abs of a complex does, np.abs does not
         err1, err2 = (np.hypot(x.real, x.imag) for x in (d1[nodes] - pin_d1, d2[nodes] - pin_d2))
         err = np.where(err2 > err1, err2, err1)  # max(err1, err2)
-        d1[nodes] = pin_d1
-        d2[nodes] = pin_d2
+        d1[nodes], d2[nodes] = pin_d1, pin_d2
         bad = np.flatnonzero(err > tol)
-        if bad.size:
-            raise refusal or VertexInconsistency(
-                f"edge construction disagrees with the pinned endpoint by {float(err[bad[0]])}"
-            )
+        within = np.searchsorted(plan.offsets, nodes[bad], side="right") - 1
+        for k, e in zip(within.tolist(), err[bad].tolist()):
+            message = f"edge construction disagrees with the pinned endpoint by {e}"
+            refusal = refusal or VertexInconsistency(message)
+            verdicts.setdefault(k, message)  # a tie or an earlier missed pin stays
 
     starts = plan.offsets[:-1]
     residual = np.maximum.reduceat(np.abs((fv + d1) * (gv + d2) - target), starts).tolist()
@@ -890,7 +890,7 @@ def _solve_ragged(plan: IntervalPlan, dv):
     limit, failed = cfg.epsilon0 * (1.0 + 1e-9), []
     for k, (r, sc, b1, b2) in enumerate(zip(residual, scale, bound1, bound2)):
         holds = (r <= RESIDUAL_TOL * (1.0 + sc), b1 <= limit, b2 <= limit)
-        failed.append(ties.get(k) or (None if all(holds) else _CLAIMS[holds.index(False)]))
+        failed.append(verdicts.get(k) or (None if all(holds) else _CLAIMS[holds.index(False)]))
     if refusal is None and any(failed):
         refusal = RuntimeError(f"internal invariant failed: {next(filter(None, failed))}")
     return d1, d2, Certificate(cfg, plan.offsets, ends, plan.tiers, residual, bound1, bound2, failed), refusal

@@ -151,8 +151,7 @@ def probe_pipeline(
             dv = raw[:, 0] + 1j * raw[:, 1]
             dv *= (r / np.max(np.abs(dv), axis=1))[:, None]
             padded = dv if rows == chunk else np.resize(dv, (chunk, n))  # dv, then copies of its own rows
-            with contextlib.suppress(OpenMultError):
-                hits += _solve_ragged(plan, padded.ravel())[2].failed[:rows].count(None)
+            hits += _solve_ragged(plan, padded.ravel())[2].failed[:rows].count(None)
         curve.append((r, hits / trials))
         if hits < trials:
             break

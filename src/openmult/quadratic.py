@@ -77,17 +77,11 @@ def quotient(num, den):
             return np.divide(num, den)
     except FloatingPointError:
         pass
-    out = np.zeros(den.shape, dtype=np.complex128)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return np.divide(num, den, out=out, where=den != 0)
-    except FloatingPointError:
-        pass
     dr, di = den.real, den.imag
     with np.errstate(all="ignore"):
         denom = np.where(np.abs(dr) >= np.abs(di), dr + di * (di / dr), di + dr * (dr / di))
         tiny = (den != 0) & np.isinf(1.0 / denom)
-    np.divide(num, den, out=out, where=(den != 0) & ~tiny)
+    out = np.divide(num, den, out=np.zeros(den.shape, dtype=np.complex128), where=(den != 0) & ~tiny)
     out[tiny] = np.broadcast_to(num, den.shape)[tiny] / (den[tiny] * 2.0**600) * 2.0**600
     return out
 

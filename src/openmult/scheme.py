@@ -10,6 +10,7 @@ halves.  Every iteration is recorded and auditable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -117,9 +118,15 @@ def scheme_params(F, G, eps: float, model: AlgebraModel) -> SchemeParams:
         raise DegeneratePair("inf over embedding nodes of |F| + |G| vanishes")
     gamma = min(1.0, 0.5 * inf_embed)
     K = 2.0 * max(model.norm(F), model.norm(G), 1.0)
-    That = (2.0 * model.C / gamma**2) * model.psi(4.0 * K * K / gamma**2)
+    That = (2.0 * model.C / gamma**2) * model.psi(4.0 * K * K / gamma**2) if gamma**2 else math.inf  # 0 on underflow
     T = max(That, 1.0)
-    delta = eps * gamma / (model.C * K**3 * T * T)
+    try:
+        delta = eps * gamma / (model.C * K**3 * T * T)
+    except OverflowError:  # K**3 is past the float range
+        delta = 0.0
+    for name, value in (("That", That), ("delta", delta)):  # T = max(That, 1) is in range with That
+        if not 0.0 < value < math.inf:
+            raise PreconditionViolated(f"scheme constant {name} = {value!r} is out of range", bound=f"0 < {name} < inf")
     return SchemeParams(gamma=gamma, K=K, That=That, T=T, delta=delta, eps=eps)
 
 

@@ -271,6 +271,20 @@ class TestScheme:
         assert code == 2
 
 
+    # F and G of the bundled fixture scaled past what the scheme's constants
+    # can hold as floats: a refusal naming the constant, not a traceback
+    @pytest.mark.parametrize("scale, bound", [
+        (1e-300, "0 < That < inf"), (1e-150, "0 < That < inf"), (1e150, "0 < delta < inf"), (1e300, "0 < That < inf"),
+    ])
+    def test_constants_past_the_float_range_exit_two(self, tmp_path, capsys, scale, bound):
+        data = json.loads((FIXTURE_DIR / "scheme_64.json").read_text())
+        for key in ("F", "G"):
+            data[key]["values"] = (np.array(data[key]["values"]) * scale).tolist()
+        assert main(["scheme", "--input", write_json(tmp_path / "scaled.json", data), "--epsilon", "0.5"]) == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (diag["error"], diag["bound"]) == ("PreconditionViolated", bound)
+
+
 class TestBundledFixtures:
     from pathlib import Path
 
@@ -788,7 +802,7 @@ ZeroArgument DiagonalAlgebraElement diagonal_open_mult nondeg_approx open_mult_f
 FiniteSpaceFunction GraphDomain GraphFunction GridFunction IntervalDomain conjugate function_from_json
 grid_function_from_csv load_function min_modulus_sum pointwise_product refine sup_norm EdgePlan
 GraphFactorizationResult open_mult_graph plan_edges refine_partition slice_graph_function EndpointPin
-FactorizationResult IntervalCover PipelineConfig circle_extend delta0 factor_halfboundary factor_interval
+FactorizationResult IntervalCover PinTable PipelineConfig circle_extend delta0 factor_halfboundary factor_interval
 nondeg_phases open_mult_interval perturb_nondegenerate phase_offset plan_interval plan_intervals
 quadratic_correction shift_budget solve_interval solve_intervals sublevel_cover ProbeReport brute_scalar_delta
 probe_pipeline QuadraticTriple has_distinct_moduli roots smaller_root AlgebraModel SchemeParams SchemeTrace
@@ -829,8 +843,54 @@ def test_light_commands_do_not_import_interval_graphs_or_probe(tmp_path):
     assert not {"openmult.interval", "openmult.graphs", "openmult.probe"} & set(seen["loaded"])
 
 
+# Every command on its golden input with the pair's sample values (all but
+# the perturbation d or H) scaled toward the ends of the float range, in one
+# child interpreter with default warning filters: each run ends in a report
+# or a refusal, exit 0, 1 or 2, never in an exception escaping main, and a
+# nonzero exit ends stderr with a JSON diagnostic.
+_SWEEP = """
+import contextlib, io, json, sys
+from openmult.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    except Exception as exc:  # what the sweep is for: an exception that escapes main
+        code = type(exc).__name__
+    seen.append([code, (err.getvalue().splitlines() or [""])[-1]])
+print(json.dumps(seen))
+"""
+
+
+def _scaled(entry, scale):
+    """A payload entry with its sample values times `scale`; any other entry as it is."""
+
+    def times(values):
+        return [times(x) for x in values] if isinstance(values, list) else values * scale
+
+    return dict(entry, values=times(entry["values"])) if isinstance(entry, dict) and "values" in entry else entry
+
+
+def test_no_command_ends_in_a_traceback_at_extreme_scales(tmp_path):
+    runs = []
+    for command, (make_input, extra) in sorted(GOLDEN_COMMANDS.items()):
+        payload = json.loads(Path(make_input(tmp_path)).read_text())
+        for scale in (1e-300, 1e-150, 1e150, 1e300):
+            scaled = {key: entry if key in "dH" else _scaled(entry, scale) for key, entry in payload.items()}
+            path = write_json(tmp_path / f"{command}-{scale}.json", scaled)
+            runs.append([command, "--input", path, *extra, "--output", str(tmp_path / "out")])
+    seen = _run_python(_SWEEP, json.dumps(runs))
+    assert len(seen) == len(runs) == 24
+    for argv, (code, last) in zip(runs, seen):
+        assert code in (0, 1, 2), (argv, code)
+        if code:
+            assert last.startswith("{") and {"error", "message"} <= set(json.loads(last)), (argv, last)
+
+
 def test_public_names_resolve():
-    assert len(OLD_PUBLIC_NAMES) == 73
+    assert len(OLD_PUBLIC_NAMES) == 74
     assert sorted(openmult.__all__) == sorted(OLD_PUBLIC_NAMES)
     assert set(OLD_PUBLIC_NAMES) <= set(dir(openmult))
     star = _run_python(

@@ -415,6 +415,26 @@ def test_finite_refusal_order_matches_reference(d, eps, bound):
     assert isinstance(got[0], type) and got[2] == bound
 
 
+ONE_POINT, TWO_POINTS = FiniteSpaceFunction([1.0]), FiniteSpaceFunction([1.0, 1.0])
+SHAPE_REFUSALS = {
+    "open_mult_finite, d on fewer points": (
+        lambda: open_mult_finite(TWO_POINTS, TWO_POINTS, ONE_POINT, 0.5),
+        "a, b, d must have the same number of points",
+    ),
+    "nondeg_approx, eps = 0": (lambda: nondeg_approx(TWO_POINTS, TWO_POINTS, 0.0), "eps must be positive"),
+    "nondeg_approx, g on fewer points": (
+        lambda: nondeg_approx(TWO_POINTS, ONE_POINT, 0.5), "f and g must have the same number of points"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_REFUSALS))
+def test_shape_and_eps_refused(name):
+    call, message = SHAPE_REFUSALS[name]
+    with pytest.raises(PreconditionViolated) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def _abs_ulp_apart(rng, radius, n):
     """Points of modulus ~radius on which numpy's array abs and hypot disagree."""
     z = radius * np.exp(2j * np.pi * rng.random(8 * n))

@@ -464,14 +464,45 @@ def test_tie_comes_before_a_pinned_end_disagreement():
     fv, gv, eps0, left, right = _one_interval("pinned_ends")
     plan = plan_intervals(fv, gv, eps0, (0, fv.size), PinTable.of(((left, right),)))
     dv = np.full(fv.size, 1e-3 + 0j)
-    with pytest.raises(VertexInconsistency):
-        _solve_ragged(plan, dv)
+    _d1, _d2, cert, refusal = _solve_ragged(plan, dv)
+    assert isinstance(refusal, VertexInconsistency) and cert.failed == [str(refusal)]
     s, _e, beta2, f_quad = plan.segments[0]
     dv[s + 5] = -(f_quad[5] ** 2) / (2 * beta2[5])
-    with pytest.raises(OpenMultError) as exc:
-        _solve_ragged(plan, dv)
-    assert (type(exc.value).__name__, str(exc.value), exc.value.index) == (
+    _d1, _d2, cert, refusal = _solve_ragged(plan, dv)
+    assert (type(refusal).__name__, str(refusal), refusal.index) == (
         "EqualModulusRoots", "root moduli tie at index 5", 5)
+    assert cert.failed == ["root moduli tie at index 5"]
+
+
+def test_pinned_disagreement_tie_and_certified_laid_end_to_end():
+    # Three intervals under one pinned plan: the first pinned where the solve
+    # misses its right end (test_vertex_inconsistency_refusal's pair), the
+    # second with a root tie, the third certified.  Each keeps the bits, row
+    # and verdict of its own one-interval solve, and the batch refuses with
+    # the tie, else the disagreeing pinned end.
+    n = 65
+    t = IntervalDomain(0.0, 1.0, n).nodes()
+    fv = np.concatenate([(0.8 + 0.3j) * np.exp(1j * t), np.exp(2j * t), (0.9 - 0.2j) + 0.3 * t])
+    gv = np.concatenate([(0.2 - 0.7j) * (1.0 + t), (0.5 + 0.5j) * (2.0 - t), np.exp(-1j * t)])
+    pin = EndpointPin(kind="nondeg", d1=1e-3 + 0j, d2=-1e-3j, beta2=1j)
+    pairs = [(None, pin), (None, None), (None, None)]
+    offsets = np.arange(4) * n
+    plan = plan_intervals(fv, gv, 0.7, offsets, PinTable.of(pairs))
+    dv = np.full(3 * n, 1e-4 + 0j)
+    _inject_tie(plan, dv, n, 2 * n, (0.0, 0.5))
+    d1, d2, cert, refusal = _solve_ragged(plan, dv)
+    for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        one_plan = plan_intervals(fv[lo:hi], gv[lo:hi], 0.7, (0, n), PinTable.of(pairs[k:k + 1]))
+        one_d1, one_d2, one, _one_refusal = _solve_ragged(one_plan, dv[lo:hi])
+        assert _digest(d1[lo:hi], d2[lo:hi]) == _digest(one_d1, one_d2)
+        assert repr((cert.rows()[k], cert.failed[k])) == repr((one.rows()[0], one.failed[0]))
+    tie = str(refusal)
+    assert cert.failed == [VERTEX_INCONSISTENCY, tie, None]
+    assert type(refusal) is EqualModulusRoots and tie == f"root moduli tie at index {refusal.index}"
+    dv[n:2 * n] = 1e-4
+    _d1, _d2, cert, refusal = _solve_ragged(plan, dv)
+    assert cert.failed == [VERTEX_INCONSISTENCY, None, None]
+    assert (type(refusal), str(refusal)) == (VertexInconsistency, VERTEX_INCONSISTENCY)
 
 
 def test_zero_certificate_verdicts():

@@ -10,6 +10,7 @@ from openmult import (
     GridFunction,
     IntervalDomain,
     PerturbationTooLarge,
+    PreconditionViolated,
     delta0,
     function_from_json,
     open_mult_graph,
@@ -446,7 +447,7 @@ def test_vertex_pins_equal_the_scalar_reference(seed):
 def test_vertex_pins_refuse_at_the_first_refusing_vertex():
     # f = 1, g = 0, d = 0.5j gives beta2 = 1j and 1j*phi^2 + phi = 0.5j, whose
     # two roots have one modulus; |f| = 1e200 overflows |f|^2.
-    from openmult.errors import EqualModulusRoots, PreconditionViolated
+    from openmult.errors import EqualModulusRoots
     from openmult.graphs import _vertex_pins
     from openmult.interval import PipelineConfig
 
@@ -471,8 +472,6 @@ def test_vertex_pins_refuse_at_the_first_refusing_vertex():
 @pytest.mark.parametrize("scale", [1e155, 1e200])
 def test_overflowing_vertex_is_refused(scale):
     # |f|^2 overflows at the vertices: a named refusal, not an OverflowError
-    from openmult.errors import PreconditionViolated
-
     graph = theta()
     f = interp_fn(graph, {"u": scale, "v": 2 * scale})
     g = interp_fn(graph, {"u": 1.0, "v": 1.0j})
@@ -507,6 +506,21 @@ def test_graph_without_edges():
     assert res.edge_results == () and res.d1.values.size == 0 and res.d2.edge_values == ()
     assert res.vertex_report == {"lonely": {"kind": "trivial", "d1": 0j, "d2": 0j, "agreement": 0.0}}
     assert (res.residual, res.bound1, res.bound2) == (0.0, 0.0, 0.0)
+
+
+GRAPH_REFUSALS = {  # the graphs of f, g and d
+    "f, g, d must live on the same graph": (theta, theta, star3),
+    "run refine_partition first: graph declares unresolved crossings": (
+        lambda: GraphDomain(("a", "b"), (("a", "b", EDGE_DOM),), crossings=(((0, 5),),)),) * 3,
+}
+
+
+@pytest.mark.parametrize("message", sorted(GRAPH_REFUSALS))
+def test_graph_domain_refused(message):
+    f, g, d = (interp_fn(graph(), dict.fromkeys(graph().vertices, 1.0)) for graph in GRAPH_REFUSALS[message])
+    with pytest.raises(PreconditionViolated) as exc:
+        open_mult_graph(f, g, d, 0.7)
+    assert str(exc.value) == message
 
 
 def near_agreeing_graph():

@@ -417,6 +417,28 @@ class TestNondegPhases:
         with pytest.raises(PreconditionViolated):
             nondeg_phases(h1, h2, 0.5)
 
+    def test_zero_margin_at_a_vanishing_factor_rejected(self):
+        # min(|h1|^2 + |h2|^2) = eta^2 leaves no margin, and h2 vanishes there
+        with pytest.raises(PreconditionViolated) as exc:
+            nondeg_phases(grid(np.ones(DOM.n)), grid(np.zeros(DOM.n)), 1.0)
+        assert str(exc.value) == "zero non-degeneracy margin at a node where a factor vanishes"
+
+    def test_one_defined_node_keeps_its_out_of_place_product(self):
+        # h2 vanishes at the second of two nodes, so the first is the only
+        # defined one: its phase is the former formula on that one entry,
+        # whose out-of-place product rounds unlike numpy's in-place one for
+        # about 40% of pairs.
+        dom = IntervalDomain(0.0, 1.0, 2)
+        rng = np.random.default_rng(11)
+        for x, y in np.exp(2j * np.pi * rng.random((40, 2))) * rng.uniform(0.5, 2.0, (40, 2)):
+            h1, h2 = np.array([x]), np.array([y])
+            u = h1 * np.conj(h2)
+            r = np.abs(u)
+            u *= 1j
+            u /= r
+            _b1, b2 = nondeg_phases(grid([x, 1.0], dom), grid([y, 0.0], dom), 0.1)
+            assert b2.values.view(np.int64).tolist() == np.repeat(u, 2).view(np.int64).tolist()
+
 
 class TestPerturbNondegenerate:
     def test_zero_perturbation(self):
@@ -454,6 +476,28 @@ class TestPerturbNondegenerate:
             res = h1.values * z1.values + h2.values * z2.values + z1.values * z2.values - d.values
             assert np.max(np.abs(res)) <= 1e-9 * (1 + sup_norm(d))
             assert sup_norm(z1) <= eps and sup_norm(z2) <= eps
+
+
+# The domain and shape refusals of the interval entry points: ONE lives on
+# DOM, OFF on another grid.
+ONE, OFF = GridFunction.constant(DOM, 1.0), GridFunction.constant(IntervalDomain(0.0, 1.0, 129), 0.0)
+DOMAIN_REFUSALS = {
+    "open_mult_interval": (lambda: open_mult_interval(ONE, ONE, OFF, 0.7), "f, g, d need a common domain"),
+    "nondeg_phases": (lambda: nondeg_phases(ONE, OFF, 0.5), "phases need a common domain"),
+    "perturb_nondegenerate": (lambda: perturb_nondegenerate(ONE, ONE, OFF, 0.5, 0.5), "inputs need a common domain"),
+    "solve_intervals": (
+        lambda: solve_intervals(plan_interval(ONE.values, ONE.values, 0.7), OFF.values),
+        "perturbation must live on the plan's grid",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_REFUSALS))
+def test_domain_and_shape_refused(name):
+    call, message = DOMAIN_REFUSALS[name]
+    with pytest.raises(PreconditionViolated) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def boundary_split(rng, psi0, eps):

@@ -1,13 +1,18 @@
+import numpy as np
 import pytest
 
 import openmult.probe as probe_mod
 from openmult import (
     CoverInfeasible,
+    EndpointPin,
     GridFunction,
     IntervalDomain,
+    PinTable,
     PreconditionViolated,
+    VertexInconsistency,
     brute_scalar_delta,
     delta0,
+    plan_intervals,
     probe_pipeline,
     scalar_factor,
 )
@@ -86,15 +91,19 @@ class TestProbePipeline:
         assert lines[0] == "r,success_rate"
         assert len(lines) == len(rep.curve) + 1
 
-    def test_refusal_counts_as_failed_trial(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise CoverInfeasible("refine the grid")
-
-        monkeypatch.setattr(probe_mod, "_solve_ragged", refuse)
-        f = GridFunction.constant(DOM, 1.0)
-        rep = probe_pipeline(f, f, 0.5, trials=2, seed=0)
-        assert rep.curve == ((rep.delta_constructive, 0.0),)
-        assert rep.delta_empirical == 0.0
+    def test_pinned_disagreement_is_a_verdict(self):
+        # The ungated solve that a rung runs never raises: three trials laid
+        # end to end, the middle one pinned where the solve misses its right
+        # end, fail that trial alone and return the refusal the gate raises.
+        n = 65
+        t = IntervalDomain(0.0, 1.0, n).nodes()
+        fv, gv = np.tile((0.8 + 0.3j) * np.exp(1j * t), 3), np.tile((0.2 - 0.7j) * (1.0 + t), 3)
+        pin = EndpointPin(kind="nondeg", d1=1e-3 + 0j, d2=-1e-3j, beta2=1j)
+        plan = plan_intervals(fv, gv, 0.7, np.arange(4) * n, PinTable.of([(None, None), (None, pin), (None, None)]))
+        _d1, _d2, cert, refusal = probe_mod._solve_ragged(plan, np.full(3 * n, 1e-4 + 0j))
+        message = "edge construction disagrees with the pinned endpoint by 0.0009700807360431933"
+        assert cert.failed == [None, message, None]
+        assert (type(refusal), str(refusal)) == (VertexInconsistency, message)
 
     def test_internal_invariant_failure_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -12,6 +12,7 @@ from openmult import (
     PreconditionViolated,
     audit_claims,
     diagonal_algebra_model,
+    diagonal_open_mult,
     inverse_norm_bound,
     open_mult_interval,
     run_scheme,
@@ -105,6 +106,26 @@ class TestSchemeParams:
         G = FiniteSpaceFunction([0.0, 1.0])
         with pytest.raises(DegeneratePair):
             scheme_params(F, G, 0.5, model)
+
+
+    # Python floats raise or round to 0 or inf past the float range: gamma**2
+    # underflows to 0, or K**3 overflows, or (K*T)**2 rounds to inf
+    @pytest.mark.parametrize("F, G, bound", [
+        ([1e-300, 1e-300], [1e-300, 1e-300], "0 < That < inf"),
+        ([1e150, 1e150], [1.0, 1.0], "0 < delta < inf"),
+        ([1e60, 1e60], [1.0, 1.0], "0 < delta < inf"),
+    ])
+    def test_constants_past_the_float_range_refused(self, F, G, bound):
+        with pytest.raises(PreconditionViolated) as exc:
+            scheme_params(FiniteSpaceFunction(F), FiniteSpaceFunction(G), 0.5, sup_algebra_model(2))
+        assert exc.value.bound == bound
+
+    def test_diagonal_open_mult_refuses_constants_past_the_float_range(self):
+        a = DiagonalAlgebraElement(1e60, [1.0], [1.0])
+        b = DiagonalAlgebraElement(1.0, [0.0], [1.0])
+        with pytest.raises(PreconditionViolated) as exc:
+            diagonal_open_mult(a, b, b * 0.0, 0.5)
+        assert exc.value.bound == "0 < delta < inf"
 
 
 class TestRunScheme:
