@@ -91,7 +91,8 @@ def nondeg_approx(
         raise PreconditionViolated("f and g must have the same number of points")
     cut = eps / 3.0
     pow2 = math.ldexp(1.0, math.frexp(eps / 2.0)[1] - 1)  # largest power of two <= eps/2
-    prods = f.values * g.values  # the same vectorized product the verifier sees
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows only at points that keep their values
+        prods = f.values * g.values  # the same vectorized product the verifier sees
     moved = ~((pyarith.cabs(f.values) >= cut) | (pyarith.cabs(g.values) >= cut))
     zero = prods == 0
     fp = np.where(moved, np.where(zero, eps / 2.0, pow2), f.values)

@@ -246,7 +246,8 @@ class GraphDomain:
         index = {v: k for k, v in enumerate(self.vertices)}
         offsets = np.cumsum([0] + [dom.n for _u, _v, dom in self.edges])
         ends = np.column_stack((offsets[:-1], offsets[1:] - 1)).ravel()
-        owner = np.array([index[x] for u, v, _dom in self.edges for x in (u, v)], dtype=np.intp)
+        uv = [edge[0] for edge in self.edges] + [edge[1] for edge in self.edges]  # every u, then every v
+        owner = np.fromiter(map(index.__getitem__, uv), np.intp, len(uv)).reshape(2, -1).T.ravel()
         present, first_end, slot = np.unique(owner, return_index=True, return_inverse=True)
         names = [self.vertices[k] for k in present.tolist()]
         return _EndLayout(offsets, ends, slot, ends[first_end], dict(zip(names, range(len(names)))))
@@ -289,10 +290,14 @@ class GraphFunction(_Samples):
     def __init__(self, domain: GraphDomain, edge_values):
         if len(edge_values) != len(domain.edges):
             raise ValueError("need one value array per edge")
-        parts = [np.asarray(vals, dtype=np.complex128) for vals in edge_values]
-        for (_u, _v, dom), part in zip(domain.edges, parts):
-            _check_shape(part, dom.n)
-        values = np.concatenate(parts or [np.zeros(0, dtype=np.complex128)])
+        try:  # one cast (asarray's) and one size compare for all edges; the empty 1-d part takes zero edges
+            values = np.concatenate((*edge_values, ()), dtype=np.complex128, casting="unsafe")
+            fits = np.array_equal(np.fromiter(map(len, edge_values), np.intp), np.diff(domain._layout.offsets))
+        except (TypeError, ValueError):  # a 0-d or 2-d edge, or a value no cast takes
+            fits = False
+        if not fits:  # edge by edge, to refuse the first misfit in edge order
+            for vals, (_u, _v, dom) in zip(edge_values, domain.edges):
+                _check_shape(np.asarray(vals, dtype=np.complex128), dom.n)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", _as_complex_array(values, values.size))
         self._check_vertex_agreement()
@@ -357,10 +362,11 @@ def conjugate(f):
 
 
 def min_modulus_sum(f, g, squared: bool = False) -> float:
-    """Min over nodes of |f| + |g|, or of |f|^2 + |g|^2 with squared=True."""
+    """Min over nodes of |f| + |g|, or of |f|^2 + |g|^2 with squared=True; inf past the float range."""
     f._check_domain(g)
     fa, fb = np.abs(f.values), np.abs(g.values)
-    return float(np.min(fa * fa + fb * fb if squared else fa + fb))
+    with np.errstate(over="ignore"):
+        return float(np.min(fa * fa + fb * fb if squared else fa + fb))
 
 
 def refine(f: GridFunction, factor: int) -> GridFunction:

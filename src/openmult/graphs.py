@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 
 import numpy as np
 
@@ -35,14 +36,8 @@ def refine_partition(graph: GraphDomain) -> GraphDomain:
     if not graph.crossings:
         return graph
     taken = set(graph.vertices)
-    new_names = []
-    i = 0
-    for _ in graph.crossings:
-        while f"x{i}" in taken:
-            i += 1
-        name = f"x{i}"
-        taken.add(name)
-        new_names.append(name)
+    fresh = (name for name in map("x{}".format, count()) if name not in taken)  # x0, x1, ... not yet vertices
+    new_names = [next(fresh) for _ in graph.crossings]
     splits = {}  # edge index -> list of (node index, vertex name)
     for group, name in zip(graph.crossings, new_names):
         for ei, k in group:
@@ -198,10 +193,10 @@ class GraphFactorizationResult:
     @cached_property
     def vertex_report(self) -> dict:
         # agreement is 0.0: each end of a vertex is solved to its one pin, or VertexInconsistency is raised
-        if self.pins is None:  # every vertex is "trivial", isolated ones included
-            return {v: {"kind": "trivial", "d1": 0j, "d2": 0j, "agreement": 0.0} for v in self.d1.domain.vertices}
-        entries = zip(self.pins, *(x.tolist() for x in self.pins.table[:3]))
-        return {v: {"kind": PIN_KINDS[k], "d1": a, "d2": b, "agreement": 0.0} for v, k, a, b in entries}
+        rows = zip(self.pins, *(x.tolist() for x in self.pins.table[:3])) if self.pins is not None else ()
+        pinned = {v: {"kind": PIN_KINDS[k], "d1": a, "d2": b, "agreement": 0.0} for v, k, a, b in rows}
+        trivial = {"kind": "trivial", "d1": 0j, "d2": 0j, "agreement": 0.0}  # where d = 0, or at a vertex with no edges
+        return {v: pinned.get(v, trivial).copy() for v in self.d1.domain.vertices}
 
     def to_json(self) -> dict:
         return {
@@ -251,9 +246,10 @@ def open_mult_graph(
     else:
         pins = _vertex_pins(f, g, d, cfg)
         canonical = layout.canonical[layout.slot]  # per edge end: its vertex's canonical sample
-        fv, gv, dv = (x.values.copy() for x in (f, g, d))
-        for x in (fv, gv, dv):
-            x[layout.ends] = x[canonical]
+        fv, gv, dv = (x.values for x in (f, g, d))
+        if any(not np.array_equal(x[layout.ends].view(np.uint64), x[canonical].view(np.uint64)) for x in (fv, gv, dv)):
+            fv, gv, dv = (x.copy() for x in (fv, gv, dv))  # as bits: an end at -0.0 for a canonical 0.0 is rewritten
+            fv[layout.ends], gv[layout.ends], dv[layout.ends] = fv[canonical], gv[canonical], dv[canonical]
         ends = PinTable(*(x[layout.slot.reshape(-1, 2)] for x in pins.table))  # per edge end: its vertex's pin
         d1, d2, cert = solve_intervals(plan_intervals(fv, gv, eps0, layout.offsets, ends), dv)
     return GraphFactorizationResult(

@@ -352,22 +352,21 @@ def _phase_formula(h1, h2, counts):
     return u
 
 
-def _nondeg_phase_arrays(h1, h2, eta, starts=(0,), pins=None, h=None):
+def _nondeg_phase_arrays(h1, h2, eta, starts=(0,), pins=None, hmin=None):
     """(beta2, f_quad) on segments laid end to end in h1/h2, segment i from
     index starts[i], each bit for bit as on that segment alone: the rotation
     phase and the rotated linear coefficient f_quad = h1 + h2*beta2, with
     |f_quad| >= eta certified.  `pins`, when given, is (index, beta2) arrays
     of the segment ends with a pinned rotation; pins are taken as given
-    (plan_intervals checks them).  `h` is |h1|^2 + |h2|^2 when the caller
-    has it; it is overwritten.  A plan never refuses here: its segments have
-    h > eta1 = eta^2."""
+    (plan_intervals checks them).  `hmin` is each segment's min of
+    |h1|^2 + |h2|^2 when the caller has it.  A plan never refuses here: its
+    segments have h > eta1 = eta^2."""
     n = h1.size
     starts = np.asarray(starts, dtype=np.intp)
     a1 = np.abs(h1)
     a2 = np.abs(h2)
-    if h is None:
-        h = a1 * a1 + a2 * a2
-    hmin = np.minimum.reduceat(h, starts)
+    if hmin is None:
+        hmin = np.minimum.reduceat(a1 * a1 + a2 * a2, starts)
     low = hmin < eta * eta * (1.0 - 1e-12)
     if low.any():
         raise PreconditionViolated(
@@ -385,13 +384,11 @@ def _nondeg_phase_arrays(h1, h2, eta, starts=(0,), pins=None, h=None):
     # with no margin every node is defined
     with np.errstate(invalid="ignore"):
         tau = np.minimum(1.0, (np.sqrt(eta * eta + 2.0 * eta0_sq) - eta) / (2.0 * eta0)) * 0.999
-    theta = np.where(margin, tau * eta0, -np.inf)
     stops = np.append(starts[1:], n)
-    for s, e, t in zip(starts.tolist(), stops.tolist(), theta.tolist()):
-        h[s:e] = t  # h is spent: it holds each node's theta from here on
-    defined = a1 > h
-    defined &= a2 > h
-    del a1, a2, h  # freed before the phases allocate their arrays
+    theta = np.repeat(np.where(margin, tau * eta0, -np.inf), stops - starts)  # at each node
+    defined = a1 > theta
+    defined &= a2 > theta
+    del a1, a2, theta  # freed before the phases allocate their arrays
     counts = np.add.reduceat(defined, starts, dtype=np.intp)
     if counts.sum() == n:
         beta2 = _phase_formula(h1, h2, counts)
@@ -796,10 +793,10 @@ def plan_intervals(fv, gv, eps0, offsets, pins: PinTable) -> IntervalPlan:
             f"pinned rotation at node {int(nodes[low[0]])} brings |f + beta2*g| below epsilon1",
             bound="|f + beta2*g| >= epsilon1", value=float(rotated[low[0]]), limit=eps1,
         )
-    handed = [h[keep]]
-    del h  # the phases overwrite h and free it: keep no reference here
+    hmin = np.minimum.reduceat(h[keep], start)
+    del h  # freed before the phases allocate their arrays
     at = nodes - np.searchsorted(owned, nodes)  # the pinned nodes' places in fv[keep]
-    beta2, f_quad = _nondeg_phase_arrays(fv[keep], gv[keep], eps1, start, (at, rotation), handed.pop())
+    beta2, f_quad = _nondeg_phase_arrays(fv[keep], gv[keep], eps1, start, (at, rotation), hmin)
     pinned_at = pins.kind != 0
     d1, d2 = pins.d1[pinned_at], pins.d2[pinned_at]
     pinned = (bounds[pinned_at], d1, d2, RESIDUAL_TOL * (1.0 + pyarith.cabs(d1) + pyarith.cabs(d2)))

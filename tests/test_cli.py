@@ -889,6 +889,20 @@ def test_no_command_ends_in_a_traceback_at_extreme_scales(tmp_path):
             assert last.startswith("{") and {"error", "message"} <= set(json.loads(last)), (argv, last)
 
 
+def test_nondeg_approx_at_1e300_exits_quietly(tmp_path):
+    # f*g overflows only at points that keep their values, and |f'|^2 + |g'|^2 is reported as inf
+    payload = json.loads(Path(_nondeg_payload(tmp_path)).read_text())
+    path = write_json(tmp_path / "big.json", {key: _scaled(entry, 1e300) for key, entry in payload.items()})
+    argv = ["nondeg-approx", "--input", path, "--epsilon", "0.6", "--output", str(tmp_path / "out.json")]
+    env = dict(os.environ, PYTHONPATH=str(Path(openmult.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "openmult.cli", *argv], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads((tmp_path / "out.json").read_text())["min_joint_modulus_sq"] == "inf"
+    assert main(argv) == 0  # in process, under the suite's RuntimeWarning filter
+
+
 def test_public_names_resolve():
     assert len(OLD_PUBLIC_NAMES) == 74
     assert sorted(openmult.__all__) == sorted(OLD_PUBLIC_NAMES)

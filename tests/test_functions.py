@@ -418,6 +418,40 @@ class TestGraphFunctionStorage:
                 GraphFunction(g, edges)
             assert type(exc.value) is ValueError and str(exc.value) == message
 
+    def test_refusals_when_the_one_concatenation_cannot_stand(self):
+        # class and message as edge by edge: edge count, then each edge's shape in edge order,
+        # then finiteness, then vertex agreement
+        g = star_graph()
+        ok = np.ones(33, dtype=complex)
+        nan_first = ok.copy()
+        nan_first[7] = np.nan
+        column = np.ones((33, 1), dtype=complex)
+        for edges, message in (
+            ((nan_first, ok[:32]), "expected 33 values, got 32"),
+            ((ok, column), "values must be one-dimensional"),
+            ((column, column), "values must be one-dimensional"),
+            ((np.complex128(1.0), np.complex128(1.0)), "values must be one-dimensional"),
+            ((1.0, 1.0), "values must be one-dimensional"),
+            ((list(ok), [1.0] * 34), "expected 33 values, got 34"),
+            ((), "need one value array per edge"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                GraphFunction(g, edges)
+            assert type(exc.value) is ValueError and str(exc.value) == message
+
+    def test_inputs_the_one_concatenation_takes_or_declines(self):
+        g = star_graph()
+        want = GraphFunction(g, (np.arange(33, dtype=complex), np.arange(33, dtype=complex)))
+        for edges in (
+            ([float(k) for k in range(33)], list(range(33))),  # plain lists
+            np.tile(np.arange(33), (2, 1)),  # one 2-d array, a row per edge
+            (np.arange(33, dtype=object), np.arange(33, dtype=np.float32)),  # an object array beside a float32 one
+        ):
+            got = GraphFunction(g, edges)
+            assert got == want and got.values.dtype == np.complex128 and not got.values.flags.writeable
+        empty = GraphFunction(GraphDomain(("lone",), ()), ())
+        assert empty.values.shape == (0,) and empty.edge_values == ()
+
 
 class TestSerialization:
     def test_interval_roundtrip(self):

@@ -508,6 +508,43 @@ def test_graph_without_edges():
     assert (res.residual, res.bound1, res.bound2) == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("scale", [0.0, 1.0])
+def test_isolated_vertex_is_reported_whatever_d(scale):
+    graph = GraphDomain(("a", "lonely", "b"), (("a", "b", IntervalDomain(0.0, 1.0, 17)),))
+    f = interp_fn(graph, {"a": 1.0 + 0.2j, "b": 0.9})
+    g = interp_fn(graph, {"a": 0.8j, "b": 1.1 - 0.3j})
+    d = interp_fn(graph, {"a": scale * delta0(0.7), "b": 0.0})
+    res = open_mult_graph(f, g, d, 0.7)
+    trivial = {"kind": "trivial", "d1": 0j, "d2": 0j, "agreement": 0.0}
+    assert list(res.vertex_report) == list(res.to_json()["vertices"]) == ["a", "lonely", "b"]
+    assert res.vertex_report["lonely"] == trivial
+    assert res.vertex_report["a"]["kind"] == ("nondeg" if scale else "trivial")
+    wire = {"kind": "trivial", "d1": [0.0, 0.0], "d2": [0.0, 0.0], "agreement": "0.0"}
+    assert res.to_json()["vertices"]["lonely"] == wire
+
+
+def test_negative_zero_at_an_edge_end_keeps_the_canonical_bits(monkeypatch):
+    # the end of edge 1 at c holds -0.0 where c's canonical sample (edge 0's end) holds +0.0:
+    # within the vertex tolerance, so accepted, and solved as if it held +0.0
+    from openmult import graphs
+
+    planned, plan = [], graphs.plan_intervals
+    monkeypatch.setattr(graphs, "plan_intervals", lambda fv, *rest: planned.append(fv.tobytes()) or plan(fv, *rest))
+    graph = star3()
+    f = interp_fn(graph, {"c": 0.5j, "a": 0.9, "b": 1.1j, "e": -1.0})
+    g = interp_fn(graph, {"c": 0.8 + 0.0j, "a": 1.2j, "b": 0.7, "e": 1.0 + 1j})
+    d = interp_fn(graph, {"c": 0.0, "a": 1e-4j, "b": -1e-4, "e": 1e-4})
+    signed = [x.copy() for x in f.edge_values]
+    signed[1][0] = complex(-0.0, 0.5)
+    f_signed = GraphFunction(graph, tuple(signed))
+    assert np.signbit(f_signed.edge_values[1][0].real) and not np.signbit(f_signed.edge_values[0][0].real)
+    want, got = open_mult_graph(f, g, d, 0.7), open_mult_graph(f_signed, g, d, 0.7)
+    for a, b in ((want.d1, got.d1), (want.d2, got.d2)):
+        assert a.values.tobytes() == b.values.tobytes()
+    assert want.rows == got.rows and want.vertex_report == got.vertex_report
+    assert planned[0] == planned[1]  # the plan sees +0.0 at every end of c
+
+
 GRAPH_REFUSALS = {  # the graphs of f, g and d
     "f, g, d must live on the same graph": (theta, theta, star3),
     "run refine_partition first: graph declares unresolved crossings": (
