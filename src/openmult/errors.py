@@ -36,9 +36,9 @@ class EqualModulusRoots(OpenMultError):
 
     exit_code = 2
 
-    def __init__(self, message, *, index=None, nodes=None):
+    def __init__(self, message, *, index=None):
         super().__init__(message)
-        self.index, self.nodes = index, nodes  # when named: the first tying node, every one's flat index in order
+        self.index = index  # when named: the first tying node's flat index
 
 
 class ZeroArgument(OpenMultError):

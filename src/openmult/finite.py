@@ -63,7 +63,7 @@ def open_mult_finite(
 ) -> tuple[FiniteSpaceFunction, FiniteSpaceFunction]:
     """scalar_factor at every point: a'*b' = a*b + d node-wise."""
     if a.n != b.n or a.n != d.n:
-        raise PreconditionViolated("a, b, d must have the same number of points")
+        raise PreconditionViolated("a, b, d must have the same number of points", bound="same number of points")
     supd = float(np.max(np.abs(d.values)))
     if supd > 0.25 * eps * eps * (1.0 + 1e-12):
         raise PerturbationTooLarge(
@@ -88,7 +88,7 @@ def nondeg_approx(
     if eps <= 0:
         raise PreconditionViolated("eps must be positive")
     if f.n != g.n:
-        raise PreconditionViolated("f and g must have the same number of points")
+        raise PreconditionViolated("f and g must have the same number of points", bound="same number of points")
     cut = eps / 3.0
     pow2 = math.ldexp(1.0, math.frexp(eps / 2.0)[1] - 1)  # largest power of two <= eps/2
     with np.errstate(over="ignore", invalid="ignore"):  # overflows only at points that keep their values

@@ -139,13 +139,9 @@ def _vertex_pins(f, g, d, cfg) -> VertexPins:
     nd = np.flatnonzero(~cover & ~overflow)
     beta2[nd] = phase_offsets(fv[nd], gv[nd])
     f_quad = fv[nd] + pyarith.mul(beta2[nd], gv[nd])
-    try:
-        phi = smaller_root_vec(-dv[nd], f_quad, beta2[nd])
-    except EqualModulusRoots as exc:
-        k = int(nd[exc.index])
-        if k < stop:
-            raise EqualModulusRoots(f"root moduli tie at vertex {names[k]!r}") from None
-        # else the overflow at `stop` comes first
+    phi, ties = smaller_root_vec(-dv[nd], f_quad, beta2[nd])
+    if ties.size and nd[ties[0]] < stop:  # else the overflow at `stop` comes first
+        raise EqualModulusRoots(f"root moduli tie at vertex {names[nd[ties[0]]]!r}")
     if stop < len(names):
         raise PreconditionViolated(
             f"|f|^2 + |g|^2 overflows at vertex {names[stop]!r}", bound="|f|^2 + |g|^2 finite at vertex",
@@ -231,7 +227,7 @@ def open_mult_graph(
     edge, in edge order, that refuses.
     """
     if not (f.domain == g.domain == d.domain):
-        raise PreconditionViolated("f, g, d must live on the same graph")
+        raise PreconditionViolated("f, g, d must live on the same graph", bound="common graph")
     graph = f.domain
     if graph.crossings:
         raise PreconditionViolated("run refine_partition first: graph declares unresolved crossings")

@@ -30,7 +30,7 @@ from .errors import (
     ZeroArgument,
 )
 from .functions import GridFunction
-from .quadratic import quotient, roots_vec, smaller_root_vec
+from .quadratic import _untied, quotient, smaller_root_vec
 
 RESIDUAL_TOL = 1e-9
 UNDEFINED = complex(float("nan"), float("nan"))
@@ -115,7 +115,7 @@ class PipelineConfig:
 
 
 def _track_root(dv, linear, quad, eta, eps):
-    """smaller_root_vec(-d, linear, quad), behind the shift-budget gate on d."""
+    """smaller_root_vec(-d, linear, quad) behind the shift-budget gate on d, a tie refused."""
     budget = shift_budget(eta, eps)
     supd = float(np.max(np.abs(dv)))
     if supd > budget * (1.0 + 1e-12):
@@ -123,7 +123,7 @@ def _track_root(dv, linear, quad, eta, eps):
             "perturbation exceeds the shift budget",
             bound="sup|d| <= shift_budget(eta, eps)", value=supd, limit=budget,
         )
-    return smaller_root_vec(-dv, linear, quad)
+    return _untied(*smaller_root_vec(-dv, linear, quad))
 
 
 def quadratic_correction(
@@ -443,7 +443,7 @@ def _factor_arrays(psi, counts, k, size, far, pin, za, wa, zhat):
     k nodes from its pinned end, where (za[j], wa[j]) is prescribed, and
     size[j] - 1 - k from its far end, where both factors are zhat[j]; far
     and pin list the nodes at such ends."""
-    az, aw, ah = (np.hypot(x.real, x.imag) for x in (za, wa, zhat))  # Python's abs
+    az, aw, ah = (pyarith.cabs(x) for x in (za, wa, zhat))
     swap = az < aw  # the larger-modulus factor p at the pinned end is wa
     p, start, div = np.where(swap, wa, za), np.where(swap, aw, az), np.maximum(size - 1, 1)
     span = ah - start
@@ -831,13 +831,11 @@ def _solve_ragged(plan: IntervalPlan, dv):
     ends, seam, cover_pin, zw, nodes, own, owned, halves = plan.cover
     keep, first, _last, start = plan.pieces
     refusal, verdicts = None, {}  # per interval, its tie or missed pin
-    try:
-        # solve_interval's gate, sup|d| <= delta0 = shift_budget(eps1, eps1), is this step's budget
-        phi = smaller_root_vec(-dv[keep], plan.f_quad, plan.beta2)
-    except EqualModulusRoots as exc:  # the tied nodes take the second root of roots_vec
-        phi = roots_vec(-dv[keep], plan.f_quad, plan.beta2)[1]
-        segment = np.searchsorted(start, exc.nodes, side="right") - 1
-        local = (exc.nodes - start[segment]).tolist()
+    # solve_interval's gate, sup|d| <= delta0 = shift_budget(eps1, eps1), is this step's budget
+    phi, ties = smaller_root_vec(-dv[keep], plan.f_quad, plan.beta2)
+    if ties.size:
+        segment = np.searchsorted(start, ties, side="right") - 1
+        local = (ties - start[segment]).tolist()
         within = (np.searchsorted(plan.offsets, first[segment], side="right") - 1).tolist()
         verdicts = {k: f"root moduli tie at index {i}" for k, i in zip(within[::-1], local[::-1])}  # the first stays
         refusal = EqualModulusRoots(f"root moduli tie at index {local[0]}", index=local[0])
@@ -868,8 +866,7 @@ def _solve_ragged(plan: IntervalPlan, dv):
 
     nodes, pin_d1, pin_d2, tol = plan.pinned
     if nodes.size:
-        # hypot rounds as Python's abs of a complex does, np.abs does not
-        err1, err2 = (np.hypot(x.real, x.imag) for x in (d1[nodes] - pin_d1, d2[nodes] - pin_d2))
+        err1, err2 = (pyarith.cabs(x) for x in (d1[nodes] - pin_d1, d2[nodes] - pin_d2))
         err = np.where(err2 > err1, err2, err1)  # max(err1, err2)
         d1[nodes], d2[nodes] = pin_d1, pin_d2
         bad = np.flatnonzero(err > tol)
@@ -933,7 +930,7 @@ def open_mult_interval(
     pair, with no per-instance tuning.
     """
     if not (f.domain == g.domain == d.domain):
-        raise PreconditionViolated("f, g, d need a common domain")
+        raise PreconditionViolated("f, g, d need a common domain", bound="common domain")
     cfg = PipelineConfig.for_target(eps0)
     if not np.any(d.values):
         zero = np.zeros(f.domain.n, dtype=np.complex128)

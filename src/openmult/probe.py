@@ -125,7 +125,7 @@ def probe_pipeline(
     with copies of its own trials.
     """
     if trials < 1:
-        raise PreconditionViolated("trials must be at least 1")
+        raise PreconditionViolated("trials must be at least 1", bound="trials", value=trials, limit=1)
     if seed < 0:
         raise PreconditionViolated("seed must be non-negative", bound="seed", value=seed)
     rng = np.random.default_rng(seed)

@@ -124,13 +124,18 @@ def _ties(q, gamma, small):
 
 
 def smaller_root_vec(alpha, beta, gamma):
-    """Selected (smaller-modulus) root per node; raises when any node ties, naming them all."""
+    """(small, ties): the smaller-modulus root per node (at a tied node, the
+    root roots_vec gives second) and the tied nodes' flat indices, in order."""
     shape, alpha, gamma, q = _scaled_big_root(alpha, beta, gamma)
     small = quotient(alpha, q)
-    ties = _ties(q, gamma, small)
+    return small.reshape(shape), _ties(q, gamma, small)
+
+
+def _untied(small, ties):
+    """`small`, unless `ties` names a node: then EqualModulusRoots at the first."""
     if ties.size:
-        raise EqualModulusRoots(f"root moduli tie at index {ties[0]}", index=int(ties[0]), nodes=ties)
-    return small.reshape(shape)
+        raise EqualModulusRoots(f"root moduli tie at index {ties[0]}", index=int(ties[0]))
+    return small
 
 
 def roots(t: QuadraticTriple) -> tuple[complex, complex]:
@@ -141,11 +146,7 @@ def roots(t: QuadraticTriple) -> tuple[complex, complex]:
 
 def has_distinct_moduli(t: QuadraticTriple) -> bool:
     """Whether the two root moduli split, so the selection is defined."""
-    try:
-        smaller_root_vec(t.alpha, t.beta, t.gamma)
-    except EqualModulusRoots:
-        return False
-    return True
+    return not smaller_root_vec(t.alpha, t.beta, t.gamma)[1].size
 
 
 def smaller_root(t: QuadraticTriple) -> complex:
@@ -154,4 +155,4 @@ def smaller_root(t: QuadraticTriple) -> complex:
     In the tracking regime |beta| >= eta, |alpha| <= eta^2/4 the returned
     value satisfies |z| <= 2|alpha|/|beta|.
     """
-    return complex(smaller_root_vec(t.alpha, t.beta, t.gamma))
+    return complex(_untied(*smaller_root_vec(t.alpha, t.beta, t.gamma)))

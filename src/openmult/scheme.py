@@ -209,7 +209,7 @@ def run_scheme(F, G, H, params: SchemeParams, model: AlgebraModel, max_iter: int
         norm_f = model.norm(Fn)
         norm_g = model.norm(Gn)
         norm_h = model.norm(Hn)
-        inf_embed = float(np.min(np.abs(model.embed(Fn).values) + np.abs(model.embed(Gn).values)))
+        inf_embed = min_modulus_sum(model.embed(Fn), model.embed(Gn))
         claims = _claims_for(n, norm_f, norm_g, norm_h, inf_embed, residual, ref_norm, params)
         trace.append(
             TraceRecord(

@@ -633,6 +633,32 @@ def test_malformed_model_refused_under_model(tmp_path, capsys, model):
     assert diag["message"].startswith("payload key 'model': ")
 
 
+def _mismatched_payload(command):
+    """A payload whose inputs live on different grids, graphs or point sets,
+    or whose trial count is 0, and the bound its refusal names."""
+    from openmult import GraphDomain, GraphFunction
+
+    grid, coarse = (GridFunction.constant(IntervalDomain(0.0, 1.0, n), 1.0).to_json() for n in (65, 33))
+    path, star = (GraphDomain(v, tuple((v[0], w, IntervalDomain(0.0, 1.0, 5)) for w in v[1:])) for v in ("abc", "abcd"))
+    on_path, on_star = (GraphFunction(graph, (np.ones(5),) * len(graph.edges)).to_json() for graph in (path, star))
+    two, one = FiniteSpaceFunction([1.0, 1.0]).to_json(), FiniteSpaceFunction([1.0]).to_json()
+    return {
+        "probe": ({"f": grid, "g": grid, "trials": 0}, "trials"),
+        "factor-interval": ({"f": grid, "g": grid, "d": coarse}, "common domain"),
+        "factor-graph": ({"f": on_path, "g": on_path, "d": on_star}, "common graph"),
+        "factor-finite": ({"a": two, "b": two, "d": one}, "same number of points"),
+        "nondeg-approx": ({"f": two, "g": one}, "same number of points"),
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["probe", "factor-interval", "factor-graph", "factor-finite", "nondeg-approx"])
+def test_mismatched_inputs_name_their_bound(tmp_path, capsys, command):
+    payload, bound = _mismatched_payload(command)
+    assert main([command, "--input", write_json(tmp_path / "in.json", payload), "--epsilon", "0.5"]) == 2
+    diag = json.loads(capsys.readouterr().err.strip())
+    assert (diag["error"], diag["bound"]) == ("PreconditionViolated", bound)
+
+
 def test_csv_on_stdout_appends_to_a_redirected_file(tmp_path):
     # `openmult ... --format csv >> log.csv` keeps what log.csv held
     argv = ["factor-finite", "--input", _finite_payload(tmp_path), "--epsilon", "0.5", "--format", "csv"]

@@ -836,6 +836,27 @@ def test_tie_index_is_segment_local():
         "EqualModulusRoots", "root moduli tie at index 10", 10)
 
 
+def test_tied_solve_takes_one_root_pass(monkeypatch):
+    # The plan of test_tie_index_is_segment_local with one tie: the solve forms
+    # the roots once, and a tied node keeps the root roots_vec gives second.
+    from openmult import quadratic
+
+    f, g, d = _family_case(4097, 7, 2, 0.07)
+    plan = plan_interval(f.values, g.values, 0.07)
+    s, _e, beta2, f_quad = plan.segments[1]
+    dv = d.values.copy()
+    dv[s + 10] = -(f_quad[10] ** 2) / (2 * beta2[10])
+    passes = []
+    scaled_big_root = quadratic._scaled_big_root
+    monkeypatch.setattr(quadratic, "_scaled_big_root", lambda *a: passes.append(a) or scaled_big_root(*a))
+    _d1, d2, cert, refusal = _solve_ragged(plan, dv)
+    assert len(passes) == 1
+    assert cert.failed == ["root moduli tie at index 10"] and refusal.index == 10
+    keep = plan.pieces[0]
+    want = quadratic.roots_vec(-dv[keep], plan.f_quad, plan.beta2)[1]
+    assert _digest(d2[keep]) == _digest(want)
+
+
 def test_plan_holds_phases_on_segment_nodes_only():
     f, g, _d = _family_case(4097, 7, 3, 0.07)
     plan = plan_interval(f.values, g.values, 0.07)

@@ -371,7 +371,7 @@ def _vertex_pin(fval, gval, dval, cfg):
     else:
         beta2 = 1j  # one factor vanishes: any rotation keeps |f + beta2*g| = sqrt(h)
     f_quad = fval + beta2 * gval
-    phi = complex(smaller_root_vec(-dval, f_quad, beta2))
+    phi = complex(smaller_root_vec(-dval, f_quad, beta2)[0])
     return EndpointPin(kind="nondeg", d1=beta2 * phi, d2=phi, beta2=beta2)
 
 

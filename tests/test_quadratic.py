@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openmult import EqualModulusRoots, QuadraticTriple, has_distinct_moduli, roots, smaller_root
-from openmult.quadratic import TIE_TOL, quotient, roots_vec, smaller_root_vec
+from openmult.quadratic import TIE_TOL, _untied, quotient, roots_vec, smaller_root_vec
 
 finite_complex = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 phases = st.floats(min_value=-np.pi, max_value=np.pi)
@@ -192,8 +192,8 @@ class TestVectorisedRoots:
         assert np.array_equal(_bits(small), _bits(ref_small))
 
     def test_scalar_smaller_root(self):
-        z = smaller_root_vec(-0.001, 1.0 + 0.5j, 1j)
-        assert np.ndim(z) == 0
+        z, ties = smaller_root_vec(-0.001, 1.0 + 0.5j, 1j)
+        assert np.ndim(z) == 0 and ties.size == 0
         assert complex(z) == smaller_root(QuadraticTriple(-0.001, 1.0 + 0.5j, 1j))
 
     def test_inputs_not_mutated(self):
@@ -218,8 +218,9 @@ class TestVectorisedRoots:
         # z**2 + 1 has roots +-i: equal moduli at indices 3 and 7
         alpha[[3, 7]] = 1.0
         beta[[3, 7]] = 0.0
+        assert smaller_root_vec(alpha, beta, gamma)[1].tolist() == [3, 7]
         with pytest.raises(EqualModulusRoots, match="index 3"):
-            smaller_root_vec(alpha, beta, gamma)
+            _untied(*smaller_root_vec(alpha, beta, gamma))
 
 
 # Coefficients over the whole double range: zero, moduli from 1e-320
@@ -266,18 +267,17 @@ def _selection_by_formula(alpha, beta, gamma):
 
 
 def _tied_nodes(alpha, beta, gamma):
-    """The flat indices of the tied nodes that smaller_root_vec names, in order."""
-    try:
-        smaller_root_vec(alpha, beta, gamma)
-    except EqualModulusRoots as exc:
-        assert exc.nodes.dtype == np.intp and exc.index == exc.nodes[0]
-        return exc.nodes.tolist()
-    return []
+    """The flat indices of the tied nodes that smaller_root_vec returns, in order."""
+    ties = smaller_root_vec(alpha, beta, gamma)[1]
+    assert ties.dtype == np.intp and ties.ndim == 1
+    return ties.tolist()
 
 
 def _selection(alpha, beta, gamma):
+    """What a selection that refuses a tie gives: ("tie", the refusal's
+    index) or ("root", shape and bits)."""
     try:
-        small = smaller_root_vec(alpha, beta, gamma)
+        small = _untied(*smaller_root_vec(alpha, beta, gamma))
     except EqualModulusRoots as exc:
         return "tie", exc.index
     return "root", _selected(small)
@@ -319,11 +319,27 @@ class TestTieCheck:
         (1.0, 0.0, 1.0),  # 0-d, ties
         ([[0.01, 0.02j, 1e-3], [0.0, 1.0, 1.0]], [[1.0, 2.0, 1j], [1.0, 0.0, 0.0]], 1.0),  # 2-d, ties at 4
         ([[0.01, 0.02j], [1e-5, 3e-3]], [[1.0, 2.0], [1j, 1.0 - 1j]], [[1.0, 1j], [-1.0, 1.0]]),  # 2-d
+        (1.0, 0.0, 1j),  # 0-d, roots of one modulus, rotated: ties
+        (0.0, 0.0, -1j),  # 0-d, a double zero root: ties
+        (1e-320, 1.0, -1j),  # 0-d, a subnormal root
+        (4.0, -5.0, 1.0),  # 0-d, roots 1 and 4
     ])
     def test_edge_cases_match_the_formula(self, alpha, beta, gamma):
         with np.errstate(all="ignore"):
             assert _selection(alpha, beta, gamma) == _selection_by_formula(alpha, beta, gamma)
-            assert _tied_nodes(alpha, beta, gamma) == np.flatnonzero(_ties_by_formula(alpha, beta, gamma)[1]).tolist()
+            tied = _tied_nodes(alpha, beta, gamma)
+            assert tied == np.flatnonzero(_ties_by_formula(alpha, beta, gamma)[1]).tolist()
+            if np.ndim(alpha) == np.ndim(beta) == np.ndim(gamma) == 0 and abs(gamma) == 1.0:
+                # the scalar views against the returned tie list
+                t = QuadraticTriple(alpha, beta, gamma)
+                assert has_distinct_moduli(t) == (tied == [])
+                if tied:
+                    with pytest.raises(EqualModulusRoots, match="^root moduli tie at index 0$") as exc:
+                        smaller_root(t)
+                    assert exc.value.index == 0
+                else:
+                    small = smaller_root_vec(alpha, beta, gamma)[0]
+                    assert _selected(np.complex128(smaller_root(t))) == _selected(small)
 
     def test_boundary_examples_fall_on_either_side(self):
         t = _tie_boundary()
@@ -337,9 +353,10 @@ class TestTieCheck:
         alpha = np.full((2, 3), 1e-3, dtype=complex)
         beta = np.full((2, 3), 2.0, dtype=complex)
         alpha.flat[[1, 4, 5]], beta.flat[[1, 4, 5]] = 1.0, 0.0
+        assert smaller_root_vec(alpha, beta, 1.0)[1].tolist() == [1, 4, 5]
         with pytest.raises(EqualModulusRoots, match="index 1$") as exc:
-            smaller_root_vec(alpha, beta, 1.0)
-        assert exc.value.index == 1 and exc.value.nodes.tolist() == [1, 4, 5]
+            _untied(*smaller_root_vec(alpha, beta, 1.0))
+        assert exc.value.index == 1
         assert _tied_nodes(alpha, beta, 1.0) == np.flatnonzero(_ties_by_formula(alpha, beta, 1.0)[1]).tolist()
 
 
