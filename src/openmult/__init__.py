@@ -10,8 +10,9 @@ import importlib
 _EXPORTS = {
     "errors": (
         "BoundaryMismatch", "ClaimViolation", "CoverInfeasible", "DegeneratePair", "DomainMismatch",
-        "EqualModulusRoots", "NonConvergence", "NonUnimodularInput", "NormBudgetExceeded", "OpenMultError",
-        "PerturbationTooLarge", "PreconditionViolated", "VertexInconsistency", "ZeroArgument",
+        "EqualModulusRoots", "InternalInvariantError", "NonConvergence", "NonUnimodularInput",
+        "NormBudgetExceeded", "OpenMultError", "PerturbationTooLarge", "PreconditionViolated",
+        "VertexInconsistency", "ZeroArgument",
     ),
     "finite": ("DiagonalAlgebraElement", "diagonal_open_mult", "nondeg_approx", "open_mult_finite", "scalar_factor"),
     "functions": (

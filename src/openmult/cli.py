@@ -2,10 +2,11 @@
 
 Exit codes: 0 success; 2 a refusal of the input (a violated precondition or
 bound, an input file or payload entry that cannot be read, or an output file
-that cannot be written), with a
-machine-readable diagnostic on stderr naming the violated bound, payload key
-or flag; 1 internal invariant failures.  Each error class carries its code
-as `exit_code`.  Reports embed the exact constants used so runs are
+that cannot be written); 1 an internal invariant failure.  `main` catches
+OpenMultError alone and returns its `exit_code`, 1 for InternalInvariantError
+and 2 for every other class, after a JSON diagnostic on stderr that names the
+class and the violated bound, payload key or flag; any other exception is a
+bug and tracebacks.  Reports embed the exact constants used so runs are
 reproducible; re-running with the same config and seed is byte-identical
 apart from the timestamp field.
 """
@@ -48,8 +49,9 @@ UNSUPPORTED_MODELS = {
 # What reading the input file or decoding a payload entry raises on malformed
 # input.  Only those steps turn them into PreconditionViolated (exit 2) naming
 # the file or payload key; once the library call has started they propagate
-# unchanged.  int() of a JSON number past the float range raises OverflowError.
-_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError)
+# unchanged.  int() of a JSON number past the float range raises OverflowError,
+# and json of a too deeply nested file RecursionError.
+_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError)
 
 
 def __getattr__(name):
@@ -378,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _diagnostic(exc) -> str:
     diag = {"error": type(exc).__name__, "message": str(exc)}
     for attr in ("bound", "value", "limit"):
-        val = getattr(exc, attr, None)
+        val = getattr(exc, attr)
         if val is not None:
             diag[attr] = val
     return json.dumps(diag, sort_keys=True)
@@ -390,9 +392,9 @@ def main(argv=None) -> int:
         if not 0.0 < args.epsilon < 1.0:
             raise PreconditionViolated("epsilon must lie in (0, 1)", bound="epsilon")
         return COMMANDS[args.command](args)
-    except (OpenMultError, RuntimeError, AssertionError) as exc:
+    except OpenMultError as exc:
         print(_diagnostic(exc), file=sys.stderr)
-        return getattr(exc, "exit_code", 1)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

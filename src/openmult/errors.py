@@ -1,22 +1,10 @@
-"""Exception hierarchy shared by all openmult modules."""
+"""Exception hierarchy shared by all openmult modules: every OpenMultError is
+a refusal of the input (exit code 2) unless it is an InternalInvariantError (1)."""
 
 
 class OpenMultError(Exception):
-    """Base class for all library errors."""
-
-    # CLI exit status: 1 for an internal invariant failure; subclasses that
-    # refuse the input (a violated bound, a malformed or out-of-scope input) set 2.
-    exit_code = 1
-
-
-class DomainMismatch(OpenMultError):
-    """Two functions live on different domains."""
-
-    exit_code = 2
-
-
-class PreconditionViolated(OpenMultError):
-    """An operation was called outside its admissible input region."""
+    """Base class for all library errors; a refusal names, where known, the
+    violated `bound`, the offending `value` and the `limit` it breaks."""
 
     exit_code = 2
 
@@ -27,6 +15,20 @@ class PreconditionViolated(OpenMultError):
         self.limit = limit
 
 
+class InternalInvariantError(OpenMultError):
+    """A certified step failed its own check: reaching this is a bug."""
+
+    exit_code = 1
+
+
+class DomainMismatch(OpenMultError):
+    """Two functions live on different domains."""
+
+
+class PreconditionViolated(OpenMultError):
+    """An operation was called outside its admissible input region."""
+
+
 class PerturbationTooLarge(PreconditionViolated):
     """The prescribed perturbation exceeds the certified radius."""
 
@@ -34,54 +36,40 @@ class PerturbationTooLarge(PreconditionViolated):
 class EqualModulusRoots(OpenMultError):
     """Quadratic root selection is undefined: both roots have the same modulus."""
 
-    exit_code = 2
-
-    def __init__(self, message, *, index=None):
-        super().__init__(message)
+    def __init__(self, message, *, index=None, value=None):
+        super().__init__(message, bound="distinct root moduli", value=index if value is None else value)
         self.index = index  # when named: the first tying node's flat index
 
 
 class ZeroArgument(OpenMultError):
     """A nonzero complex argument was required."""
 
-    exit_code = 2
-
 
 class NonUnimodularInput(OpenMultError):
     """A value expected on the unit circle was not unimodular."""
-
-    exit_code = 2
 
 
 class CoverInfeasible(OpenMultError):
     """The grid is too coarse to place sublevel-cover seams; refine the grid."""
 
-    exit_code = 2
-
 
 class BoundaryMismatch(OpenMultError):
     """Prescribed boundary data is inconsistent with the target product."""
-
-    exit_code = 2
 
 
 class NormBudgetExceeded(OpenMultError):
     """Input data exceeds the norm budget of a factorization step."""
 
-    exit_code = 2
 
-
-class VertexInconsistency(OpenMultError):
+class VertexInconsistency(InternalInvariantError):
     """Edge-local construction disagrees with the pinned vertex values."""
 
 
 class DegeneratePair(OpenMultError):
     """The pair is not jointly non-degenerate."""
 
-    exit_code = 2
 
-
-class ClaimViolation(OpenMultError):
+class ClaimViolation(InternalInvariantError):
     """A per-iteration invariant of the inversion scheme failed."""
 
     def __init__(self, iteration, which, message=""):
@@ -90,5 +78,5 @@ class ClaimViolation(OpenMultError):
         self.which = which
 
 
-class NonConvergence(OpenMultError):
+class NonConvergence(InternalInvariantError):
     """The iterative scheme hit its iteration cap before reaching tolerance."""

@@ -88,7 +88,8 @@ class _Samples:
 
     def _check_domain(self, other):
         if type(other) is not type(self) or other.domain != self.domain:
-            raise DomainMismatch(f"{type(self).__name__} and {type(other).__name__} live on different domains")
+            names = f"{type(self).__name__} and {type(other).__name__}"
+            raise DomainMismatch(f"{names} live on different domains", bound="common domain")
 
     def _binop(self, other, op):
         if isinstance(other, _Samples):

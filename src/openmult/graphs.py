@@ -110,10 +110,11 @@ def _vertex_pins(f, g, d, cfg) -> VertexPins:
     """The pin of each vertex with edges, in vertex order, from the canonical
     samples f, g, d take there.
 
-    Jointly degenerate vertices (|f|^2 + |g|^2 < eta2) get the square-root
+    Jointly degenerate vertices (|f|^2 + |g|^2 < eta2, in plan_intervals'
+    formula, so each edge end classifies as its vertex) get the square-root
     pair of f*g + d; the others the rotation beta2 = phase_offsets(f, g) and
     the smaller root phi of beta2*phi^2 + (f + beta2*g)*phi = d.  All vertices
-    run at once with the bits of the per-vertex scalar arithmetic (pyarith).
+    run at once; the pins have the bits of the per-vertex scalar arithmetic (pyarith).
     A refusal is that of the first refusing vertex in vertex order: an
     overflowing |f|^2 + |g|^2 or tied root moduli.
     """
@@ -123,7 +124,7 @@ def _vertex_pins(f, g, d, cfg) -> VertexPins:
     fv, gv, dv = f.values[at], g.values[at], d.values[at]
     names = list(layout.index)
     with np.errstate(all="ignore"):
-        h = pyarith.sq_abs(fv) + pyarith.sq_abs(gv)
+        h = np.abs(fv) ** 2 + np.abs(gv) ** 2
     overflow = ~np.isfinite(h)
     stop = int(np.argmax(overflow)) if overflow.any() else len(names)
     cover = h < cfg.eta2
@@ -141,7 +142,7 @@ def _vertex_pins(f, g, d, cfg) -> VertexPins:
     f_quad = fv[nd] + pyarith.mul(beta2[nd], gv[nd])
     phi, ties = smaller_root_vec(-dv[nd], f_quad, beta2[nd])
     if ties.size and nd[ties[0]] < stop:  # else the overflow at `stop` comes first
-        raise EqualModulusRoots(f"root moduli tie at vertex {names[nd[ties[0]]]!r}")
+        raise EqualModulusRoots(f"root moduli tie at vertex {names[nd[ties[0]]]!r}", value=names[nd[ties[0]]])
     if stop < len(names):
         raise PreconditionViolated(
             f"|f|^2 + |g|^2 overflows at vertex {names[stop]!r}", bound="|f|^2 + |g|^2 finite at vertex",

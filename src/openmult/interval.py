@@ -21,9 +21,9 @@ from .errors import (
     BoundaryMismatch,
     CoverInfeasible,
     EqualModulusRoots,
+    InternalInvariantError,
     NonUnimodularInput,
     NormBudgetExceeded,
-    OpenMultError,
     PerturbationTooLarge,
     PreconditionViolated,
     VertexInconsistency,
@@ -37,9 +37,8 @@ UNDEFINED = complex(float("nan"), float("nan"))
 
 
 def _verify(cond: bool, message: str):
-    # Internal invariant, not an input error: reaching this is a bug.
     if not cond:
-        raise RuntimeError(f"internal invariant failed: {message}")
+        raise InternalInvariantError(f"internal invariant failed: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +250,12 @@ class IntervalCover:
             prev_hi = hi
 
 
-_REFUSALS = (  # CoverInfeasible messages, in check order
-    "left endpoint pinned as degenerate but not in the sublevel set",
-    "right endpoint pinned as degenerate but not in the sublevel set",
-    "cover seam at node {} has h <= eta1; refine the grid",
-    "cover run absorbed a non-degenerate pinned endpoint",
-    "single-node boundary cover run; refine the grid",
+_REFUSALS = (  # (CoverInfeasible message, the bound it names), in check order; h = |f|^2 + |g|^2
+    ("left endpoint pinned as degenerate but not in the sublevel set", "h < eta2 at an end pinned 'cover'"),
+    ("right endpoint pinned as degenerate but not in the sublevel set", "h < eta2 at an end pinned 'cover'"),
+    ("cover seam at node {} has h <= eta1; refine the grid", "h > eta1 at a cover seam"),
+    ("cover run absorbed a non-degenerate pinned endpoint", "no cover run at an end pinned 'nondeg'"),
+    ("single-node boundary cover run; refine the grid", "cover runs at interval ends span >= 2 nodes"),
 )
 
 
@@ -290,7 +289,8 @@ def _plan_cover(h, eta1, eta2, lefts, rights, cover, nondeg):
     why = np.concatenate((pc, np.full_like(sr, 2), 3 + ec % 2))
     node = np.concatenate((pj, np.where(sc, hi[sr], lo[sr]) - lefts[k[sr]], er))  # the seam's, interval-local
     at = np.argsort(j, kind="stable")[::-1]  # an interval's first failed check is written last
-    refused = {a: CoverInfeasible(_REFUSALS[b].format(c)) for a, b, c in zip(*(x[at].tolist() for x in (j, why, node)))}
+    refused = {a: CoverInfeasible(_REFUSALS[b][0].format(c), bound=_REFUSALS[b][1], value=c if b == 2 else None)
+               for a, b, c in zip(*(x[at].tolist() for x in (j, why, node)))}
     return np.stack((k, lo, hi)), refused
 
 
@@ -535,8 +535,6 @@ def factor_interval(
     Splits at the middle grid node, takes the principal square root of psi
     there as the shared value, and glues the two half constructions.
     """
-    if psi.domain.n < 2:
-        raise PreconditionViolated("need at least two nodes")
     pv = psi.values
     _check_budget(pv, eps, (za, wa, zb, wb))
     _check_pair(za, wa, pv[0])
@@ -747,10 +745,18 @@ def plan_intervals(fv, gv, eps0, offsets, pins: PinTable) -> IntervalPlan:
     Every interval gets the cover tier, cover and phases it gets alone, bit
     for bit, and one refusing interval refuses the plan: the first one in
     order that the cover refuses, else the first end pinned as
-    non-degenerate where |f + beta2*g| < epsilon1.
+    non-degenerate where |f + beta2*g| < epsilon1.  A malformed layout is
+    refused first, naming fv, gv, offsets or pins.
     """
     cfg = PipelineConfig.for_target(eps0)
+    if np.ndim(fv) != 1 or np.shape(gv) != np.shape(fv):
+        raise PreconditionViolated("fv and gv must be one-dimensional, of one shape", bound="fv, gv")
     offsets = np.asarray(offsets, dtype=np.intp)
+    if (offsets.ndim != 1 or offsets.size < 2 or offsets[[0, -1]].tolist() != [0, fv.size]
+            or np.any(np.diff(offsets) <= 0)):
+        raise PreconditionViolated("offsets must rise strictly from 0 to fv.size", bound="offsets")
+    if any(np.shape(x) != (offsets.size - 1, 2) for x in pins):
+        raise PreconditionViolated(f"pins must be a table of shape ({offsets.size - 1}, 2)", bound="pins")
     lefts, rights = offsets[:-1], offsets[1:] - 1
     bounds = np.stack((lefts, rights), axis=1)
     cover, nondeg = (pins.kind == PIN_KINDS.index(kind) for kind in ("cover", "nondeg"))
@@ -886,7 +892,7 @@ def _solve_ragged(plan: IntervalPlan, dv):
         holds = (r <= RESIDUAL_TOL * (1.0 + sc), b1 <= limit, b2 <= limit)
         failed.append(verdicts.get(k) or (None if all(holds) else _CLAIMS[holds.index(False)]))
     if refusal is None and any(failed):
-        refusal = RuntimeError(f"internal invariant failed: {next(filter(None, failed))}")
+        refusal = InternalInvariantError(f"internal invariant failed: {next(filter(None, failed))}")
     return d1, d2, Certificate(cfg, plan.offsets, ends, plan.tiers, residual, bound1, bound2, failed), refusal
 
 
@@ -912,10 +918,10 @@ def solve_interval(plan: IntervalPlan, dv):
 
 def factorize_interval_arrays(fv, gv, dv, eps0):
     """solve_interval(plan_interval(...), dv), except that a d past delta0 is
-    refused before any refusal of the plan."""
+    refused before an infeasible cover."""
     try:
         plan = plan_interval(fv, gv, eps0)
-    except OpenMultError:
+    except CoverInfeasible:
         PipelineConfig.for_target(eps0).check_radius(float(np.max(np.abs(dv))))
         raise
     return solve_interval(plan, dv)

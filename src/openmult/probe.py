@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OpenMultError, PreconditionViolated
+from .errors import CoverInfeasible, PreconditionViolated
 from .functions import GridFunction
 from .interval import _ELIDE_BYTES, PinTable, _solve_ragged, delta0, plan_intervals
 from .interval import open_mult_interval  # noqa: F401  traced under this name by perfbench/layers.py
@@ -119,8 +119,8 @@ def probe_pipeline(
     succeeded.  A rung's trials are split evenly over the fewest chunks that
     keep every batched array below numpy's in-place reuse threshold, so each
     trial gets the bits of a solve of its own on the call's one plan, over a
-    chunk's worth of copies of (f, g) laid end to end; a refused plan fails
-    every trial.  A trial fails on its own verdict, a root tie included, so
+    chunk's worth of copies of (f, g) laid end to end; an infeasible cover
+    fails every trial, and an internal failure of the plan propagates.  A trial fails on its own verdict, a root tie included, so
     it never fails another trial of its chunk.  A short last chunk is padded
     with copies of its own trials.
     """
@@ -133,10 +133,10 @@ def probe_pipeline(
     n = f.domain.n
     cap = max(1, (_ELIDE_BYTES - 1) // (16 * n))
     chunk = -(-trials // -(-trials // cap))  # ceil(trials / the fewest chunks of at most cap)
-    plan = None  # a pair on two grids, or a plan refused whatever d is: every trial fails
+    plan = None  # a pair on two grids, or a cover infeasible whatever d is: every trial fails
     if f.domain == g.domain:
         fv, gv = np.tile(f.values, chunk), np.tile(g.values, chunk)
-        with contextlib.suppress(OpenMultError):
+        with contextlib.suppress(CoverInfeasible):
             plan = plan_intervals(fv, gv, eps0, np.arange(chunk + 1) * n, PinTable.of([(None, None)] * chunk))
 
     curve = []

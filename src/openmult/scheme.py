@@ -115,7 +115,7 @@ def scheme_params(F, G, eps: float, model: AlgebraModel) -> SchemeParams:
         raise PreconditionViolated("eps must lie in (0, 1)")
     inf_embed = min_modulus_sum(model.embed(F), model.embed(G))
     if inf_embed <= 0.0:
-        raise DegeneratePair("inf over embedding nodes of |F| + |G| vanishes")
+        raise DegeneratePair("inf over embedding nodes of |F| + |G| vanishes", bound="inf |F| + |G| > 0", value=inf_embed)
     gamma = min(1.0, 0.5 * inf_embed)
     K = 2.0 * max(model.norm(F), model.norm(G), 1.0)
     That = (2.0 * model.C / gamma**2) * model.psi(4.0 * K * K / gamma**2) if gamma**2 else math.inf  # 0 on underflow

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import openmult
 import openmult.cli as cli_mod
+import openmult.errors as errors
 from openmult.cli import main
 from openmult.functions import FiniteSpaceFunction, GridFunction, IntervalDomain
 from openmult.interval import delta0
@@ -101,6 +102,12 @@ class TestFactorInterval:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["result"]["d1"]["domain"]["n"] == 257
+
+    @pytest.mark.parametrize("grid", ["2", "129"])
+    def test_grid_at_or_below_the_input_keeps_it(self, tmp_path, capsys, grid):
+        path = interval_triple(tmp_path, delta0(0.7))
+        assert main(["factor-interval", "--input", path, "--epsilon", "0.7", "--grid", grid]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["d1"]["domain"]["n"] == DOM.n
 
     def test_grid_past_the_cap_refused_before_refining(self, tmp_path, capsys, monkeypatch):
         import openmult.cli as cli
@@ -378,14 +385,44 @@ class TestArgumentHandling:
         import openmult.cli as cli_mod
 
         def boom(*args, **kwargs):
-            raise RuntimeError("internal invariant failed: injected")
+            raise openmult.InternalInvariantError("internal invariant failed: injected")
 
         monkeypatch.setattr(cli_mod, "open_mult_interval", boom)
         path = interval_triple(tmp_path, delta0(0.7))
         code = main(["factor-interval", "--input", path, "--epsilon", "0.7"])
         assert code == 1
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert diag["error"] == "RuntimeError"
+        assert diag["error"] == "InternalInvariantError"
+
+    def test_foreign_exception_tracebacks(self, tmp_path, monkeypatch):
+        # Only an OpenMultError is a diagnostic: any other exception is a bug.
+        def boom(*args, **kwargs):
+            raise RuntimeError("not a library error")
+
+        monkeypatch.setattr(cli_mod, "open_mult_interval", boom)
+        path = interval_triple(tmp_path, delta0(0.7))
+        with pytest.raises(RuntimeError, match="not a library error"):
+            main(["factor-interval", "--input", path, "--epsilon", "0.7"])
+
+
+INTERNAL_ERRORS = ("InternalInvariantError", "VertexInconsistency", "ClaimViolation", "NonConvergence")
+ERROR_CLASSES = sorted(
+    name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, errors.OpenMultError)
+)
+
+
+@pytest.mark.parametrize("name", ERROR_CLASSES)
+def test_error_class_exit_code(name):
+    # The exit code follows where a class sits: under InternalInvariantError
+    # a bug (1), anywhere else under OpenMultError a refusal (2).
+    cls = getattr(errors, name)
+    assert cls.exit_code == (1 if name in INTERNAL_ERRORS else 2)
+    assert issubclass(cls, errors.InternalInvariantError) == (name in INTERNAL_ERRORS)
+    assert ("exit_code" in vars(cls)) == (name in ("OpenMultError", "InternalInvariantError"))
+
+
+def test_fifteen_error_classes():
+    assert len(ERROR_CLASSES) == 15
 
 
 def _malformed_payload(tmp_path, case):
@@ -400,6 +437,10 @@ def _malformed_payload(tmp_path, case):
     if case == "csv input":
         path = tmp_path / "one.csv"
         path.write_text("t,re,im\n0.0,1.0,0.0\n1.0,1.0,0.0\n")
+        return str(path), "input"
+    if case == "deeply nested json":  # json refuses it with RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text('{"f": ' + "[" * 200000 + "]" * 200000 + "}")
         return str(path), "input"
     data = json.loads(Path(interval_triple(tmp_path, delta0(0.7))).read_text())
     if case == "missing d":
@@ -418,7 +459,8 @@ def _malformed_payload(tmp_path, case):
 
 @pytest.mark.parametrize(
     "case",
-    ["missing file", "bad json", "csv input", "missing d", "wrong value count", "nan value", "finite payload"],
+    ["missing file", "bad json", "csv input", "deeply nested json", "missing d", "wrong value count", "nan value",
+     "finite payload"],
 )
 def test_malformed_input_exit_two(tmp_path, capsys, case):
     path, bound = _malformed_payload(tmp_path, case)
@@ -430,6 +472,66 @@ def test_malformed_input_exit_two(tmp_path, capsys, case):
     assert diag["error"] == "PreconditionViolated"
     assert diag["bound"] == bound
     assert diag["message"].startswith(path if bound == "input" else f"payload key {bound!r}: ")
+
+
+def test_recursion_decoding_a_payload_key_exit_two(tmp_path, capsys, monkeypatch):
+    # No decoder recurses on an entry that json has read (a too deeply nested
+    # file is refused as "input"), so a stand-in decoder does.
+    def deep(obj):
+        return deep(obj)
+
+    monkeypatch.setattr(cli_mod, "function_from_json", deep)
+    assert main(["factor-interval", "--input", interval_triple(tmp_path, delta0(0.7)), "--epsilon", "0.7"]) == 2
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (diag["error"], diag["bound"]) == ("PreconditionViolated", "f")
+    assert diag["message"].startswith("payload key 'f': RecursionError: ")
+
+
+def _unnamed_refusal(tmp_path, monkeypatch, case):
+    """(argv, diagnostic) of a refusal that names its bound and, where it is
+    known, the offending node."""
+    finite = {k: FiniteSpaceFunction(np.full(n, v)).to_json() for k, n, v in (("F", 4, 1.0), ("G", 3, 1.0), ("H", 4, 0.0))}
+    if case == "scheme domains":
+        diag = {"error": "DomainMismatch", "bound": "common domain",
+                "message": "FiniteSpaceFunction and FiniteSpaceFunction live on different domains"}
+        return ["scheme", "--input", write_json(tmp_path / "in.json", finite), "--epsilon", "0.5"], diag
+    if case == "scheme zero pair":
+        zero = {k: FiniteSpaceFunction(np.zeros(4)).to_json() for k in "FGH"}
+        diag = {"error": "DegeneratePair", "bound": "inf |F| + |G| > 0", "value": 0.0,
+                "message": "inf over embedding nodes of |F| + |G| vanishes"}
+        return ["scheme", "--input", write_json(tmp_path / "in.json", zero), "--epsilon", "0.5"], diag
+    dom = IntervalDomain(0.0, 1.0, 9)
+    step = GridFunction(dom, np.where(dom.nodes() < 0.5, 0.0, 1.0))
+    d = GridFunction.constant(dom, 0.5 * delta0(0.7))
+    path = write_json(tmp_path / "in.json", {"f": step.to_json(), "g": step.to_json(), "d": d.to_json()})
+    argv = ["factor-interval", "--input", path, "--epsilon", "0.7"]
+    if case == "cover seam":
+        diag = {"error": "CoverInfeasible", "bound": "h > eta1 at a cover seam", "value": 3,
+                "message": "cover seam at node 3 has h <= eta1; refine the grid"}
+        return argv, diag
+    # A tie needs |d| >= |f_quad|^2/4 >= epsilon1^2/4, past delta0 = epsilon1^2/5: no
+    # input the CLI takes ties, so the command raises what the ungated solve
+    # refuses a tie at node 2 of the pair f = g = 1 with.
+    assert case == "root tie"
+    from openmult.interval import _solve_ragged, plan_interval
+
+    def tied(f, g, d, eps0):
+        plan = plan_interval(np.ones(9, complex), np.ones(9, complex), eps0)
+        dv = np.zeros(9, complex)
+        dv[2] = -(plan.f_quad[2] ** 2) / (4 * plan.beta2[2])
+        raise _solve_ragged(plan, dv)[3]
+
+    monkeypatch.setattr(cli_mod, "open_mult_interval", tied)
+    diag = {"error": "EqualModulusRoots", "bound": "distinct root moduli", "value": 2,
+            "message": "root moduli tie at index 2"}
+    return argv, diag
+
+
+@pytest.mark.parametrize("case", ["scheme domains", "scheme zero pair", "cover seam", "root tie"])
+def test_refusal_names_its_bound(tmp_path, capsys, monkeypatch, case):
+    argv, diag = _unnamed_refusal(tmp_path, monkeypatch, case)
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == diag
 
 
 def _out_of_range_payload(tmp_path, case):
@@ -823,7 +925,7 @@ def test_report_writer_pair_chunks():
 
 OLD_PUBLIC_NAMES = """
 BoundaryMismatch ClaimViolation CoverInfeasible DegeneratePair DomainMismatch EqualModulusRoots NonConvergence
-NonUnimodularInput NormBudgetExceeded OpenMultError PerturbationTooLarge PreconditionViolated VertexInconsistency
+InternalInvariantError NonUnimodularInput NormBudgetExceeded OpenMultError PerturbationTooLarge PreconditionViolated VertexInconsistency
 ZeroArgument DiagonalAlgebraElement diagonal_open_mult nondeg_approx open_mult_finite scalar_factor
 FiniteSpaceFunction GraphDomain GraphFunction GridFunction IntervalDomain conjugate function_from_json
 grid_function_from_csv load_function min_modulus_sum pointwise_product refine sup_norm EdgePlan
@@ -930,7 +1032,7 @@ def test_nondeg_approx_at_1e300_exits_quietly(tmp_path):
 
 
 def test_public_names_resolve():
-    assert len(OLD_PUBLIC_NAMES) == 74
+    assert len(OLD_PUBLIC_NAMES) == 75
     assert sorted(openmult.__all__) == sorted(OLD_PUBLIC_NAMES)
     assert set(OLD_PUBLIC_NAMES) <= set(dir(openmult))
     star = _run_python(

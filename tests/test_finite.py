@@ -464,3 +464,38 @@ def test_finite_kernel_matches_reference_at_branch_boundaries(seed):
     F, G = FiniteSpaceFunction(f), FiniteSpaceFunction(g)
     assert _outcome(nondeg_approx, F, G, eps) == _outcome(_ref_nondeg_approx, F, G, eps)
     assert _outcome(nondeg_approx, G, F, eps) == _outcome(_ref_nondeg_approx, G, F, eps)
+
+
+def _element(scalar=1.0, coords=(0.5,), weights=(1.0,)):
+    return DiagonalAlgebraElement(scalar, np.asarray(coords, dtype=complex), np.asarray(weights))
+
+
+# The refusals of the diagonal algebra elements, each with its class and message.
+ELEMENT_REFUSALS = {
+    "coords and weights of two lengths": (
+        lambda: _element(coords=(0.5, 0.5)), ValueError, "coords and weights must be matching vectors"),
+    "2-d coords and weights": (
+        lambda: _element(coords=((0.5,),), weights=((1.0,),)), ValueError, "coords and weights must be matching vectors"),
+    "zero weight": (lambda: _element(weights=(0.0,)), ValueError, "weights must be strictly positive"),
+    "inverse of a zero scalar": (lambda: _element(scalar=0.0).inverse(), ZeroDivisionError, "element is not invertible"),
+    "inverse vanishing at a point": (
+        lambda: _element(coords=(-1.0,)).inverse(), ZeroDivisionError, "element is not invertible"),
+    "sum over two weight vectors": (
+        lambda: _element() + _element(weights=(2.0,)), PreconditionViolated, "elements carry different weight vectors"),
+    "JSON without weights": (
+        lambda: DiagonalAlgebraElement.from_json({"scalar": [1.0, 0.0], "coords": [[0.5, 0.0]]}),
+        ValueError, "weights missing"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_REFUSALS))
+def test_element_refusals(name):
+    call, cls, message = ELEMENT_REFUSALS[name]
+    with pytest.raises(cls) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (cls, message)
+
+
+def test_scalar_times_element_commutes():
+    x = _element(scalar=1.0 + 2j, coords=(0.5, -1j), weights=(1.0, 3.0))
+    assert 2j * x == x * 2j == _element(scalar=-4.0 + 2j, coords=(1j, 2.0), weights=(1.0, 3.0))

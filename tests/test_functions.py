@@ -523,3 +523,40 @@ class TestValueCodec:
     def test_refuses_anything_but_number_pairs(self, bad):
         with pytest.raises(ValueError):
             values_from_json(bad)
+
+
+def _csv(tmp_path, rows):
+    path = tmp_path / "f.csv"
+    path.write_text("t,re,im\n" + "".join(f"{t},1.0,0.0\n" for t in rows))
+    return path
+
+
+_EDGE = IntervalDomain(0.0, 1.0, 5)
+# The refusals of the domains and codecs, each a ValueError with its message;
+# a call takes tmp_path.
+FUNCTION_REFUSALS = {
+    "no values": (lambda tmp: FiniteSpaceFunction([]), "values must be nonempty"),
+    "edge grid that is no IntervalDomain": (
+        lambda tmp: GraphDomain(("a", "b"), (("a", "b", (0.0, 1.0, 5)),)), "edge grid must be an IntervalDomain"),
+    "crossing at an edge end": (
+        lambda tmp: GraphDomain(("a", "b"), (("a", "b", _EDGE),), crossings=(((0, 4),),)),
+        "crossing node must be interior to its edge"),
+    "finite size disagreeing with values": (
+        lambda tmp: function_from_json({"domain": {"type": "finite", "n": 3}, "values": [[1.0, 0.0]]}),
+        "declared size disagrees with values"),
+    "unknown domain type": (
+        lambda tmp: function_from_json({"domain": {"type": "torus"}, "values": []}), "unknown domain type 'torus'"),
+    "one CSV row": (lambda tmp: grid_function_from_csv(_csv(tmp, [0.0])), "need at least two rows"),
+    "uneven CSV grid": (
+        lambda tmp: grid_function_from_csv(_csv(tmp, [0.0, 0.25, 1.0])), "t column must be a uniform increasing grid"),
+    "decreasing CSV grid": (
+        lambda tmp: grid_function_from_csv(_csv(tmp, [1.0, 0.5, 0.0])), "t column must be a uniform increasing grid"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTION_REFUSALS))
+def test_function_refusals(tmp_path, name):
+    call, message = FUNCTION_REFUSALS[name]
+    with pytest.raises(ValueError) as exc:
+        call(tmp_path)
+    assert (type(exc.value), str(exc.value)) == (ValueError, message)

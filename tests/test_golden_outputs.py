@@ -27,6 +27,7 @@ from openmult import (
     GraphFunction,
     GridFunction,
     IntervalDomain,
+    InternalInvariantError,
     OpenMultError,
     VertexInconsistency,
     delta0,
@@ -387,7 +388,7 @@ def test_solve_verdict_matches_three_clause_check(kind, f_scale):
                 _d1, _d2, cert, refusal = _solve_ragged(plan, dv)
                 (residual,), (bound1,), (bound2,), (failed,) = cert.residual, cert.bound1, cert.bound2, cert.failed
                 assert failed == _three_clause_failure(plan, dv, residual, bound1, bound2, 0.7)
-                assert repr(refusal) == repr(failed and RuntimeError(f"internal invariant failed: {failed}"))
+                assert repr(refusal) == repr(failed and InternalInvariantError(f"internal invariant failed: {failed}"))
                 seen.add(failed)
     assert seen - {None} == FIRST_FAILURES[kind, f_scale]
 
@@ -414,7 +415,7 @@ def test_tiled_verdicts_match_single_solves(kind, rung):
         assert repr(got) == repr((*one.residual, *one.bound1, *one.bound2, one.failed[0]))
     assert None in cert.failed and D1 in cert.failed
     first = next(claim for claim in cert.failed if claim is not None)
-    assert repr(refusal) == repr(RuntimeError(f"internal invariant failed: {first}"))
+    assert repr(refusal) == repr(InternalInvariantError(f"internal invariant failed: {first}"))
 
 
 # Distinct pairs laid end to end under one plan, root ties injected into some

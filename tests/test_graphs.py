@@ -695,3 +695,79 @@ def test_equal_results_compare_equal():
     res = open_mult_graph(f, g, d, 0.7)
     assert res == open_mult_graph(f, g, d, 0.7) and not res != open_mult_graph(f, g, d, 0.7)
     assert res != open_mult_graph(f, g, d * 0.5, 0.7)
+
+
+def test_graph_refusals_name_their_fault():
+    dom = IntervalDomain(0.0, 1.0, 11)
+    twice = GraphDomain(("a", "b"), (("a", "b", dom),), crossings=(((0, 5), (0, 5)),))
+    with pytest.raises(ValueError) as exc:
+        refine_partition(twice)
+    assert (type(exc.value), str(exc.value)) == (ValueError, "edge 0 split twice at node 5")
+    fn = interp_fn(star3(), {"c": 1.0, "a": 0.5, "b": 0.5j, "e": -1.0})
+    assert slice_graph_function(fn, star3()) is fn  # no parentage, the same graph: nothing to slice
+    with pytest.raises(ValueError) as exc:
+        slice_graph_function(fn, theta())
+    assert (type(exc.value), str(exc.value)) == (ValueError, "refined domain carries no parentage")
+
+
+def test_vertex_tie_names_the_vertex():
+    # f = 1, g = 0, d = 0.5j at vertex "b": the pins' roots tie (as in
+    # test_vertex_pins_refuse_at_the_first_refusing_vertex)
+    from openmult.errors import EqualModulusRoots
+    from openmult.graphs import _vertex_pins
+    from openmult.interval import PipelineConfig
+
+    graph = GraphDomain(("a", "b"), (("a", "b", EDGE_DOM_2),))
+    f, g, d = (_edge_values(graph, dict(zip("ab", x))) for x in ((1 + 1j, 1.0), (0.5, 0.0), (0.001j, 0.5j)))
+    with pytest.raises(EqualModulusRoots) as exc:
+        _vertex_pins(f, g, d, PipelineConfig.for_target(0.7))
+    assert (str(exc.value), exc.value.bound, exc.value.value) == (
+        "root moduli tie at vertex 'b'", "distinct root moduli", "b")
+
+
+# Z sits where |Z|^2 < eta2 at eps0 = 0.7 in one formula and not in the other:
+# Python's (and pyarith's) squared modulus and numpy's np.abs(.)**2.
+Z = -0.14891805690199778 + 0.13350435321941131j
+
+
+@pytest.mark.parametrize("z", [Z, Z * (1 + 2**-50)])
+def test_vertex_on_the_cover_threshold_is_certified(z):
+    # A two-edge star, f = z*(1 + 10t) from the centre, g = 0: the centre is
+    # non-degenerate, as both its edge ends are in the plan.
+    dom = IntervalDomain(0.0, 1.0, 5)
+    graph = GraphDomain(("c", "a", "b"), (("c", "a", dom), ("c", "b", dom)))
+    f = GraphFunction(graph, tuple(z * (1 + 10 * dom.nodes()) for _ in range(2)))
+    g, d = (GraphFunction(graph, tuple(np.full(5, v, dtype=complex) for _ in range(2))) for v in (0.0, 0.5 * delta0(0.7)))
+    result = open_mult_graph(f, g, d, 0.7)
+    assert result.vertex_report["c"]["kind"] == "nondeg"
+    assert result.residual <= 1e-9 and max(result.bound1, result.bound2) <= 0.7
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_vertex_kind_is_the_plan_kind_at_each_end(seed):
+    # Vertex values on the cover threshold |f|^2 + |g|^2 = eta2, up to a few
+    # ulps: each vertex's kind is what the plan's h < eta2 says at each of its
+    # edge ends, with h computed on the whole edge arrays.
+    from openmult.graphs import _vertex_pins
+    from openmult.interval import PIN_KINDS, PipelineConfig
+
+    rng = np.random.default_rng(900 + seed)
+    cfg = PipelineConfig.for_target(float(rng.choice([0.7, 0.35, 0.07])))
+    n = 200
+    verts = tuple(f"v{i}" for i in range(n))
+    a, b = rng.integers(0, n, (2, 2 * n))
+    graph = GraphDomain(verts, tuple((verts[i], verts[j], IntervalDomain(0.0, 1.0, 3)) for i, j in zip(a, b)))
+
+    def on_threshold(share):
+        angle = np.exp(2j * np.pi * rng.random(n))
+        return np.sqrt(cfg.eta2 * share) * angle * (1 + rng.integers(-4, 5, n) * 2.0**-52)
+
+    share = rng.random(n)
+    fv, gv, dv = on_threshold(share), on_threshold(1 - share), np.full(n, 0.1 * cfg.delta0)
+    f, g, d = (interp_fn(graph, dict(zip(verts, x))) for x in (fv, gv, dv))
+    pins = _vertex_pins(f, g, d, cfg)
+    h = np.abs(f.values) ** 2 + np.abs(g.values) ** 2
+    layout = graph._layout
+    kind = pins.table.kind[layout.slot]  # per edge end: its vertex's kind
+    assert np.array_equal(kind == PIN_KINDS.index("cover"), h[layout.ends] < cfg.eta2)
+    assert 0 < np.count_nonzero(kind == PIN_KINDS.index("cover")) < kind.size

@@ -10,6 +10,7 @@ from openmult import (
     CoverInfeasible,
     EndpointPin,
     GridFunction,
+    IntervalCover,
     IntervalDomain,
     NonUnimodularInput,
     NormBudgetExceeded,
@@ -876,3 +877,64 @@ def test_rough_pairs_plan_or_refuse_a_seam():
         else:
             plans += 1
     assert seams and plans
+
+
+# The refusals of the interval helpers, each with its class and message.
+HELPER_REFUSALS = {
+    "shift_budget at eta = 0": (
+        lambda: shift_budget(0.0, 0.5), PreconditionViolated, "eta and eps must be positive"),
+    "cover run ending before it starts": (
+        lambda: IntervalCover(((3, 2),)), ValueError, "invalid cover interval"),
+    "cover runs touching": (
+        lambda: IntervalCover(((0, 3), (4, 5))), ValueError, "cover intervals must be disjoint and increasing"),
+    "complex sublevel function": (
+        lambda: sublevel_cover(grid(T + 1j), 0.1, 0.2), PreconditionViolated, "sublevel function must be real-valued"),
+    "negative sublevel function": (
+        lambda: sublevel_cover(grid(T - 0.5), 0.1, 0.2), PreconditionViolated, "sublevel function must be nonnegative"),
+    "half construction on no side": (
+        lambda: factor_halfboundary(grid(np.full(DOM.n, 0.01)), 0.5, 0.1, 0.1, 0.1, side="up"),
+        ValueError, "side must be 'left' or 'right'"),
+    "shared value off the far end": (
+        lambda: factor_halfboundary(grid(np.full(DOM.n, 0.01)), 0.5, 0.1, 0.1, 0.2),
+        BoundaryMismatch, "zhat^2 does not match psi at the far end"),
+    "boundary value past eps": (
+        lambda: factor_interval(grid(np.full(DOM.n, 0.01)), 0.5, 0.6, 0.01 / 0.6, 0.1, 0.1),
+        NormBudgetExceeded, "boundary value modulus 0.6 exceeds eps = 0.5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELPER_REFUSALS))
+def test_helper_refusals(name):
+    call, cls, message = HELPER_REFUSALS[name]
+    with pytest.raises(cls) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (cls, message)
+
+
+# Layouts plan_intervals refuses before planning: (fv, gv, offsets, pin rows),
+# and the layout entry the refusal names.
+_EIGHT = np.ones(8, dtype=complex)
+LAYOUT_REFUSALS = {
+    "offsets past the grid": ((_EIGHT, _EIGHT, (0, 9), 1), "offsets"),
+    "offsets starting after 0": ((_EIGHT, _EIGHT, (1, 8), 1), "offsets"),
+    "offsets short of the grid": ((_EIGHT, _EIGHT, (0, 5), 1), "offsets"),
+    "decreasing offsets": ((_EIGHT, _EIGHT, (0, 5, 3, 8), 3), "offsets"),
+    "repeated offset": ((_EIGHT, _EIGHT, (0, 4, 4, 8), 3), "offsets"),
+    "2-d offsets": ((_EIGHT, _EIGHT, ((0, 8),), 1), "offsets"),
+    "one pin row for two intervals": ((_EIGHT, _EIGHT, (0, 4, 8), 1), "pins"),
+    "2-d fv and gv": ((_EIGHT.reshape(2, 4), _EIGHT.reshape(2, 4), (0, 8), 1), "fv, gv"),
+    "fv and gv of different lengths": ((_EIGHT, _EIGHT[:7], (0, 8), 1), "fv, gv"),
+}
+LAYOUT_MESSAGES = {
+    "offsets": "offsets must rise strictly from 0 to fv.size",
+    "pins": "pins must be a table of shape (2, 2)",
+    "fv, gv": "fv and gv must be one-dimensional, of one shape",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_REFUSALS))
+def test_malformed_layout_refused(name):
+    (fv, gv, offsets, rows), bound = LAYOUT_REFUSALS[name]
+    with pytest.raises(PreconditionViolated) as exc:
+        plan_intervals(fv, gv, 0.7, offsets, PinTable.of([(None, None)] * rows))
+    assert (str(exc.value), exc.value.bound) == (LAYOUT_MESSAGES[bound], bound)

@@ -7,6 +7,7 @@ from openmult import (
     EndpointPin,
     GridFunction,
     IntervalDomain,
+    InternalInvariantError,
     PinTable,
     PreconditionViolated,
     VertexInconsistency,
@@ -152,6 +153,22 @@ class TestProbePipeline:
         assert rep.curve == ((delta0(0.5), 0.0),)
         assert rep.delta_empirical == 0.0
 
+    @pytest.mark.parametrize("error, message", [
+        (InternalInvariantError, "internal invariant failed: rotated lower bound lost"),
+        (PreconditionViolated, "offsets must rise strictly from 0 to fv.size"),
+    ])
+    def test_plan_failing_otherwise_propagates(self, monkeypatch, error, message):
+        # Only an infeasible cover counts as failed trials: an internal
+        # failure of the plan, or any other refusal, is never swallowed.
+        def fail(*args, **kwargs):
+            raise error(message)
+
+        monkeypatch.setattr(probe_mod, "plan_intervals", fail)
+        f = GridFunction.constant(DOM, 1.0)
+        with pytest.raises(error) as exc:
+            probe_pipeline(f, f, 0.5, trials=2, seed=0)
+        assert str(exc.value) == message
+
     def test_probe_plans_once(self, monkeypatch):
         # 200 trials of 129 nodes make two chunks a rung: one plan, over a
         # chunk of copies of the pair, is the refusal gate and serves both.
@@ -197,3 +214,17 @@ class TestProbePipeline:
         assert plan_interval(f.values, f.values, 0.7).cover[0].size
         rep = probe_pipeline(f, f, 0.7, trials=4, seed=1)
         assert len(calls["_solve_ragged"]) == len(rep.curve) and not calls["_meta"]
+
+
+@pytest.mark.parametrize("x, y, eps, reachable", [(1.0, 0.5, 0.6, True), (0.5, 1.0, 0.6, True), (1.0, 1.0, 0.5, False)])
+def test_zero_product_needs_a_factor_within_eps_of_zero(x, y, eps, reachable):
+    # w = -x*y: x'*y' = 0 only where x' or y' is 0
+    assert probe_mod._reachable(x, y, eps, -x * y, 8) is reachable
+
+
+def test_radius_saturates_where_every_direction_succeeds():
+    # Both parts of eps*e^{it} and of w (|w| <= 1.5e-10) are lost in rounding
+    # next to those of x and x*y, so the search finds x' = x, y' = y in every
+    # direction at the top of the bracket, which is returned as it is.
+    eps, x, y = 1e-30, 1e20 + 1e20j, 1.0
+    assert brute_scalar_delta(eps, x, y, grid=8) == eps * (abs(x) + abs(y) + eps) * 1.01 + 1e-12

@@ -21,7 +21,7 @@ from openmult import (
     sup_norm,
 )
 from openmult.functions import GridFunction, IntervalDomain
-from openmult.scheme import AlgebraModel
+from openmult.scheme import AlgebraModel, SchemeParams
 
 
 def rand_nondeg_pair(rng, n, floor=0.4):
@@ -349,3 +349,28 @@ class TestAuditClaims:
         assert len(lines) == len(trace)
         first = json.loads(lines[0])
         assert first["n"] == 0 and "norm_h" in first
+
+
+_ONE = FiniteSpaceFunction([1.0])
+# The refusals of the scheme constants, each with its class and message.
+CONSTANT_REFUSALS = {
+    "gamma past 1": (
+        lambda: SchemeParams(gamma=2.0, K=2.0, That=1.0, T=1.0, delta=1.0, eps=0.5),
+        ValueError, "scheme constants out of range"),
+    "zero delta": (
+        lambda: SchemeParams(gamma=1.0, K=2.0, That=1.0, T=1.0, delta=0.0, eps=0.5),
+        ValueError, "scheme constants out of range"),
+    "eps at 1": (lambda: scheme_params(_ONE, _ONE, 1.0, sup_algebra_model(1)), PreconditionViolated,
+                 "eps must lie in (0, 1)"),
+    "eps at 0": (lambda: scheme_params(_ONE, _ONE, 0.0, sup_algebra_model(1)), PreconditionViolated,
+                 "eps must lie in (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_REFUSALS))
+def test_constant_refusals(name):
+    call, cls, message = CONSTANT_REFUSALS[name]
+    with pytest.raises(cls) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (cls, message)
+
