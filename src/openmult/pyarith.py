@@ -3,15 +3,20 @@
 Code that once ran per element on Python `complex` numbers keeps its output
 bits over arrays only if each operation rounds as the scalar one did.  numpy's
 array kernels do not: its complex product may fuse a multiply into the add
-(FMA), its array `abs` is not `hypot`, its quotient is not CPython's, and
-`x**2` on floats is a square where Python calls libm's `pow`.  Each helper
-here runs the scalar formula one real operation (one ufunc) at a time, in the
-scalar order.
+(FMA), its array `abs` is not `hypot`, and its quotient is not CPython's.
+Each helper here runs the scalar formula one real operation (one ufunc) at a
+time, in the scalar order.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# glibc raises its mmap threshold to the size of the largest block it unmaps,
+# and its trim threshold to twice that; freeing one untouched 4 MiB block
+# keeps the pipelines' MiB-sized temporaries on the heap between calls (a
+# 400-edge open_mult_graph took ~400 minor page faults per call, then 0).
+np.empty(4 << 20, dtype=np.uint8)
 
 
 def _complex(re, im):
@@ -24,12 +29,6 @@ def _complex(re, im):
 def cabs(a):
     """abs(a) as Python's and numpy's scalar `abs` round it: hypot."""
     return np.hypot(np.real(a), np.imag(a))
-
-
-def sq_abs(a):
-    """abs(a)**2 as Python rounds it: libm's pow(|a|, 2), which is not
-    always the correctly rounded square.  Overflow gives inf."""
-    return np.float_power(cabs(a), 2.0)
 
 
 def mul(a, b):

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from openmult import (
     GraphDomain,
@@ -19,6 +21,7 @@ from openmult import (
     slice_graph_function,
     sup_norm,
 )
+from openmult.interval import PipelineConfig
 
 N = 129
 EDGE_DOM = IntervalDomain(0.0, 1.0, N)
@@ -359,8 +362,8 @@ def _vertex_pin(fval, gval, dval, cfg):
     from openmult.interval import EndpointPin, root_pair
     from openmult.quadratic import smaller_root_vec
 
-    h = abs(fval) ** 2 + abs(gval) ** 2
-    if h < cfg.eta2:
+    abs_f2, abs_g2 = np.abs(np.array([fval, gval])) ** 2  # the plan's form, not Python's abs(z)**2
+    if abs_f2 + abs_g2 < cfg.eta2:
         za, wa = root_pair(fval * gval + dval)
         return EndpointPin(kind="cover", d1=za - fval, d2=wa - gval, za=za, wa=wa)
     if fval != 0 and gval != 0:
@@ -726,8 +729,31 @@ def test_vertex_tie_names_the_vertex():
 
 
 # Z sits where |Z|^2 < eta2 at eps0 = 0.7 in one formula and not in the other:
-# Python's (and pyarith's) squared modulus and numpy's np.abs(.)**2.
+# Python's squared modulus abs(Z)**2 and numpy's np.abs(.)**2.
 Z = -0.14891805690199778 + 0.13350435321941131j
+CFG_07 = PipelineConfig.for_target(0.7)
+
+
+@st.composite
+def _on_the_cover_threshold(draw):
+    """(f, g) with |f|^2 + |g|^2 within a few ulps of eta2 at eps0 = 0.7."""
+    share = draw(st.floats(0.0, 1.0))
+    return tuple(
+        np.sqrt(CFG_07.eta2 * s) * np.exp(2j * np.pi * draw(st.floats(0.0, 1.0))) * (1 + draw(st.integers(-4, 4)) * 2.0**-52)
+        for s in (share, 1 - share)
+    )
+
+
+@given(_on_the_cover_threshold())
+@example((Z, 0j))
+@settings(max_examples=200, deadline=None)
+def test_vertex_pin_on_the_cover_threshold_equals_the_scalar_reference(fg):
+    from openmult.graphs import _vertex_pins
+
+    graph = GraphDomain(("a", "b"), (("a", "b", EDGE_DOM_2),))
+    f, g, d = (_edge_values(graph, {"a": v, "b": v}) for v in (*fg, 0.1 * CFG_07.delta0))
+    want = _reference_pins(f, g, d, CFG_07)
+    assert [_pin_bits(p) for p in _vertex_pins(f, g, d, CFG_07).values()] == [_pin_bits(p) for p in want.values()]
 
 
 @pytest.mark.parametrize("z", [Z, Z * (1 + 2**-50)])

@@ -108,11 +108,11 @@ class TestProbePipeline:
 
     def test_internal_invariant_failure_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
-            raise RuntimeError("internal invariant failed: factorization residual out of tolerance")
+            raise InternalInvariantError("internal invariant failed: factorization residual out of tolerance")
 
         monkeypatch.setattr(probe_mod, "_solve_ragged", broken)
         f = GridFunction.constant(DOM, 1.0)
-        with pytest.raises(RuntimeError, match="internal invariant failed"):
+        with pytest.raises(InternalInvariantError, match="internal invariant failed"):
             probe_pipeline(f, f, 0.5, trials=2, seed=0)
 
     def test_tied_trial_fails_alone(self, monkeypatch):

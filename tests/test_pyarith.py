@@ -59,20 +59,15 @@ def test_quotient_by_zero_is_nan():
     assert pyarith.quot(np.array([1 + 1j]), 2j).tolist() == [(1 + 1j) / 2j]
 
 
-def test_abs_and_squared_abs_match_python():
+def test_abs_matches_python():
     a, _b = _pairs(3, 20_000)
     with np.errstate(over="ignore"):
-        got_abs, got_sq = pyarith.cabs(a), pyarith.sq_abs(a)
-    for z, m, m2 in zip(a.tolist(), got_abs.tolist(), got_sq.tolist()):
+        got_abs = pyarith.cabs(a)
+    for z, m in zip(a.tolist(), got_abs.tolist()):
         try:
             assert m == abs(z)
         except OverflowError:
             assert m == math.inf
-            continue
-        try:
-            assert m2 == abs(z) ** 2  # libm pow: not always m*m
-        except OverflowError:
-            assert m2 == math.inf
 
 
 def test_real_quotient_matches_numpy_scalars():
