@@ -21,12 +21,12 @@ class InternalInvariantError(OpenMultError):
     exit_code = 1
 
 
-class DomainMismatch(OpenMultError):
-    """Two functions live on different domains."""
-
-
 class PreconditionViolated(OpenMultError):
     """An operation was called outside its admissible input region."""
+
+
+class DomainMismatch(PreconditionViolated):
+    """Inputs live on different domains (bound "common domain")."""
 
 
 class PerturbationTooLarge(PreconditionViolated):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pyarith
-from .errors import PerturbationTooLarge, PreconditionViolated
+from .errors import DomainMismatch, PerturbationTooLarge, PreconditionViolated
 from .functions import FiniteSpaceFunction, values_from_json, values_to_json
 
 
@@ -23,7 +23,7 @@ def _factor_points(x, y, w, eps):
     product and quotient come from pyarith.  The first point that scalar
     code would refuse raises as it would."""
     if eps <= 0:
-        raise PreconditionViolated("eps must be positive")
+        raise PreconditionViolated("eps must be positive", bound="eps > 0", value=eps, limit=0.0)
     with np.errstate(all="ignore"):  # as Python floats: an overflow is inf, without a warning
         ax, ay, aw = pyarith.cabs(x), pyarith.cabs(y), pyarith.cabs(w)
         too_large = aw > 0.25 * eps * eps * (1.0 + 1e-12)
@@ -62,8 +62,7 @@ def open_mult_finite(
     a: FiniteSpaceFunction, b: FiniteSpaceFunction, d: FiniteSpaceFunction, eps: float
 ) -> tuple[FiniteSpaceFunction, FiniteSpaceFunction]:
     """scalar_factor at every point: a'*b' = a*b + d node-wise."""
-    if a.n != b.n or a.n != d.n:
-        raise PreconditionViolated("a, b, d must have the same number of points", bound="same number of points")
+    a._check_domain(b, d)
     supd = float(np.max(np.abs(d.values)))
     if supd > 0.25 * eps * eps * (1.0 + 1e-12):
         raise PerturbationTooLarge(
@@ -86,9 +85,8 @@ def nondeg_approx(
     and re-multiplying by s is exact in binary floating point.
     """
     if eps <= 0:
-        raise PreconditionViolated("eps must be positive")
-    if f.n != g.n:
-        raise PreconditionViolated("f and g must have the same number of points", bound="same number of points")
+        raise PreconditionViolated("eps must be positive", bound="eps > 0", value=eps, limit=0.0)
+    f._check_domain(g)
     cut = eps / 3.0
     pow2 = math.ldexp(1.0, math.frexp(eps / 2.0)[1] - 1)  # largest power of two <= eps/2
     with np.errstate(over="ignore", invalid="ignore"):  # overflows only at points that keep their values
@@ -176,8 +174,8 @@ class DiagonalAlgebraElement:
         return self._like(1.0 / lam, -self.coords / (lam * (lam + self.coords)))
 
     def _check(self, other):
-        if other.weights.shape != self.weights.shape or not np.array_equal(other.weights, self.weights):
-            raise PreconditionViolated("elements carry different weight vectors")
+        if not np.array_equal(other.weights, self.weights):  # weights of two shapes are unequal
+            raise DomainMismatch("elements carry different weight vectors", bound="common domain")
 
     def to_json(self) -> dict:
         return {

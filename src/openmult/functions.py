@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -66,8 +67,9 @@ class _Samples:
     Every sample type holds its samples as one validated, read-only complex
     array, `values`, and builds a sample on its own domain from a new array
     with `_like(values)`.  Two samples combine node by node only when they
-    have the same type and equal `domain`, and compare equal when, besides,
-    their values are equal node by node.  Samples are not hashable.
+    have the same type and equal `domain` (`_check_domain`, the one domain
+    rule of every entry point), and compare equal when, besides, their
+    values are equal node by node.  Samples are not hashable.
     """
 
     __hash__ = None
@@ -86,10 +88,11 @@ class _Samples:
         obj.values.setflags(write=False)
         return obj
 
-    def _check_domain(self, other):
-        if type(other) is not type(self) or other.domain != self.domain:
-            names = f"{type(self).__name__} and {type(other).__name__}"
-            raise DomainMismatch(f"{names} live on different domains", bound="common domain")
+    def _check_domain(self, *others):
+        for other in others:  # the first of another type or domain is refused
+            if type(other) is not type(self) or other.domain != self.domain:
+                names = f"{type(self).__name__} and {type(other).__name__}"
+                raise DomainMismatch(f"{names} live on different domains", bound="common domain")
 
     def _binop(self, other, op):
         if isinstance(other, _Samples):
@@ -132,6 +135,11 @@ class IntervalDomain:
             ok = False
         if not ok:
             raise ValueError("require a < b, with b - a finite")
+        if type(self.n) is not int:  # a numpy integer is stored as an int; a float or a str is refused
+            try:
+                object.__setattr__(self, "n", operator.index(self.n))
+            except TypeError:
+                raise ValueError(f"n must be an integer, got {self.n!r}") from None
         if self.n < 2:
             raise ValueError("require n >= 2")
 

@@ -227,11 +227,11 @@ def open_mult_graph(
     those.  One plan and one solve cover all edges; a refusal names the first
     edge, in edge order, that refuses.
     """
-    if not (f.domain == g.domain == d.domain):
-        raise PreconditionViolated("f, g, d must live on the same graph", bound="common graph")
+    f._check_domain(g, d)
     graph = f.domain
     if graph.crossings:
-        raise PreconditionViolated("run refine_partition first: graph declares unresolved crossings")
+        raise PreconditionViolated("run refine_partition first: graph declares unresolved crossings",
+                                   bound="no crossings")
     cfg = PipelineConfig.for_target(eps0)
     supd = float(np.max(np.abs(d.values), initial=0.0))
     cfg.check_radius(supd)

@@ -52,15 +52,15 @@ def shift_budget(eta: float, eps: float) -> float:
     strictly below eta/2, which keeps the tracked root separated and small.
     """
     if eta <= 0 or eps <= 0:
-        raise PreconditionViolated("eta and eps must be positive")
+        raise PreconditionViolated("eta and eps must be positive", bound="eta > 0 and eps > 0")
     return min(eps * eta / 2.0, eta * eta / 5.0)
 
 
 def delta0(eps0: float) -> float:
     """Certified perturbation radius for the interval pipeline.
 
-    Equals eps0**2 / 245 with the shift budget above: the target bound is
-    split as eps1 = eps0/7 and the radius is capped at eps1**2.
+    Equals eps0**2 / 245: the target bound is split as eps1 = eps0/7 and
+    the radius is the tracking budget shift_budget(eps1, eps1) = eps1**2/5.
     """
     return PipelineConfig.for_target(eps0).delta0
 
@@ -78,20 +78,15 @@ class PipelineConfig:
     @classmethod
     def for_target(cls, eps0: float) -> "PipelineConfig":
         if not 0.0 < eps0 < 1.0:
-            raise PreconditionViolated("eps0 must lie in (0, 1)")
+            raise PreconditionViolated("eps0 must lie in (0, 1)", bound="0 < eps0 < 1", value=eps0)
         eps1 = eps0 / 7.0
         if eps1 == 0.0:
             raise PreconditionViolated(
                 "eps0 is too small: eps0/7 underflows to zero",
                 bound="eps0/7 > 0 (no underflow)", value=eps0, limit=math.ulp(0.0) * 4,
             )
-        return cls(
-            epsilon0=eps0,
-            epsilon1=eps1,
-            eta1=eps1 * eps1,
-            eta2=4.0 * eps1 * eps1,
-            delta0=min(eps1 * eps1, shift_budget(eps1, eps1)),
-        )
+        return cls(epsilon0=eps0, epsilon1=eps1, eta1=eps1 * eps1, eta2=4.0 * eps1 * eps1,
+                   delta0=shift_budget(eps1, eps1))
 
     @property
     def cover_tiers(self) -> tuple:
@@ -133,12 +128,12 @@ def quadratic_correction(
     Requires |f| >= eta everywhere, |g| unimodular, and sup|d| within
     shift_budget(eta, eps).
     """
+    f._check_domain(g, d)
     fv, gv, dv = f.values, g.values, d.values
-    if float(np.min(np.abs(fv))) < eta * (1.0 - 1e-12):
-        raise PreconditionViolated(
-            "linear coefficient drops below the eta floor",
-            bound="min|f| >= eta", value=float(np.min(np.abs(fv))), limit=eta,
-        )
+    low = float(np.min(np.abs(fv)))
+    if low < eta * (1.0 - 1e-12):
+        raise PreconditionViolated("linear coefficient drops below the eta floor",
+                                   bound="min|f| >= eta", value=low, limit=eta)
     if float(np.max(np.abs(np.abs(gv) - 1.0))) > 1e-9:
         raise PreconditionViolated("quadratic coefficient must be unimodular", bound="|g| = 1")
     phi = _track_root(dv, fv, gv, eta, eps)
@@ -161,7 +156,7 @@ def phase_offsets(z, w):
 def phase_offset(z: complex, w: complex) -> complex:
     """Unimodular c with |z + c*w|**2 = |z|**2 + |w|**2."""
     if z == 0 or w == 0:
-        raise ZeroArgument("phase offset needs nonzero arguments")
+        raise ZeroArgument("phase offset needs nonzero arguments", bound="z != 0 and w != 0")
     return complex(phase_offsets(np.complex128(z), np.complex128(w)))
 
 
@@ -205,7 +200,7 @@ def circle_extend(partial, defined=None, segments=None):
     dev -= 1.0
     np.abs(dev, out=dev)
     if float(np.max(dev, where=mask, initial=0.0)) > 1e-9:
-        raise NonUnimodularInput("defined values must lie on the unit circle")
+        raise NonUnimodularInput("defined values must lie on the unit circle", bound="|defined value| = 1")
 
     seg_lo, seg_hi = segments if segments is not None else (np.zeros(1, dtype=np.intp), np.array([vals.size - 1]))
     idx = np.flatnonzero(~mask)
@@ -301,13 +296,13 @@ def sublevel_cover(h: GridFunction, eta1: float, eta2: float) -> IntervalCover:
     domain endpoint) sits at h <= eta1.
     """
     if not 0.0 < eta1 < eta2:
-        raise PreconditionViolated("need 0 < eta1 < eta2")
+        raise PreconditionViolated("need 0 < eta1 < eta2", bound="0 < eta1 < eta2")
     values = np.asarray(h.values)
     if float(np.max(np.abs(values.imag))) > 0.0:
-        raise PreconditionViolated("sublevel function must be real-valued")
+        raise PreconditionViolated("sublevel function must be real-valued", bound="h real")
     hv = values.real
     if float(np.min(hv)) < 0.0:
-        raise PreconditionViolated("sublevel function must be nonnegative")
+        raise PreconditionViolated("sublevel function must be nonnegative", bound="h >= 0", value=float(np.min(hv)))
     no_pins = np.zeros((1, 2), dtype=bool)
     runs, refused = _plan_cover(hv, eta1, eta2, np.zeros(1, dtype=np.intp), np.array([hv.size - 1]), no_pins, no_pins)
     if refused:
@@ -378,7 +373,8 @@ def _nondeg_phase_arrays(h1, h2, eta, starts=(0,), pins=None, hmin=None):
     if not margin.all():
         factor_min = np.minimum.reduceat(np.minimum(a1, a2), starts)
         if np.any(~margin & (factor_min <= 0.0)):
-            raise PreconditionViolated("zero non-degeneracy margin at a node where a factor vanishes")
+            raise PreconditionViolated("zero non-degeneracy margin at a node where a factor vanishes",
+                                       bound="min(|h1|^2+|h2|^2) > eta^2 where a factor vanishes")
     eta0 = np.sqrt(eta0_sq, out=np.ones_like(eta0_sq), where=margin)
     # largest tau with sqrt(eta^2 + (1-tau^2)*eta0^2) - tau*eta0 >= eta;
     # with no margin every node is defined
@@ -411,8 +407,7 @@ def nondeg_phases(h1: GridFunction, h2: GridFunction, eta: float) -> tuple[GridF
     that makes the moduli add Pythagorean-style; inside, it is bridged by
     circle_extend.
     """
-    if h1.domain != h2.domain:
-        raise PreconditionViolated("phases need a common domain")
+    h1._check_domain(h2)
     beta2, _f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta)
     return GridFunction(h1.domain, np.ones_like(beta2)), GridFunction(h1.domain, beta2)
 
@@ -426,8 +421,7 @@ def perturb_nondegenerate(
     quadratic with linear coefficient h1*beta1 + h2*beta2 and unimodular
     leading coefficient beta1*beta2.
     """
-    if not (h1.domain == h2.domain == d.domain):
-        raise PreconditionViolated("inputs need a common domain")
+    h1._check_domain(h2, d)
     beta2, f_quad = _nondeg_phase_arrays(h1.values, h2.values, eta)
     phi = _track_root(d.values, f_quad, beta2, eta, eps)
     return GridFunction(h1.domain, phi), GridFunction(h1.domain, beta2 * phi)
@@ -504,7 +498,7 @@ def factor_halfboundary(
     far, pin = (0, pv.size - 1) if side == "right" else (pv.size - 1, 0)
     _check_pair(za, wa, pv[pin])
     if abs(zhat * zhat - pv[far]) > RESIDUAL_TOL * (1.0 + abs(pv[far])):
-        raise BoundaryMismatch("zhat^2 does not match psi at the far end")
+        raise BoundaryMismatch("zhat^2 does not match psi at the far end", bound="zhat^2 = psi at the far end")
     k = np.arange(pv.size)[::1 if pin == 0 else -1]  # each node's distance from the pinned end
     ends = (np.array([x], dtype=np.complex128) for x in (za, wa, zhat))
     z1, z2 = _factor_arrays(pv, np.array([pv.size]), k, np.array([pv.size]), np.array([far]), np.array([pin]), *ends)
@@ -514,17 +508,17 @@ def factor_halfboundary(
 def _check_budget(psi, eps, pins):
     sup_psi = float(np.max(np.abs(psi)))
     if sup_psi > eps * eps * (1.0 + 1e-9):
-        raise NormBudgetExceeded(
-            f"sup|psi| = {sup_psi} exceeds eps^2 = {eps * eps}"
-        )
+        raise NormBudgetExceeded(f"sup|psi| = {sup_psi} exceeds eps^2 = {eps * eps}",
+                                 bound="sup|psi| <= eps^2", value=sup_psi, limit=eps * eps)
     for z in pins:
         if abs(z) > eps * (1.0 + 1e-9):
-            raise NormBudgetExceeded(f"boundary value modulus {abs(z)} exceeds eps = {eps}")
+            raise NormBudgetExceeded(f"boundary value modulus {abs(z)} exceeds eps = {eps}",
+                                     bound="|boundary value| <= eps", value=abs(z), limit=eps)
 
 
 def _check_pair(z, w, target):
     if abs(z * w - target) > RESIDUAL_TOL * (1.0 + abs(target)):
-        raise BoundaryMismatch("boundary pair product does not match psi")
+        raise BoundaryMismatch("boundary pair product does not match psi", bound="z*w = psi at the pinned end")
 
 
 def factor_interval(
@@ -580,7 +574,7 @@ class EndpointPin:
                 f"a {self.kind!r} pin needs {missing}", bound=f"{missing} given for kind {self.kind!r}",
             )
         if self.kind == "nondeg" and not abs(abs(complex(self.beta2)) - 1.0) <= 1e-9:
-            raise NonUnimodularInput("pinned boundary value must be unimodular")
+            raise NonUnimodularInput("pinned boundary value must be unimodular", bound="|beta2| = 1")
 
 
 PIN_KINDS = (None, "cover", "nondeg")  # a PinTable's kind code is the index of the pin's kind
@@ -900,7 +894,7 @@ def solve_intervals(plan: IntervalPlan, dv):
     """_solve_ragged behind the delta0 gate: (d1, d2, certificate) of a
     result certified on every interval, else the solve's refusal raised."""
     if dv.shape != plan.fv.shape:
-        raise PreconditionViolated("perturbation must live on the plan's grid")
+        raise PreconditionViolated("perturbation must live on the plan's grid", bound="dv.shape == fv.shape")
     plan.cfg.check_radius(float(np.max(np.abs(dv))))
     d1, d2, cert, refusal = _solve_ragged(plan, dv)
     if refusal is not None:
@@ -935,8 +929,7 @@ def open_mult_interval(
     Requires sup|d| <= delta0(eps0); the same radius works for every (f, g)
     pair, with no per-instance tuning.
     """
-    if not (f.domain == g.domain == d.domain):
-        raise PreconditionViolated("f, g, d need a common domain", bound="common domain")
+    f._check_domain(g, d)
     cfg = PipelineConfig.for_target(eps0)
     if not np.any(d.values):
         zero = np.zeros(f.domain.n, dtype=np.complex128)

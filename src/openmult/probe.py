@@ -84,7 +84,7 @@ def brute_scalar_delta(eps: float, x: complex, y: complex, grid: int = 32) -> fl
     """Largest radius r (bisected to 1e-4 relative) such that every sampled
     direction w with |w| = r admits factors within the eps-balls."""
     if grid < 8:
-        raise PreconditionViolated("grid must be at least 8")
+        raise PreconditionViolated("grid must be at least 8", bound="grid >= 8", value=grid, limit=8)
 
     def success(r):
         for phase in np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False):
@@ -116,13 +116,13 @@ def probe_pipeline(
     `trials` random directions through the ungated solve; a trial succeeds
     when the solve certifies its result (identity and bounds, checked a
     posteriori).  Reports the largest radius at which every sampled direction
-    succeeded.  A rung's trials are split evenly over the fewest chunks that
-    keep every batched array below numpy's in-place reuse threshold, so each
-    trial gets the bits of a solve of its own on the call's one plan, over a
-    chunk's worth of copies of (f, g) laid end to end; an infeasible cover
-    fails every trial, and an internal failure of the plan propagates.  A trial fails on its own verdict, a root tie included, so
-    it never fails another trial of its chunk.  A short last chunk is padded
-    with copies of its own trials.
+    succeeded.  f and g on two grids are refused, an infeasible cover fails
+    every trial, and an internal failure of the plan propagates.  A rung's
+    trials are split evenly over the fewest chunks that keep every batched
+    array below numpy's in-place reuse threshold, a short last chunk padded
+    with copies of its own trials, so each trial gets the bits of a solve of
+    its own on the call's one plan, over a chunk's worth of copies of (f, g)
+    laid end to end, and fails on its own verdict (a root tie included) alone.
     """
     if trials < 1:
         raise PreconditionViolated("trials must be at least 1", bound="trials", value=trials, limit=1)
@@ -130,14 +130,14 @@ def probe_pipeline(
         raise PreconditionViolated("seed must be non-negative", bound="seed", value=seed)
     rng = np.random.default_rng(seed)
     base = delta0(eps0)
+    f._check_domain(g)
     n = f.domain.n
     cap = max(1, (_ELIDE_BYTES - 1) // (16 * n))
     chunk = -(-trials // -(-trials // cap))  # ceil(trials / the fewest chunks of at most cap)
-    plan = None  # a pair on two grids, or a cover infeasible whatever d is: every trial fails
-    if f.domain == g.domain:
-        fv, gv = np.tile(f.values, chunk), np.tile(g.values, chunk)
-        with contextlib.suppress(CoverInfeasible):
-            plan = plan_intervals(fv, gv, eps0, np.arange(chunk + 1) * n, PinTable.of([(None, None)] * chunk))
+    fv, gv = np.tile(f.values, chunk), np.tile(g.values, chunk)
+    plan = None  # a cover infeasible whatever d is: every trial fails
+    with contextlib.suppress(CoverInfeasible):
+        plan = plan_intervals(fv, gv, eps0, np.arange(chunk + 1) * n, PinTable.of([(None, None)] * chunk))
 
     curve = []
     delta_emp = 0.0

@@ -85,7 +85,7 @@ def diagonal_algebra_model(weights) -> AlgebraModel:
 def inverse_norm_bound(norm_a: float, inv_sup: float, model: AlgebraModel) -> float:
     """Norm-control bound for an inverse: psi(norm_a * inv_sup) / norm_a."""
     if norm_a <= 0 or inv_sup <= 0:
-        raise PreconditionViolated("norms must be positive")
+        raise PreconditionViolated("norms must be positive", bound="norm_a > 0 and inv_sup > 0")
     return model.psi(norm_a * inv_sup) / norm_a
 
 
@@ -112,7 +112,7 @@ class SchemeParams:
 def scheme_params(F, G, eps: float, model: AlgebraModel) -> SchemeParams:
     """Compute the scheme constants for the pair (F, G) at target bound eps."""
     if not 0.0 < eps < 1.0:
-        raise PreconditionViolated("eps must lie in (0, 1)")
+        raise PreconditionViolated("eps must lie in (0, 1)", bound="0 < eps < 1", value=eps)
     inf_embed = min_modulus_sum(model.embed(F), model.embed(G))
     if inf_embed <= 0.0:
         raise DegeneratePair("inf over embedding nodes of |F| + |G| vanishes", bound="inf |F| + |G| > 0", value=inf_embed)
@@ -249,7 +249,7 @@ def audit_claims(trace: SchemeTrace, params: SchemeParams) -> dict:
     corrupted trace detectable.
     """
     if len(trace) == 0:
-        raise PreconditionViolated("trace is empty")
+        raise PreconditionViolated("trace is empty", bound="nonempty trace")
     per_iteration = []
     overall = True
     for rec in trace:

@@ -735,9 +735,9 @@ def test_malformed_model_refused_under_model(tmp_path, capsys, model):
     assert diag["message"].startswith("payload key 'model': ")
 
 
-def _mismatched_payload(command):
-    """A payload whose inputs live on different grids, graphs or point sets,
-    or whose trial count is 0, and the bound its refusal names."""
+def _on_two_domains(command):
+    """A payload of `command` whose inputs live on different grids, graphs or
+    point sets."""
     from openmult import GraphDomain, GraphFunction
 
     grid, coarse = (GridFunction.constant(IntervalDomain(0.0, 1.0, n), 1.0).to_json() for n in (65, 33))
@@ -745,20 +745,39 @@ def _mismatched_payload(command):
     on_path, on_star = (GraphFunction(graph, (np.ones(5),) * len(graph.edges)).to_json() for graph in (path, star))
     two, one = FiniteSpaceFunction([1.0, 1.0]).to_json(), FiniteSpaceFunction([1.0]).to_json()
     return {
-        "probe": ({"f": grid, "g": grid, "trials": 0}, "trials"),
-        "factor-interval": ({"f": grid, "g": grid, "d": coarse}, "common domain"),
-        "factor-graph": ({"f": on_path, "g": on_path, "d": on_star}, "common graph"),
-        "factor-finite": ({"a": two, "b": two, "d": one}, "same number of points"),
-        "nondeg-approx": ({"f": two, "g": one}, "same number of points"),
+        "probe": {"f": grid, "g": coarse},
+        "factor-interval": {"f": grid, "g": grid, "d": coarse},
+        "factor-graph": {"f": on_path, "g": on_path, "d": on_star},
+        "factor-finite": {"a": two, "b": two, "d": one},
+        "scheme": {"F": two, "G": one, "H": two},
+        "nondeg-approx": {"f": two, "g": one},
     }[command]
+
+
+def _mismatched_payload(command):
+    """A payload whose inputs live on different domains, or whose trial count
+    is 0, and the (class, bound) its refusal names."""
+    if command == "probe":
+        grid = GridFunction.constant(IntervalDomain(0.0, 1.0, 65), 1.0).to_json()
+        return {"f": grid, "g": grid, "trials": 0}, ("PreconditionViolated", "trials")
+    return _on_two_domains(command), ("DomainMismatch", "common domain")
 
 
 @pytest.mark.parametrize("command", ["probe", "factor-interval", "factor-graph", "factor-finite", "nondeg-approx"])
 def test_mismatched_inputs_name_their_bound(tmp_path, capsys, command):
-    payload, bound = _mismatched_payload(command)
+    payload, refusal = _mismatched_payload(command)
     assert main([command, "--input", write_json(tmp_path / "in.json", payload), "--epsilon", "0.5"]) == 2
     diag = json.loads(capsys.readouterr().err.strip())
-    assert (diag["error"], diag["bound"]) == ("PreconditionViolated", bound)
+    assert (diag["error"], diag["bound"]) == refusal
+
+
+@pytest.mark.parametrize("command", sorted(cli_mod.COMMANDS))
+def test_every_command_refuses_inputs_on_different_domains(tmp_path, capsys, command):
+    # one class, bound and message pattern for every command: the sample base's domain check
+    assert main([command, "--input", write_json(tmp_path / "in.json", _on_two_domains(command)), "--epsilon", "0.5"]) == 2
+    diag = json.loads(capsys.readouterr().err.strip())
+    assert diag.pop("message").endswith(" live on different domains")
+    assert diag == {"error": "DomainMismatch", "bound": "common domain"}
 
 
 def test_csv_on_stdout_appends_to_a_redirected_file(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from openmult import (
     DiagonalAlgebraElement,
+    DomainMismatch,
     FiniteSpaceFunction,
     OpenMultError,
     PerturbationTooLarge,
@@ -275,7 +276,7 @@ class TestDiagonalOpenMult:
 
 def _ref_scalar_factor(x, y, w, eps):
     if eps <= 0:
-        raise PreconditionViolated("eps must be positive")
+        raise PreconditionViolated("eps must be positive", bound="eps > 0", value=eps, limit=0.0)
     if abs(w) > 0.25 * eps * eps * (1.0 + 1e-12):
         raise PerturbationTooLarge(
             "perturbation exceeds eps^2/4",
@@ -400,8 +401,8 @@ W, EPS = 0.0317473776112571 + 0.05870930966296277j, 0.5166948108555934
     "d,eps,bound",
     [
         ([0.01, 0.2, 0.3], 0.5, "sup|d| <= eps^2/4"),
-        ([0.0, 0.0, 0.0], 0.0, None),  # eps <= 0 with d == 0: the per-point gate names it
-        ([0.0, 0.0, 0.0], -1.0, None),
+        ([0.0, 0.0, 0.0], 0.0, "eps > 0"),  # eps <= 0 with d == 0: the per-point gate names it
+        ([0.0, 0.0, 0.0], -1.0, "eps > 0"),
         ([0.01, W, 0.02, W * 1j], EPS, "|w| <= eps^2/4"),
     ],
 )
@@ -416,14 +417,15 @@ def test_finite_refusal_order_matches_reference(d, eps, bound):
 
 
 ONE_POINT, TWO_POINTS = FiniteSpaceFunction([1.0]), FiniteSpaceFunction([1.0, 1.0])
+TWO_SPACES = "FiniteSpaceFunction and FiniteSpaceFunction live on different domains"  # a DomainMismatch
 SHAPE_REFUSALS = {
     "open_mult_finite, d on fewer points": (
         lambda: open_mult_finite(TWO_POINTS, TWO_POINTS, ONE_POINT, 0.5),
-        "a, b, d must have the same number of points",
+        TWO_SPACES,
     ),
     "nondeg_approx, eps = 0": (lambda: nondeg_approx(TWO_POINTS, TWO_POINTS, 0.0), "eps must be positive"),
     "nondeg_approx, g on fewer points": (
-        lambda: nondeg_approx(TWO_POINTS, ONE_POINT, 0.5), "f and g must have the same number of points"),
+        lambda: nondeg_approx(TWO_POINTS, ONE_POINT, 0.5), TWO_SPACES),
 }
 
 
@@ -481,7 +483,7 @@ ELEMENT_REFUSALS = {
     "inverse vanishing at a point": (
         lambda: _element(coords=(-1.0,)).inverse(), ZeroDivisionError, "element is not invertible"),
     "sum over two weight vectors": (
-        lambda: _element() + _element(weights=(2.0,)), PreconditionViolated, "elements carry different weight vectors"),
+        lambda: _element() + _element(weights=(2.0,)), DomainMismatch, "elements carry different weight vectors"),
     "JSON without weights": (
         lambda: DiagonalAlgebraElement.from_json({"scalar": [1.0, 0.0], "coords": [[0.5, 0.0]]}),
         ValueError, "weights missing"),

@@ -1,11 +1,14 @@
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import openmult.cli as cli_mod
 from openmult import (
     DomainMismatch,
     FiniteSpaceFunction,
@@ -56,6 +59,20 @@ class TestDomains:
         # Python ints whose span no float holds: a ValueError, not numpy's or math's TypeError/OverflowError
         with pytest.raises(ValueError, match=r"^require a < b, with b - a finite$"):
             IntervalDomain(a, b, 5)
+
+    @pytest.mark.parametrize("n", [5.0, "5", None])
+    def test_interval_node_count_must_be_an_integer(self, n):
+        # refused where it is given, not later inside numpy's linspace
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {re.escape(repr(n))}$"):
+            IntervalDomain(0.0, 1.0, n)
+
+    def test_interval_numpy_integer_node_count_is_stored_as_an_int(self):
+        dom = IntervalDomain(0.0, 1.0, np.int64(5))
+        assert type(dom.n) is int and dom == IntervalDomain(0.0, 1.0, 5)
+        report = GridFunction.constant(dom, 1.0).to_json()
+        buf = io.StringIO()
+        cli_mod._write_json(buf.write, report)
+        assert buf.getvalue() == json.dumps(report, sort_keys=True, indent=2)
 
     def test_nodes_endpoints_exact(self):
         d = IntervalDomain(-2.0, 3.0, 7)

@@ -549,7 +549,7 @@ def test_negative_zero_at_an_edge_end_keeps_the_canonical_bits(monkeypatch):
 
 
 GRAPH_REFUSALS = {  # the graphs of f, g and d
-    "f, g, d must live on the same graph": (theta, theta, star3),
+    "GraphFunction and GraphFunction live on different domains": (theta, theta, star3),  # a DomainMismatch
     "run refine_partition first: graph declares unresolved crossings": (
         lambda: GraphDomain(("a", "b"), (("a", "b", EDGE_DOM),), crossings=(((0, 5),),)),) * 3,
 }

@@ -482,10 +482,11 @@ class TestPerturbNondegenerate:
 # The domain and shape refusals of the interval entry points: ONE lives on
 # DOM, OFF on another grid.
 ONE, OFF = GridFunction.constant(DOM, 1.0), GridFunction.constant(IntervalDomain(0.0, 1.0, 129), 0.0)
+TWO_GRIDS = "GridFunction and GridFunction live on different domains"  # a DomainMismatch, a PreconditionViolated
 DOMAIN_REFUSALS = {
-    "open_mult_interval": (lambda: open_mult_interval(ONE, ONE, OFF, 0.7), "f, g, d need a common domain"),
-    "nondeg_phases": (lambda: nondeg_phases(ONE, OFF, 0.5), "phases need a common domain"),
-    "perturb_nondegenerate": (lambda: perturb_nondegenerate(ONE, ONE, OFF, 0.5, 0.5), "inputs need a common domain"),
+    "open_mult_interval": (lambda: open_mult_interval(ONE, ONE, OFF, 0.7), TWO_GRIDS),
+    "nondeg_phases": (lambda: nondeg_phases(ONE, OFF, 0.5), TWO_GRIDS),
+    "perturb_nondegenerate": (lambda: perturb_nondegenerate(ONE, ONE, OFF, 0.5, 0.5), TWO_GRIDS),
     "solve_intervals": (
         lambda: solve_intervals(plan_interval(ONE.values, ONE.values, 0.7), OFF.values),
         "perturbation must live on the plan's grid",

@@ -4,6 +4,7 @@ import pytest
 import openmult.probe as probe_mod
 from openmult import (
     CoverInfeasible,
+    DomainMismatch,
     EndpointPin,
     GridFunction,
     IntervalDomain,
@@ -192,12 +193,13 @@ class TestProbePipeline:
         assert rep.curve == ((delta0(0.7), 0.0),)
         assert rep.delta_empirical == 0.0
 
-    def test_domain_mismatch_fails_every_trial(self):
-        # the second g has another node count: the pair is never tiled or planned
+    def test_domain_mismatch_refused(self):
+        # a g on other ends or with another node count is refused, not counted as zero success
         f = GridFunction.constant(DOM, 1.0)
         for other in (IntervalDomain(0.0, 2.0, DOM.n), IntervalDomain(0.0, 1.0, DOM.n + 1)):
-            rep = probe_pipeline(f, GridFunction.constant(other, 1.0), 0.7, trials=2, seed=0)
-            assert rep.curve == ((delta0(0.7), 0.0),)
+            with pytest.raises(DomainMismatch) as exc:
+                probe_pipeline(f, GridFunction.constant(other, 1.0), 0.7, trials=2, seed=0)
+            assert exc.value.bound == "common domain"
 
     def test_trials_build_no_certificate_rows(self, monkeypatch):
         # A rung reads only the verdicts of the ungated solve: no meta and
